@@ -20,7 +20,7 @@ from .domset import CapExceeded
 from .fdom import FdomResult, fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
 from .graphs import Graph, mask_to_list
-from .simplex import simplex_exact
+from .simplex import IntegerLP, simplex_exact
 
 
 @dataclass
@@ -74,12 +74,14 @@ def maximal_independent_sets(g: Graph) -> list[int]:
     return out
 
 
-def max_weight_independent_set(g: Graph, weights: Sequence[Fraction]) -> tuple[int, Fraction]:
-    """Exact branch-and-bound; weight-0 vertices are never needed."""
+def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
+                               ) -> tuple[int, int | Fraction]:
+    """Exact branch-and-bound over int or Fraction weights; weight-0
+    vertices are never needed."""
     order = sorted(range(g.n), key=lambda v: -weights[v])
-    best_mask, best_w = 0, Fraction(0)
+    best_mask, best_w = 0, 0
 
-    def search(i: int, avail: int, mask: int, w: Fraction, rest: Fraction) -> None:
+    def search(i: int, avail: int, mask: int, w, rest) -> None:
         nonlocal best_mask, best_w
         if w > best_w:
             best_mask, best_w = mask, w
@@ -97,8 +99,8 @@ def max_weight_independent_set(g: Graph, weights: Sequence[Fraction]) -> tuple[i
             if w + rest <= best_w:
                 return
 
-    total = sum((w for w in weights if w > 0), Fraction(0))
-    search(0, (1 << g.n) - 1, 0, Fraction(0), total)
+    total = sum(w for w in weights if w > 0)
+    search(0, (1 << g.n) - 1, 0, 0, total)
     return best_mask, best_w
 
 
@@ -137,15 +139,23 @@ def fractional_chromatic(g: Graph, enum_cap: int = 25,
         _check_chi_f(g, sets, value, xs, ys)
         return FractionalChromaticResult(
             value, [(s, x) for s, x in zip(sets, xs) if x > 0], ys)
-    pool = _greedy_colouring_classes(g)
+    # column generation on one warm-started covering LP in <= form:
+    # max sum(-x), -Ax <= -1; pricing runs on the integer dual numerators
+    lp = IntegerLP([-1] * g.n)
+    pool: list[int] = []
+    for s in _greedy_colouring_classes(g):
+        pool.append(s)
+        lp.add_column([(v, -1) for v in mask_to_list(s)], -1)
     for _ in range(max_iter):
-        value, xs, ys = _solve_covering(g, pool)
-        best_mask, best_w = max_weight_independent_set(g, ys)
-        if best_w <= 1:
+        lp.reoptimize()
+        best_mask, best_w = max_weight_independent_set(g, lp.scaled_duals())
+        if best_w <= lp.D:
+            value, xs, ys = -lp.value(), lp.primal(), lp.duals()
             _check_chi_f(g, pool, value, xs, ys)
             return FractionalChromaticResult(
                 value, [(s, x) for s, x in zip(pool, xs) if x > 0], ys)
         pool.append(best_mask)
+        lp.add_column([(v, -1) for v in mask_to_list(best_mask)], -1)
     raise CapExceeded(f"chi_f column generation did not converge in {max_iter} iterations")
 
 

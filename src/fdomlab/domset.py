@@ -3,13 +3,14 @@ dominating set enumeration, exact domination number, minimum-weight
 dominating sets (the LP pricing routine), domatic number, and fractional
 bottleneck verification.
 
-Vertex sets are Python-int bitmasks throughout; all weights are Fractions.
+Vertex sets are Python-int bitmasks throughout.  Weights are exact: ints or
+Fractions, so pricing can run on integer dual numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, iter_mask, mask_to_list
 
@@ -144,7 +145,8 @@ def domination_number(g: Graph) -> tuple[int, int]:
     return best, best_set
 
 
-def min_weight_dominating_set(g: Graph, weights: list[Fraction]) -> tuple[int, Fraction]:
+def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
+                              ) -> tuple[int, int | Fraction]:
     """A dominating set of minimum total weight (exact branch-and-bound).
 
     Weight-0 vertices are free and included up front; ties among optimal
@@ -156,7 +158,7 @@ def min_weight_dominating_set(g: Graph, weights: list[Fraction]) -> tuple[int, F
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
     if g.n == 0:
-        return 0, Fraction(0)
+        return 0, 0
     full = (1 << g.n) - 1
     free = 0
     for v in range(g.n):
@@ -165,12 +167,12 @@ def min_weight_dominating_set(g: Graph, weights: list[Fraction]) -> tuple[int, F
     start_cov = coverage(g, free)
 
     best_set = full
-    best_w = sum(weights, Fraction(0))
+    best_w = sum(weights)
 
-    def lower_bound(covered: int, excluded: int) -> Optional[Fraction]:
+    def lower_bound(covered: int, excluded: int) -> Optional[int | Fraction]:
         """Packing bound: disjoint closed neighbourhoods of uncovered
         vertices, each charged its cheapest available dominator."""
-        bound = Fraction(0)
+        bound = 0
         blocked = 0
         uncovered = full & ~covered
         for v in iter_mask(uncovered):
@@ -184,7 +186,7 @@ def min_weight_dominating_set(g: Graph, weights: list[Fraction]) -> tuple[int, F
                 blocked |= g.closed_mask[u]
         return bound
 
-    def search(chosen: int, covered: int, excluded: int, w: Fraction) -> None:
+    def search(chosen: int, covered: int, excluded: int, w: int | Fraction) -> None:
         nonlocal best_set, best_w
         if covered == full:
             if w < best_w or (w == best_w and chosen < best_set):
@@ -209,7 +211,7 @@ def min_weight_dominating_set(g: Graph, weights: list[Fraction]) -> tuple[int, F
                    w + weights[u])
             banned |= 1 << u
 
-    search(free, start_cov, free, Fraction(0))
+    search(free, start_cov, free, 0)
     return best_set, best_w
 
 

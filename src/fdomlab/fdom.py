@@ -10,7 +10,6 @@ independent branch-and-bound over dominating sets.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -22,7 +21,8 @@ from .domset import (CapExceeded, coverage, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
                      min_weight_dominating_set, verify_bottleneck)
 from .graphs import Graph, mask_of, mask_to_list
-from .iso import group_closure, orbits
+from .iso import orbits
+from .simplex import IntegerLP
 from .structure import Hammock
 
 
@@ -122,115 +122,26 @@ def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
     return True, "ok"
 
 
-class _PackingMaster:
-    """Warm-startable simplex tableau for the dominating-set packing LP
-    (maximise the total weight of the chosen columns, per-vertex load <= 1).
+# The master is the dominating-set packing LP: maximise the total weight of
+# the columns, per-vertex load <= 1, i.e. IntegerLP([1] * n) with one 0/1
+# column of cost 1 per dominating set.  The all-slack basis is feasible, so
+# no phase 1 is ever needed.
 
-    Column layout: the n slack columns first (their block is B^-1, used to
-    price appended columns), then one structural column per dominating set.
-    The all-slack basis is feasible, so no phase 1 is ever needed.
-    """
-
-    def __init__(self, g: Graph, bland_after: int = 40):
-        self.g = g
-        self.n = g.n
-        self.columns: list[int] = []
-        self.tab = [[Fraction(1) if j == r else Fraction(0) for j in range(g.n)]
-                    for r in range(g.n)]
-        self.rhs = [Fraction(1)] * g.n
-        self.z = [Fraction(0)] * g.n
-        self.basis = list(range(g.n))
-        self.bland_after = bland_after
-
-    def add_column(self, mask: int) -> None:
-        col = [sum((row[v] for v in mask_to_list(mask)), Fraction(0))
-               for row in self.tab]
-        red = sum((self.z[v] for v in mask_to_list(mask)), Fraction(0)) - 1
-        for row, val in zip(self.tab, col):
-            row.append(val)
-        self.z.append(red)
-        self.columns.append(mask)
-
-    def _pivot(self, row: int, col: int) -> None:
-        piv = self.tab[row][col]
-        self.tab[row] = [v / piv for v in self.tab[row]]
-        self.rhs[row] /= piv
-        for r in range(self.n):
-            if r != row and self.tab[r][col] != 0:
-                f = self.tab[r][col]
-                self.tab[r] = [a - f * p for a, p in zip(self.tab[r], self.tab[row])]
-                self.rhs[r] -= f * self.rhs[row]
-        if self.z[col] != 0:
-            f = self.z[col]
-            self.z = [a - f * p for a, p in zip(self.z, self.tab[row])]
-        self.basis[row] = col
-
-    def reoptimize(self) -> None:
-        ncols = len(self.z)
-        degenerate_run = 0
-        while True:
-            col = -1
-            if degenerate_run < self.bland_after:
-                best = Fraction(0)
-                for j in range(ncols):
-                    if self.z[j] < best:
-                        best = self.z[j]
-                        col = j
-            else:  # Bland's rule: guaranteed termination
-                for j in range(ncols):
-                    if self.z[j] < 0:
-                        col = j
-                        break
-            if col < 0:
-                return
-            row, best_ratio = -1, None
-            for r in range(self.n):
-                if self.tab[r][col] > 0:
-                    ratio = self.rhs[r] / self.tab[r][col]
-                    if best_ratio is None or ratio < best_ratio or (
-                            ratio == best_ratio and self.basis[r] < self.basis[row]):
-                        row, best_ratio = r, ratio
-            if row < 0:  # packing LP is bounded by the loads; cannot happen
-                raise CertificateError("internal: packing master unbounded")
-            degenerate_run = degenerate_run + 1 if best_ratio == 0 else 0
-            self._pivot(row, col)
-
-    def duals(self) -> list[Fraction]:
-        return [self.z[v] for v in range(self.n)]
-
-    def value(self) -> Fraction:
-        return sum((self.rhs[r] for r in range(self.n) if self.basis[r] >= self.n),
-                   Fraction(0))
-
-    def primal(self) -> list[Fraction]:
-        xs = [Fraction(0)] * len(self.columns)
-        for r in range(self.n):
-            if self.basis[r] >= self.n:
-                xs[self.basis[r] - self.n] = self.rhs[r]
-        return xs
+def _add_set(master: IntegerLP, mask: int) -> None:
+    master.add_column([(v, 1) for v in mask_to_list(mask)], 1)
 
 
-def _solve_master(g: Graph, columns: list[int]) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    master = _PackingMaster(g)
-    for col in columns:
-        master.add_column(col)
-    master.reoptimize()
-    return master.value(), master.primal(), master.duals()
-
-
-def _result_from_master(g: Graph, master: "_PackingMaster",
-                        check_dual_globally: bool = True) -> FdomResult:
-    value, xs, duals = master.value(), master.primal(), master.duals()
+def _result_from_master(g: Graph, master: IntegerLP, columns: list[int]) -> FdomResult:
+    value = master.value()
     primal = PrimalCertificate(
-        [(s, x) for s, x in zip(master.columns, xs) if x > 0], value)
-    dual = DualCertificate(duals)
+        [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value)
+    dual = DualCertificate(master.duals())
     ok, why = verify_primal(g, primal)
     if not ok:
         raise CertificateError(f"primal verification failed: {why}")
-    if check_dual_globally:
-        ok, why = verify_dual(g, dual)
-        if not ok:
-            raise CertificateError(f"dual verification failed: {why}")
+    ok, why = verify_dual(g, dual)
+    if not ok:
+        raise CertificateError(f"dual verification failed: {why}")
     if dual.total != value:
         raise CertificateError("strong duality not witnessed")
     return FdomResult(value, primal, dual)
@@ -245,11 +156,12 @@ def fdom_exact(g: Graph, cap: int = 20) -> FdomResult:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    master = _PackingMaster(g)
-    for col in enumerate_minimal_dominating_sets(g, cap=cap):
-        master.add_column(col)
+    master = IntegerLP([1] * g.n)
+    columns = list(enumerate_minimal_dominating_sets(g, cap=cap))
+    for col in columns:
+        _add_set(master, col)
     master.reoptimize()
-    return _result_from_master(g, master)
+    return _result_from_master(g, master, columns)
 
 
 def _greedy_domatic_columns(g: Graph) -> list[int]:
@@ -286,32 +198,38 @@ def _complete_to_dominating(g: Graph, s: int) -> int:
 def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
     """fdom by column generation: restricted master over a growing pool of
     dominating sets, priced by a minimum-weight dominating set under the
-    master's dual weights.  Pricing weight >= 1 proves dual feasibility,
+    master's dual weights.  Pricing runs on the integer dual numerators y
+    over the common denominator D: weight >= D proves dual feasibility,
     hence optimality."""
     if g.n == 0:
         raise ValueError("empty graph")
-    master = _PackingMaster(g)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    master = IntegerLP([1] * g.n)
+    columns: list[int] = []
     seen: set[int] = set()
     for col in _greedy_domatic_columns(g) + [g.closed_mask[v] | (1 << v) for v in range(g.n)]:
         col = _complete_to_dominating(g, col)
         if col not in seen:
             seen.add(col)
-            master.add_column(col)
-    for it in range(max_iter):
+            columns.append(col)
+            _add_set(master, col)
+    for _ in range(max_iter):
         master.reoptimize()
-        new_col, w = min_weight_dominating_set(g, master.duals())
-        if w >= 1:
+        y = master.scaled_duals()
+        new_col, w = min_weight_dominating_set(g, y)
+        if w >= master.D:
             # the master duals are feasible for the full LP: optimal
-            return _result_from_master(g, master)
+            return _result_from_master(g, master, columns)
         if new_col in seen:
             raise CertificateError("internal: priced a column already in the pool")
         seen.add(new_col)
-        master.add_column(new_col)
+        columns.append(new_col)
+        _add_set(master, new_col)
     # the restricted master bounds below; duals scaled by the pricing weight
     # form a valid bottleneck bounding above (delta+1 when the weight is 0)
     lower = master.value()
-    upper = (sum(master.duals(), Fraction(0)) / w if w > 0
-             else Fraction(g.min_degree() + 1))
+    upper = Fraction(sum(y), w) if w > 0 else Fraction(g.min_degree() + 1)
     raise CapExceeded(
         f"column generation did not converge in {max_iter} iterations; "
         f"fdom in [{lower}, {upper}]")

@@ -1,18 +1,39 @@
-"""Exact rational simplex for LPs in the standard form
+"""The exact LP kernel: a fraction-free revised simplex for
 
-    maximise c.x   subject to   Ax <= b,  x >= 0.
+    maximise c.x   subject to   Ax <= b,  x >= 0
 
-Dense two-phase tableau over Fractions with Bland's pivoting rule, so the
-solver terminates on every input.  The optimal dual vector is read off the
-slack columns of the final tableau and the primal/dual pair is checked for
-feasibility and equal objectives before being returned.
+over integer data.  The invariant: the basis inverse is held as the
+integer matrix M = D * B^-1, where D = |det B| > 0 (Edmonds/Bareiss
+integer-preserving pivoting, as in Avis's lrs).  The basic values
+beta = M b and the scaled duals y = D * c_B B^-1 are integers as well, so
+no Fraction is built and no gcd is taken inside the pivot loop.  Pivoting
+on entry alpha_r of the entering column replaces every other row i by
+(alpha_r * row_i - alpha_i * row_r) // D, and y likewise with the
+entering reduced cost; the division is exact by Sylvester's identity.
+Then D becomes alpha_r, which the ratio test keeps positive; the one
+pivot on a negative entry (driving a phase-1 artificial out at zero)
+negates M, beta, y and D together.
+
+Columns can be appended and the LP re-optimised from the current basis,
+which is how column generation warm-starts.  Rows with b_i < 0 are
+negated internally and start on a phase-1 artificial.  Pivoting uses
+Dantzig's rule on the integer reduced costs and switches to Bland's rule
+after a run of degenerate pivots, which guarantees termination; ratio
+ties go to the smaller basic column index.
+
+simplex_exact solves a rational LP on the kernel and checks the primal and
+dual solutions for feasibility and equal objectives before returning them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from math import lcm
+from typing import Iterable, Literal, Sequence
+
+
+BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule takes over
 
 
 class LPError(ValueError):
@@ -35,50 +56,149 @@ class SimplexResult:
     y: list[Fraction]  # dual values, one per constraint
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            f = tab[r][col]
-            tab[r] = [a - f * p for a, p in zip(tab[r], tab[row])]
-    basis[row] = col
+class IntegerLP:
+    """max c.x s.t. Ax <= b, x >= 0 with integer b, A and c, solved by a
+    warm-startable fraction-free revised simplex.
 
-
-def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int,
-                 allowed: Sequence[bool], bland_after: int = 40) -> None:
-    """Maximise the objective stored (negated) in the last tableau row.
-
-    Pivoting starts with Dantzig's rule for speed and switches to Bland's
-    rule after a run of degenerate pivots, which guarantees termination.
+    Internally row i is multiplied by sign[i] so that its right-hand side
+    is nonnegative.  Column i < m is the slack of row i; the phase-1
+    artificials of the negated rows follow, then the columns passed to
+    add_column, in order.  The all-slack-or-artificial starting basis is
+    the identity, so D = 1 and M = I.
     """
-    zrow = len(tab) - 1
-    degenerate_run = 0
-    while True:
-        col = -1
-        if degenerate_run < bland_after:
-            best_red = Fraction(0)
-            for j in range(ncols):
-                if allowed[j] and tab[zrow][j] < best_red:
-                    best_red = tab[zrow][j]
-                    col = j
-        else:
-            for j in range(ncols):
-                if allowed[j] and tab[zrow][j] < 0:
-                    col = j
-                    break
-        if col < 0:
-            return
-        row, best = -1, None
-        for r in range(zrow):
-            if tab[r][col] > 0:
-                ratio = tab[r][-1] / tab[r][col]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    row, best = r, ratio
-        if row < 0:
-            raise LPUnbounded("objective unbounded above")
-        degenerate_run = degenerate_run + 1 if best == 0 else 0
-        _pivot(tab, basis, row, col)
+
+    def __init__(self, b: Sequence[int]):
+        m = len(b)
+        self.m = m
+        self.sign = [-1 if bi < 0 else 1 for bi in b]
+        # column j: (rows, coefficients, cost) in the internal row signs
+        self.cols: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [
+            ((i,), (s,), 0) for i, s in enumerate(self.sign)]
+        self.basis = list(range(m))
+        self.artificials: list[int] = []
+        for i in range(m):
+            if self.sign[i] < 0:
+                self.basis[i] = len(self.cols)
+                self.artificials.append(len(self.cols))
+                self.cols.append(((i,), (1,), 0))
+        self.first = len(self.cols)
+        self.enterable = [True] * self.first
+        self.D = 1
+        self.M = [[int(i == j) for j in range(m)] for i in range(m)]
+        self.beta = [abs(bi) for bi in b]
+        self.y = [0] * m
+
+    def add_column(self, entries: Iterable[tuple[int, int]], cost: int) -> None:
+        """Append the column with nonzero entries (row, coefficient) and
+        objective coefficient cost; it enters nonbasic at zero."""
+        entries = [(i, a * self.sign[i]) for i, a in entries if a]
+        self.cols.append((tuple(i for i, _ in entries), tuple(a for _, a in entries), cost))
+        self.enterable.append(True)
+
+    def reoptimize(self) -> None:
+        """Optimise from the current basis.  Raises LPInfeasible when phase 1
+        leaves an artificial positive, LPUnbounded when no row limits the
+        entering column."""
+        if self.artificials:
+            self._phase1()
+        self._run([cost for _, _, cost in self.cols])
+
+    def _phase1(self) -> None:
+        arts = set(self.artificials)
+        self._run([-1 if j in arts else 0 for j in range(len(self.cols))])
+        if any(self.beta[r] for r in range(self.m) if self.basis[r] in arts):
+            raise LPInfeasible("no feasible point")
+        # drive the artificials left at zero out of the basis, each on the
+        # first slack with a nonzero entry in its row (M is invertible, so
+        # one exists); beta[r] = 0 keeps every basic value nonnegative
+        for r in range(self.m):
+            if self.basis[r] in arts:
+                j = next(i for i in range(self.m) if self.M[r][i])
+                self._pivot(r, j, self._column(j), self.sign[j] * self.y[j])
+        for j in arts:
+            self.enterable[j] = False
+        self.artificials = []
+
+    @staticmethod
+    def _dot(vec: list[int], rows: tuple[int, ...], vals: tuple[int, ...]) -> int:
+        return sum([vec[i] * a for i, a in zip(rows, vals)])
+
+    def _column(self, j: int) -> list[int]:
+        """D * B^-1 a_j."""
+        rows, vals, _ = self.cols[j]
+        return [self._dot(Mi, rows, vals) for Mi in self.M]
+
+    def _run(self, costs: list[int]) -> None:
+        self.y = [sum(costs[self.basis[i]] * self.M[i][k] for i in range(self.m))
+                  for k in range(self.m)]
+        degenerate_run = 0
+        while True:
+            y, D = self.y, self.D
+            bland = degenerate_run >= BLAND_AFTER
+            q, dq = -1, 0
+            for j, (rows, vals, _) in enumerate(self.cols):
+                if self.enterable[j]:
+                    d = self._dot(y, rows, vals) - D * costs[j]
+                    if d < dq:
+                        q, dq = j, d
+                        if bland:
+                            break
+            if q < 0:
+                return
+            alpha = self._column(q)
+            beta, basis = self.beta, self.basis
+            r = -1
+            for i in range(self.m):
+                if alpha[i] > 0:
+                    if r < 0:
+                        r = i
+                        continue
+                    lhs, rhs = beta[i] * alpha[r], beta[r] * alpha[i]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                        r = i
+            if r < 0:
+                raise LPUnbounded("objective unbounded above")
+            degenerate_run = degenerate_run + 1 if beta[r] == 0 else 0
+            self._pivot(r, q, alpha, dq)
+
+    def _pivot(self, r: int, q: int, alpha: list[int], dq: int) -> None:
+        """Column q enters at row r; alpha = D * B^-1 a_q, dq its scaled
+        reduced cost."""
+        D, ar = self.D, alpha[r]
+        M, beta = self.M, self.beta
+        Mr, br = M[r], beta[r]
+        for i in range(self.m):
+            if i != r:
+                ai = alpha[i]
+                M[i] = [(ar * v - ai * w) // D for v, w in zip(M[i], Mr)]
+                beta[i] = (ar * beta[i] - ai * br) // D
+        self.y = [(ar * v - dq * w) // D for v, w in zip(self.y, Mr)]
+        self.basis[r] = q
+        self.D = ar
+        if ar < 0:  # only when phase 1 drives out an artificial at zero
+            self.M = [[-v for v in row] for row in M]
+            self.beta = [-v for v in beta]
+            self.y = [-v for v in self.y]
+            self.D = -ar
+
+    def value(self) -> Fraction:
+        return Fraction(sum(self.cols[j][2] * bv for j, bv in zip(self.basis, self.beta)),
+                        self.D)
+
+    def primal(self) -> list[Fraction]:
+        """Values of the added columns, in the order they were added."""
+        x = [Fraction(0)] * (len(self.cols) - self.first)
+        for j, bv in zip(self.basis, self.beta):
+            if j >= self.first:
+                x[j - self.first] = Fraction(bv, self.D)
+        return x
+
+    def scaled_duals(self) -> list[int]:
+        """D times the dual of each row (the reduced cost of its slack)."""
+        return [s * v for s, v in zip(self.sign, self.y)]
+
+    def duals(self) -> list[Fraction]:
+        return [Fraction(v, self.D) for v in self.scaled_duals()]
 
 
 def simplex_exact(c: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
@@ -95,71 +215,18 @@ def simplex_exact(c: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
     b = [Fraction(v) for v in b]
     A = [[Fraction(v) for v in r] for r in rows]
 
-    # columns: n structural | m slack | (phase-1 artificials) | rhs
-    flip = [bi < 0 for bi in b]
-    nart = sum(flip)
-    total = n + m + nart
-    tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    k = 0
-    for i in range(m):
-        row = [Fraction(0)] * (total + 1)
-        sgn = -1 if flip[i] else 1
-        for j in range(n):
-            row[j] = sgn * A[i][j]
-        row[n + i] = Fraction(sgn)
-        row[-1] = sgn * b[i]
-        if flip[i]:
-            col = n + m + k
-            row[col] = Fraction(1)
-            art_cols.append(col)
-            basis.append(col)
-            k += 1
-        else:
-            basis.append(n + i)
-        tab.append(row)
-
-    if nart:
-        # phase 1: maximise -sum(artificials)
-        zrow = [Fraction(0)] * (total + 1)
-        for col in art_cols:
-            zrow[col] = Fraction(1)
-        tab.append(zrow)
-        for r, bc in enumerate(basis):
-            if bc in art_cols and tab[-1][bc] != 0:
-                f = tab[-1][bc]
-                tab[-1] = [a - f * p for a, p in zip(tab[-1], tab[r])]
-        allowed = [True] * total
-        _run_simplex(tab, basis, total, allowed)
-        if tab[-1][-1] != 0:
-            raise LPInfeasible("no feasible point")
-        tab.pop()
-        # drive any degenerate artificials out of the basis
-        for r in range(m):
-            if basis[r] in art_cols:
-                piv = next((j for j in range(n + m) if tab[r][j] != 0), None)
-                if piv is None:
-                    continue  # redundant row, harmless to keep
-                _pivot(tab, basis, r, piv)
-
-    zrow = [Fraction(0)] * (total + 1)
+    # integer data: each row and the objective times the lcm of their
+    # denominators; x is unchanged, row i's dual scales by row_scale[i]/obj_scale
+    row_scale = [lcm(bi.denominator, *(a.denominator for a in r)) for r, bi in zip(A, b)]
+    obj_scale = lcm(*(v.denominator for v in c))
+    lp = IntegerLP([int(bi * s) for bi, s in zip(b, row_scale)])
     for j in range(n):
-        zrow[j] = -c[j]
-    tab.append(zrow)
-    for r, bc in enumerate(basis):
-        if bc < n + m and tab[-1][bc] != 0:
-            f = tab[-1][bc]
-            tab[-1] = [a - f * p for a, p in zip(tab[-1], tab[r])]
-    allowed = [j < n + m for j in range(total)]
-    _run_simplex(tab, basis, total, allowed)
-
-    x = [Fraction(0)] * n
-    for r, bc in enumerate(basis):
-        if bc < n:
-            x[bc] = tab[r][-1]
-    y = [tab[-1][n + i] for i in range(m)]
-    value = tab[-1][-1]
+        lp.add_column([(i, int(A[i][j] * row_scale[i])) for i in range(m)],
+                      int(c[j] * obj_scale))
+    lp.reoptimize()
+    x = lp.primal()
+    y = [yi * s / obj_scale for yi, s in zip(lp.duals(), row_scale)]
+    value = lp.value() / obj_scale
 
     _check_pair(c, A, b, x, y, value)
     return SimplexResult("optimal", value, x, y)

@@ -92,6 +92,18 @@ def test_min_weight_unit_weights_equals_gamma(corpus7):
         assert w == domination_number(g)[0]
 
 
+def test_min_weight_on_scaled_int_weights(corpus7):
+    # pricing passes integer dual numerators: the same set, k times the weight
+    rng = random.Random(4)
+    for g in rng.sample(corpus7, 40):
+        w = [F(rng.randint(0, 6), rng.choice((1, 2, 3, 4))) for _ in range(g.n)]
+        k = 12 * rng.randint(1, 5)
+        s, wf = min_weight_dominating_set(g, w)
+        si, wi = min_weight_dominating_set(g, [int(k * x) for x in w])
+        assert isinstance(wi, int)
+        assert si == s and wi == k * wf
+
+
 def test_hammock_weights_bottleneck():
     g = theta_graph((2, 3, 3))  # contains a hammock on {0,1} plus 3 cycle vertices
     from fdomlab.structure import hammocks

@@ -221,6 +221,20 @@ def test_colgen_coxeter():
     assert fdom_colgen(coxeter()).value == 4
 
 
+def test_colgen_matches_exact_on_random_graphs():
+    from conftest import random_connected_graph
+    rng = random.Random(21)
+    for _ in range(30):
+        n = rng.randint(2, 10)
+        g = random_connected_graph(rng, n, rng.randint(0, n))
+        assert fdom_colgen(g).value == fdom_exact(g).value
+
+
+def test_colgen_rejects_zero_iterations():
+    with pytest.raises(ValueError):
+        fdom_colgen(cycle(5), max_iter=0)
+
+
 def test_colgen_cap_reports_bounds():
     from fdomlab.domset import CapExceeded
     with pytest.raises(CapExceeded) as e:

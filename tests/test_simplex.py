@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fdomlab.simplex import LPInfeasible, LPUnbounded, simplex_exact
+from fdomlab.simplex import IntegerLP, LPInfeasible, LPUnbounded, simplex_exact
 
 
 def test_trivial_box():
@@ -57,3 +57,101 @@ def test_random_lps_carry_optimality_certificates():
         assert sum(ci * xi for ci, xi in zip(c, res.x)) == res.value
         assert sum(bi * yi for bi, yi in zip(b, res.y)) == res.value
     assert solved > 30
+
+
+def _outcome(b, columns, split):
+    """Solve with the first `split` columns, then append the rest and
+    re-optimise from the same kernel; the value or the exception class."""
+    lp = IntegerLP(b)
+    try:
+        for k, (entries, cost) in enumerate(columns):
+            if k == split:
+                lp.reoptimize()
+            lp.add_column(entries, cost)
+        lp.reoptimize()
+    except (LPInfeasible, LPUnbounded) as exc:
+        return type(exc)
+    return lp.value()
+
+
+def test_warm_start_matches_cold_solve():
+    rng = random.Random(12)
+    solved = 0
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        b = [rng.randint(-3, 6) for _ in range(m)]
+        # one column per negative row first, so that every prefix is feasible
+        columns = [([(i, -1)], -5) for i in range(m) if b[i] < 0]
+        feasible_prefix = len(columns)
+        for _ in range(rng.randint(1, 8)):
+            columns.append(([(i, rng.randint(-3, 4)) for i in range(m)],
+                            rng.randint(-3, 4)))
+        cold = _outcome(b, columns, len(columns))
+        for split in range(feasible_prefix, len(columns)):
+            assert _outcome(b, columns, split) == cold
+        solved += not isinstance(cold, type)
+    assert solved > 50
+
+
+def _inverse(B):
+    """Gauss-Jordan inverse over Fractions."""
+    m = len(B)
+    aug = [[F(v) for v in row] + [F(int(i == j)) for j in range(m)]
+           for i, row in enumerate(B)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * p for a, p in zip(aug[r], aug[col])]
+    return [row[m:] for row in aug]
+
+
+def _checked_solve(b, columns):
+    """Solve, asserting M == D * B^-1 and the integer basic values and
+    duals after every pivot; returns the alpha_r of each pivot."""
+    lp = IntegerLP(b)
+    for entries, cost in columns:
+        lp.add_column(entries, cost)
+    pivots = []
+
+    def pivot(r, q, alpha, dq):
+        IntegerLP._pivot(lp, r, q, alpha, dq)
+        pivots.append(alpha[r])
+        m = lp.m
+        B = [[0] * m for _ in range(m)]
+        for k, j in enumerate(lp.basis):
+            rows, vals, _ = lp.cols[j]
+            for i, a in zip(rows, vals):
+                B[i][k] = a
+        inv = _inverse(B)
+        assert lp.D > 0
+        assert lp.M == [[lp.D * v for v in row] for row in inv]
+        rhs = [abs(v) for v in b]
+        assert lp.beta == [sum(Mi[k] * rhs[k] for k in range(m)) for Mi in lp.M]
+
+    lp._pivot = pivot
+    lp.reoptimize()
+    costs = [cost for _, _, cost in lp.cols]
+    assert lp.y == [sum(costs[j] * lp.M[i][k] for i, j in enumerate(lp.basis))
+                    for k in range(lp.m)]
+    return lp, pivots
+
+
+def test_integer_inverse_after_every_pivot():
+    # Beale's cycling example scaled to integers
+    lp, pivots = _checked_solve(
+        [0, 0, 1], [([(0, 25), (1, 50)], 75), ([(0, -6000), (1, -9000)], -15000),
+                    ([(0, -4), (1, -2), (2, 1)], 2), ([(0, 900), (1, 300)], -600)])
+    assert lp.value() == 5 and len(pivots) > 2
+    # phase 1 with a basic artificial driven out on a negative entry
+    lp, pivots = _checked_solve([1, -1], [([(0, 1), (1, -1)], 1)])
+    assert lp.value() == 1 and min(pivots) < 0
+    # a covering LP with a redundant row: phase 1 ends with an artificial
+    # basic at zero, which is driven out before phase 2
+    lp, pivots = _checked_solve([-1, -2], [([(0, -1), (1, -2)], -1),
+                                           ([(0, -1), (1, -2)], -1)])
+    assert lp.value() == -1
+    assert all(j < lp.m or j >= lp.first for j in lp.basis)
