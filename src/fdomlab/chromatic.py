@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .domset import CapExceeded
-from .fdom import FdomResult, fdom_colgen, fdom_exact
+from .domset import CapExceeded, scale_to_integers
+from .fdom import fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
 from .graphs import Graph, mask_to_list
 from .simplex import IntegerLP, simplex_exact
@@ -78,7 +78,8 @@ def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
                                ) -> tuple[int, int | Fraction]:
     """Exact branch-and-bound over int or Fraction weights; weight-0
     vertices are never needed."""
-    order = sorted(range(g.n), key=lambda v: -weights[v])
+    order = [v for v in sorted(range(g.n), key=lambda v: -weights[v]) if weights[v] > 0]
+    closed = g.closed_mask
     best_mask, best_w = 0, 0
 
     def search(i: int, avail: int, mask: int, w, rest) -> None:
@@ -89,11 +90,10 @@ def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
             return
         for j in range(i, len(order)):
             v = order[j]
-            if not (avail >> v) & 1 or weights[v] <= 0:
+            if not (avail >> v) & 1:
                 continue
             rest_after = rest - weights[v]
-            search(j + 1, avail & ~(g.nbr_mask[v] | (1 << v)),
-                   mask | (1 << v), w + weights[v], rest_after)
+            search(j + 1, avail & ~closed[v], mask | (1 << v), w + weights[v], rest_after)
             rest = rest_after
             avail &= ~(1 << v)
             if w + rest <= best_w:
@@ -181,8 +181,10 @@ def _check_chi_f(g: Graph, sets: list[int], value: Fraction,
             cover[v] += x
     if total != value or any(cv < 1 for cv in cover):
         raise CapExceeded("internal: covering-LP witness infeasible")
-    _, w = max_weight_independent_set(g, ys)
-    if w > 1 or sum(ys, Fraction(0)) != value:
+    # no independent set above weight 1, tested on the integer numerators
+    ints, den = scale_to_integers(ys)
+    _, w = max_weight_independent_set(g, ints)
+    if w > den or sum(ys, Fraction(0)) != value:
         raise CapExceeded("internal: covering-LP dual not certified")
 
 

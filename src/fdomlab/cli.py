@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .badfamily import bad_family_check
 from .chromatic import (check_reduction, chromatic_number,
                         fractional_chromatic, fullness_check)
 from .construct import (BadFamilyInput, construct52,
@@ -25,7 +24,7 @@ from .construct import (BadFamilyInput, construct52,
 from .distributions import (DominatingDistribution, FractionalColouring,
                             constant_demand, standard_demand,
                             verify_f_dominating)
-from .domset import CapExceeded, domatic_number, domination_number, verify_bottleneck
+from .domset import CapExceeded, domatic_number, domination_number
 from .fdom import (DualCertificate, PrimalCertificate, certificate_from_json,
                    closed_form_certificate, fdom_colgen, fdom_exact,
                    sample_lnbound, verify_dual, verify_primal)
@@ -64,7 +63,7 @@ def _budget_ms() -> int | None:
 
 
 #: default size caps, overridable with --caps key=value
-DEFAULT_CAPS = {"enum": 20, "domatic": 30, "coins": 16, "chi": 40}
+DEFAULT_CAPS = {"enum": 20, "domatic": 30, "chi": 40}
 
 
 def _caps(args) -> dict[str, int]:
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="exact fractional-domatic toolkit")
     ap.add_argument("--version", action="version", version=f"fdomlab {__version__}")
     ap.add_argument("--caps", action="append", metavar="KEY=VALUE",
-                    help="override a size cap (enum, domatic, coins, chi)")
+                    help="override a size cap (enum, domatic, chi)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a named graph")

@@ -30,18 +30,17 @@ from itertools import product
 from typing import Optional
 
 from .badfamily import bad_family_check
-from .distributions import (DistributionError, DominatingDistribution,
-                            FractionalColouring, colouring_to_distribution,
-                            complete_to_r, constant_demand, cycle_distribution,
-                            relabel, standard_demand, verify_f_dominating)
+from .distributions import (DominatingDistribution, FractionalColouring,
+                            colouring_to_distribution, complete_to_r,
+                            constant_demand, cycle_distribution, relabel,
+                            standard_demand, verify_f_dominating)
 from .domset import CapExceeded, is_dominating
 from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
-from .graphs import Graph, mask_to_list
+from .graphs import Graph
 from .iso import _iso_search, spanning_subgraph_embedding
 from .structure import (SuspendedPath, cut_vertices_and_blocks, hammocks,
-                        remove_suspended_path, structure_report,
-                        suspended_paths, twin_pairs)
+                        remove_suspended_path, suspended_paths, twin_pairs)
 
 R25 = Fraction(2, 5)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, mask_of, mask_to_list
 
@@ -45,10 +45,6 @@ class DominatingDistribution:
         nb = g.closed_mask[v]
         return sum((p for s, p in self.atoms if s & nb), Fraction(0))
 
-    def hit_prob(self, mask: int) -> Fraction:
-        """Probability that the random set intersects the given mask."""
-        return sum((p for s, p in self.atoms if s & mask), Fraction(0))
-
     def to_json(self, r: Fraction) -> dict:
         return {
             "r": [str(r.numerator), str(r.denominator)],
@@ -74,10 +70,6 @@ def constant_demand(value: Fraction) -> DemandFunction:
     return lambda v: value
 
 
-def all_ones_demand() -> DemandFunction:
-    return constant_demand(Fraction(1))
-
-
 def standard_demand(g: Graph) -> DemandFunction:
     """Demand 4/5 at degree-1 vertices, 1 elsewhere."""
     return lambda v: Fraction(4, 5) if g.degree(v) == 1 else Fraction(1)
@@ -85,6 +77,11 @@ def standard_demand(g: Graph) -> DemandFunction:
 
 def verify_f_dominating(g: Graph, d: DominatingDistribution, f: DemandFunction,
                         r: Fraction) -> tuple[bool, str]:
+    for s, _ in d.atoms:
+        high = s >> g.n
+        if high:
+            v = g.n + (high & -high).bit_length() - 1
+            return False, f"vertex {v} out of range for n={g.n}"
     for v in range(g.n):
         if d.membership(v) != r:
             return False, f"membership {d.membership(v)} != {r} at vertex {v}"

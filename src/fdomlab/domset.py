@@ -4,12 +4,15 @@ dominating sets (the LP pricing routine), domatic number, and fractional
 bottleneck verification.
 
 Vertex sets are Python-int bitmasks throughout.  Weights are exact: ints or
-Fractions, so pricing can run on integer dual numerators.
+Fractions.  The weighted searches run on ints: pricing passes integer dual
+numerators, and verify_bottleneck scales its weights (scale_to_integers).
+domination_number and min_weight_dominating_set share one packing bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, iter_mask, mask_to_list
@@ -22,10 +25,7 @@ class CapExceeded(RuntimeError):
 
 def is_dominating(g: Graph, s: int) -> bool:
     """True iff every vertex is in s or adjacent to s (s is a bitmask)."""
-    covered = 0
-    for v in iter_mask(s):
-        covered |= g.closed_mask[v]
-    return covered == (1 << g.n) - 1
+    return coverage(g, s) == (1 << g.n) - 1
 
 
 def coverage(g: Graph, s: int) -> int:
@@ -90,20 +90,56 @@ def _greedy_dominating(g: Graph) -> int:
     return chosen
 
 
-def _packing_lower_bound(g: Graph, covered: int) -> int:
-    """Greedy packing of uncovered vertices with disjoint closed
-    neighbourhoods: each needs its own dominator."""
-    full = (1 << g.n) - 1
-    uncovered = full & ~covered
-    blocked = 0
-    count = 0
-    for v in sorted(iter_mask(uncovered), key=lambda x: g.closed_mask[x].bit_count()):
-        if g.closed_mask[v] & blocked:
-            continue
-        count += 1
-        for u in iter_mask(g.closed_mask[v]):
-            blocked |= g.closed_mask[u]
-    return count
+def _packing_tables(g: Graph, weights: Sequence[int | Fraction]) -> tuple[list, list]:
+    """n2[v], the vertices within distance 2 of v, and doms[v], the
+    dominators of v as (bit, weight) in (weight, index) order."""
+    n2, doms = [], []
+    for v in range(g.n):
+        n2.append(coverage(g, g.closed_mask[v]))
+        doms.append(sorted(((1 << u, weights[u]) for u in (v, *g.adj[v])),
+                           key=lambda bw: (bw[1], bw[0])))
+    return n2, doms
+
+
+def _packing_bound(uncovered: int, excluded: int, n2: list, doms: list
+                   ) -> Optional[int | Fraction]:
+    """Weight still needed to dominate `uncovered` without `excluded`
+    vertices, or None when a vertex has no dominator left.
+
+    Packs the lowest uncovered vertex and drops n2 of it, so packed vertices
+    lie at distance >= 3: their closed neighbourhoods are disjoint and each
+    needs its own dominator, charged at its cheapest weight.  Under any
+    valid bound no node above an optimal (for domination_number, improving)
+    leaf is pruned, so the bound changes the node count, not the result.
+    """
+    bound = 0
+    while uncovered:
+        v = (uncovered & -uncovered).bit_length() - 1
+        for bit, w in doms[v]:
+            if not excluded & bit:
+                bound += w
+                break
+        else:
+            return None
+        uncovered &= ~n2[v]
+    return bound
+
+
+def _most_constrained(uncovered: int, excluded: int, closed: Sequence[int]) -> int:
+    """The branching vertex of both searches: the lowest uncovered vertex
+    with the fewest dominators outside `excluded`, or the first with at
+    most one."""
+    v_best, count_best = -1, len(closed) + 1
+    while uncovered:
+        low = uncovered & -uncovered
+        v = low.bit_length() - 1
+        k = (closed[v] & ~excluded).bit_count()
+        if k < count_best:
+            v_best, count_best = v, k
+            if k <= 1:
+                break
+        uncovered ^= low
+    return v_best
 
 
 def domination_number(g: Graph) -> tuple[int, int]:
@@ -112,6 +148,8 @@ def domination_number(g: Graph) -> tuple[int, int]:
     if g.n == 0:
         return 0, 0
     full = (1 << g.n) - 1
+    closed = g.closed_mask
+    n2, doms = _packing_tables(g, [1] * g.n)
     best_set = _greedy_dominating(g)
     best = best_set.bit_count()
 
@@ -122,23 +160,15 @@ def domination_number(g: Graph) -> tuple[int, int]:
             if size < best:
                 best, best_set = size, chosen
             return
-        if size + _packing_lower_bound(g, covered) >= best:
-            return
         uncovered = full & ~covered
-        # most-constrained uncovered vertex
-        v_best, cands_best = -1, None
-        for v in iter_mask(uncovered):
-            c = g.closed_mask[v] & ~excluded
-            if cands_best is None or c.bit_count() < cands_best.bit_count():
-                v_best, cands_best = v, c
-                if c.bit_count() <= 1:
-                    break
-        if not cands_best:
+        lb = _packing_bound(uncovered, excluded, n2, doms)
+        if lb is None or size + lb >= best:
             return
+        v = _most_constrained(uncovered, excluded, closed)
         banned = excluded
-        for u in sorted(iter_mask(cands_best),
-                        key=lambda x: -(g.closed_mask[x] & ~covered).bit_count()):
-            search(chosen | (1 << u), covered | g.closed_mask[u], banned)
+        for u in sorted(iter_mask(closed[v] & ~excluded),
+                        key=lambda x: -(closed[x] & ~covered).bit_count()):
+            search(chosen | (1 << u), covered | closed[u], banned)
             banned |= 1 << u
 
     search(0, 0, 0)
@@ -160,31 +190,11 @@ def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
     if g.n == 0:
         return 0, 0
     full = (1 << g.n) - 1
-    free = 0
-    for v in range(g.n):
-        if weights[v] == 0:
-            free |= 1 << v
-    start_cov = coverage(g, free)
-
+    closed = g.closed_mask
+    n2, doms = _packing_tables(g, weights)
+    free = sum(1 << v for v in range(g.n) if weights[v] == 0)
     best_set = full
     best_w = sum(weights)
-
-    def lower_bound(covered: int, excluded: int) -> Optional[int | Fraction]:
-        """Packing bound: disjoint closed neighbourhoods of uncovered
-        vertices, each charged its cheapest available dominator."""
-        bound = 0
-        blocked = 0
-        uncovered = full & ~covered
-        for v in iter_mask(uncovered):
-            if g.closed_mask[v] & blocked:
-                continue
-            cands = g.closed_mask[v] & ~excluded
-            if not cands:
-                return None
-            bound += min(weights[u] for u in iter_mask(cands))
-            for u in iter_mask(g.closed_mask[v]):
-                blocked |= g.closed_mask[u]
-        return bound
 
     def search(chosen: int, covered: int, excluded: int, w: int | Fraction) -> None:
         nonlocal best_set, best_w
@@ -192,26 +202,21 @@ def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
             if w < best_w or (w == best_w and chosen < best_set):
                 best_set, best_w = chosen, w
             return
-        lb = lower_bound(covered, excluded)
+        uncovered = full & ~covered
+        lb = _packing_bound(uncovered, excluded, n2, doms)
         if lb is None or w + lb > best_w:
             return
-        uncovered = full & ~covered
-        v_best, cands_best = -1, None
-        for v in iter_mask(uncovered):
-            c = g.closed_mask[v] & ~excluded
-            if cands_best is None or c.bit_count() < cands_best.bit_count():
-                v_best, cands_best = v, c
-                if c.bit_count() <= 1:
-                    break
-        if not cands_best:
-            return
+        v = _most_constrained(uncovered, excluded, closed)
+        # the candidates in (weight, index) order
         banned = excluded
-        for u in sorted(iter_mask(cands_best), key=lambda x: weights[x]):
-            search(chosen | (1 << u), covered | g.closed_mask[u], banned,
-                   w + weights[u])
-            banned |= 1 << u
+        for bit, wu in doms[v]:
+            if excluded & bit:
+                continue
+            u = bit.bit_length() - 1
+            search(chosen | bit, covered | closed[u], banned, w + wu)
+            banned |= bit
 
-    search(free, start_cov, free, 0)
+    search(free, coverage(g, free), free, 0)
     return best_set, best_w
 
 
@@ -289,13 +294,22 @@ def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:
     return None
 
 
+def scale_to_integers(weights: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """(numerators, den) with weights[i] == numerators[i] / den, where den
+    is the lcm of the denominators."""
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
 def verify_bottleneck(g: Graph, weights: list[Fraction]) -> tuple[bool, Fraction, Fraction]:
     """(valid, total weight, minimum dominating-set weight).
 
     Valid iff every dominating set has weight >= 1; a valid assignment
-    certifies fdom(g) <= total.
+    certifies fdom(g) <= total.  The search runs on the integer numerators
+    over the common denominator den: weight >= den is weight >= 1.
     """
     if any(w < 0 for w in weights):
         return False, sum(weights, Fraction(0)), Fraction(0)
-    _, w = min_weight_dominating_set(g, weights)
-    return w >= 1, sum(weights, Fraction(0)), w
+    ints, den = scale_to_integers(weights)
+    _, w = min_weight_dominating_set(g, ints)
+    return w >= den, sum(weights, Fraction(0)), Fraction(w, den)

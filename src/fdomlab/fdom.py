@@ -100,6 +100,8 @@ def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
     total = Fraction(0)
     loads = [Fraction(0)] * g.n
     for s, x in cert.columns:
+        if s >> g.n:
+            return False, f"column {mask_to_list(s)} has a vertex out of range for n={g.n}"
         if x < 0:
             return False, f"negative weight on column {mask_to_list(s)}"
         if not is_dominating(g, s):

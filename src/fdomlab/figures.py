@@ -19,7 +19,6 @@ the rest are fixed reference data.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .distributions import FractionalColouring

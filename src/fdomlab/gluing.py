@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .distributions import (DistributionError, DominatingDistribution,
                             colouring_to_distribution, complete_to_r, relabel)

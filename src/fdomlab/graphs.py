@@ -93,14 +93,6 @@ class Graph:
                     queue.append(w)
         return seen
 
-    def components(self) -> list[list[int]]:
-        out, left = [], set(range(self.n))
-        while left:
-            comp = self._component(min(left))
-            out.append(sorted(comp))
-            left -= comp
-        return out
-
     def bfs_order(self, start: int = 0) -> list[int]:
         order, seen = [], set()
         for root in [start] + list(range(self.n)):
@@ -152,9 +144,6 @@ class Graph:
         return best
 
     # -- derived graphs --------------------------------------------------
-
-    def with_labels(self, labels: Sequence[str]) -> "Graph":
-        return Graph(self.n, self._edges, labels)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):

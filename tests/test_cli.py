@@ -61,6 +61,30 @@ def test_verify_rejects_bad_dual(tmp_path, capsys):
     assert main(["verify", "--in", path, "--dual", str(bad)]) == 1
 
 
+def triangle_path(tmp_path):
+    path = tmp_path / "triangle.graph"
+    path.write_text("p 3 3\ne 0 1\ne 1 2\ne 0 2\n")
+    return str(path)
+
+
+def test_verify_distribution_rejects_out_of_range_vertex(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"r": ["1", "1"],
+                                "atoms": [{"set": [0, 1, 2, 9], "p": ["1", "1"]}]}))
+    assert main(["verify", "--in", path, "--distribution", str(dist)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid: vertex 9 out of range for n=3"
+
+
+def test_verify_primal_rejects_out_of_range_vertex(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    cert = tmp_path / "primal.json"
+    cert.write_text(json.dumps({"type": "primal", "value": ["1", "1"],
+                                "columns": [{"set": [0, 7], "x": ["1", "1"]}]}))
+    assert main(["verify", "--in", path, "--primal", str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("invalid: column [0, 7]")
+
+
 def test_gamma_domatic_chi(tmp_path, capsys):
     path = write_graph(tmp_path, cycle(6))
     assert main(["gamma", "--in", path]) == 0
@@ -84,6 +108,7 @@ def test_cap_exit(tmp_path, capsys):
     assert main(["fdom", "--in", path, "--colgen"]) == 0
     assert main(["--caps", "domatic=5", "domatic", "--in", path]) == 3
     assert main(["--caps", "bogus=1", "domatic", "--in", path]) == 2
+    assert main(["--caps", "coins=5", "domatic", "--in", path]) == 2
 
 
 def test_intersecting_family_cli(capsys):

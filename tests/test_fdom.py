@@ -78,6 +78,8 @@ def test_verify_primal_examples():
     bad = PrimalCertificate([(mask_of([0, 2]), F(1)), (mask_of([2, 4]), F(1))], F(2))
     ok, why = verify_primal(c5, bad)
     assert not ok and "load" in why
+    ok, why = verify_primal(c5, PrimalCertificate([(mask_of([0, 7]), F(1))], F(1)))
+    assert not ok and "out of range" in why
 
 
 def test_kmn_certificates():
