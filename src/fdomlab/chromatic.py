@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .distributions import FractionalColouring
 from .domset import CapExceeded, scale_to_integers
 from .fdom import fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
@@ -341,7 +342,6 @@ def check_reduction(g: Graph) -> ReductionReport:
         ext = list(phi) + [
             frozenset(range(1, p + 1)) - (phi[u] | phi[v])
             for u, v in g.edges()]
-        from .distributions import FractionalColouring
         full = FractionalColouring(p, q, tuple(ext))
         for v in range(s.n):
             if full.spans(s, v) != p:

@@ -29,7 +29,9 @@ from .fdom import (DualCertificate, PrimalCertificate, certificate_from_json,
                    closed_form_certificate, fdom_colgen, fdom_exact,
                    sample_lnbound, verify_dual, verify_primal)
 from .generators import generate_named
-from .graphs import Graph, GraphError, mask_to_list, read_graph_text, write_graph_text
+from .graphs import (Graph, GraphError, RationalError, mask_to_list,
+                     read_graph_text, write_graph_text)
+from .structure import hammocks
 
 BAD_FAMILY_NAMES = {1: "C4", 2: "K2,3", 3: "C7", 4: "2C4", 5: "C7-chord",
                     6: "2C4-edge", 7: "C7-cross", 8: "C7-cross-chord"}
@@ -38,7 +40,10 @@ EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise RationalError(f"zero denominator in {text!r}") from None
 
 
 def _rat(x: Fraction) -> str:
@@ -147,9 +152,11 @@ def _cmd_verify(args) -> int:
         ok, why = verify_dual(g, cert)
     elif args.colouring:
         phi = FractionalColouring.from_json(json.loads(Path(args.colouring).read_text()))
-        bad = [v for v in range(g.n) if phi.spans(g, v) != phi.p]
-        ok = not bad and len(phi.assignment) == g.n
-        why = "ok" if ok else f"neighbourhoods missing colours at {bad}"
+        if len(phi.assignment) != g.n:
+            ok, why = False, f"colouring has {len(phi.assignment)} entries for n={g.n}"
+        else:
+            bad = [v for v in range(g.n) if phi.spans(g, v) != phi.p]
+            ok, why = not bad, f"neighbourhoods missing colours at {bad}"
     elif args.distribution:
         d, r = DominatingDistribution.from_json(json.loads(Path(args.distribution).read_text()))
         demand = standard_demand(g) if args.demand == "standard" else constant_demand(Fraction(1))
@@ -215,7 +222,6 @@ def _cmd_family_cert(args) -> int:
         g = _load_graph(args.input)
         kw["g"] = g
         if args.kind == "hammock":
-            from .structure import hammocks
             hs = hammocks(g)
             if not hs:
                 print("no hammock in input", file=sys.stderr)

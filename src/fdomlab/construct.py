@@ -1,4 +1,10 @@
-"""The constructive 5/2 machinery.
+"""The constructive 5/2 machinery and the planar large-girth pipeline.
+
+Both reduce the graph, recurse, then extend the distribution back at a
+rate r.  The steps they share are written once and take r: the edge step
+(K2), the cycle step, the cut step (glue the two sides of a cut vertex,
+each solved by the caller's rule) and the peel step (remove a suspended
+path, solve the rest, attach the path back over its endpoints).
 
 construct52 builds, for any connected graph outside the exceptional
 family with at least 2 vertices, an explicit random dominating set with
@@ -7,19 +13,19 @@ vertex of degree >= 2 (4/5 at degree-1 vertices).  The recursion applies
 the first applicable rewrite below, each strictly decreasing the edge
 count, so it terminates:
 
-  cycle / K2 base
-  cut vertex             -> glue the two sides' distributions
+  K2 / cycle             -> the edge or cycle step at r = 2/5
+  cut vertex             -> the cut step (exceptional sides: quasi tables)
   adjacent 3+-vertices   -> delete the edge, or a catalog table if the
                             residue is exceptional
   C4 (twin 2-paths)      -> delete one middle, mirror it onto its twin
   twin suspended 3-paths -> delete one path, mirror onto its twin
   3-path not in a hammock-> contract it, then explicit mass surgery
-  suspended path, len>=4 -> remove it, extend over the endpoint pair
+  suspended path, len>=4 -> the peel step
   none of the above      -> the hammock base case (independent coins)
 
-planar_girth_construct runs the large-girth pipeline at rate k/(3k-1):
-per-block recursion peeling suspended paths of length >= 3k-2 down to a
-cycle.
+planar_girth_construct is the edge, cycle, cut and peel steps at
+r = k/(3k-1), peeling a longest suspended path (length >= 3k-2) from each
+non-cycle block; at k = 2 both the rate and the peel rule are construct52's.
 """
 
 from __future__ import annotations
@@ -27,22 +33,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Callable, Optional
 
 from .badfamily import bad_family_check
-from .distributions import (DominatingDistribution, FractionalColouring,
-                            colouring_to_distribution, complete_to_r,
-                            constant_demand, cycle_distribution, relabel,
-                            standard_demand, verify_f_dominating)
+from .distributions import (DominatingDistribution, colouring_to_distribution,
+                            complete_to_r, constant_demand, cycle_distribution,
+                            relabel, standard_demand, verify_f_dominating)
 from .domset import CapExceeded, is_dominating
 from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
 from .graphs import Graph
 from .iso import _iso_search, spanning_subgraph_embedding
-from .structure import (SuspendedPath, cut_vertices_and_blocks, hammocks,
+from .structure import (SuspendedPath, cut_vertices_and_blocks,
+                        find_long_suspended_path, hammocks,
                         remove_suspended_path, suspended_paths, twin_pairs)
 
 R25 = Fraction(2, 5)
+#: base_case_hammock enumerates 2^(hammock hubs) coin outcomes
+HAMMOCK_COIN_CAP = 16
 
 
 class BadFamilyInput(ValueError):
@@ -76,15 +84,14 @@ def construct52(g: Graph) -> DominatingDistribution:
 def _construct(g: Graph) -> DominatingDistribution:
     assert bad_family_check(g) is None
     if g.n == 2:
-        return colouring_to_distribution(FractionalColouring(
-            5, 2, (frozenset({1, 2}), frozenset({3, 4}))))
+        return _edge_case(R25)
     degs = g.degrees()
     if all(d == 2 for d in degs):
-        return _cycle_case(g)
+        return _cycle_case(g, R25)
 
     cuts, _ = cut_vertices_and_blocks(g)
     if cuts:
-        return _cut_vertex_case(g, cuts[0])
+        return _cut_vertex_case(g, cuts[0], R25, _side_distribution)
 
     adj3 = [(u, v) for u, v in g.edges() if degs[u] >= 3 and degs[v] >= 3]
     if adj3:
@@ -92,7 +99,8 @@ def _construct(g: Graph) -> DominatingDistribution:
 
     c4 = _find_twin_2paths(g)
     if c4 is not None:
-        return _twin_2path_case(g, *c4)
+        # an exceptional residue means K_{2,4} or a spanning theta(2,2,5)
+        return _twin_case(g, {c4[0]: c4[1]}, ["fig6a-K24", "fig6b-theta225"])
 
     paths = suspended_paths(g)
     twins3 = [(p, q) for p, q in twin_pairs(paths) if p.length == 3]
@@ -110,47 +118,56 @@ def _construct(g: Graph) -> DominatingDistribution:
     return base_case_hammock(g, hammock_base_annotations(g, paths))
 
 
-# -- cycle and cut-vertex cases -----------------------------------------
+# -- the shared rate-r steps ----------------------------------------------
 
 
-def _cycle_case(g: Graph) -> DominatingDistribution:
+def _edge_case(r: Fraction) -> DominatingDistribution:
+    """K2: each endpoint present with probability r, never both."""
+    return DominatingDistribution.from_map({0b01: r, 0b10: r, 0: 1 - 2 * r})
+
+
+def _cycle_case(g: Graph, r: Fraction) -> DominatingDistribution:
     order = [0]
     prev = -1
     while len(order) < g.n:
         nxt = [w for w in sorted(g.adj[order[-1]]) if w != prev]
         prev = order[-1]
         order.append(nxt[0])
-    base = cycle_distribution(g.n)
-    d = relabel(base, order)
-    if d.membership(0) > R25:  # only C4 and C7, both exceptional
-        raise ConstructionError("cycle with membership above 2/5")
-    return complete_to_r(d, R25, g.n)
+    d = relabel(cycle_distribution(g.n), order)
+    if d.membership(0) > r:  # at r = 2/5 only C4 and C7, both exceptional
+        raise ConstructionError("cycle too short for the target rate")
+    return complete_to_r(d, r, g.n)
 
 
-def _cut_vertex_case(g: Graph, v0: int) -> DominatingDistribution:
-    comps: list[set[int]] = []
-    seen = {v0}
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w != v0 and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    assert len(comps) >= 2
-    side0 = comps[0] | {v0}
-    side1 = set(range(g.n)) - comps[0]
-    g0, map0 = g.induced(side0)
-    g1, map1 = g.induced(side1)
-    d0 = _side_distribution(g0, map0.index(v0))
-    d1 = _side_distribution(g1, map1.index(v0))
-    return glue_at_cutvertex(d0, g0, map0, d1, g1, map1, v0, R25)
+def _cut_vertex_case(g: Graph, v0: int, r: Fraction,
+                     side: Callable[[Graph, int], DominatingDistribution]
+                     ) -> DominatingDistribution:
+    """Split at v0 into the component of g - v0 holding the lowest other
+    vertex, plus v0, and the rest; glue side(part, local id of v0) of the
+    two parts at v0."""
+    start = 1 if v0 == 0 else 0
+    comp = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w != v0 and w not in comp:
+                comp.add(w)
+                stack.append(w)
+    g0, map0 = g.induced(comp | {v0})
+    g1, map1 = g.induced(set(range(g.n)) - comp)
+    d0 = side(g0, map0.index(v0))
+    d1 = side(g1, map1.index(v0))
+    return glue_at_cutvertex(d0, g0, map0, d1, g1, map1, v0, r)
+
+
+def _peel_case(g: Graph, p: SuspendedPath, reduced: Graph, keep: list[int],
+               r: Fraction, solve: Callable[[Graph], DominatingDistribution]
+               ) -> DominatingDistribution:
+    """Solve the graph left by removing the suspended path p (reduced, with
+    old-id map keep), then attach p back over its endpoint pair at rate r."""
+    d = relabel(solve(reduced), keep)
+    return attach_suspended_path(d, p, r, g.n)
 
 
 def _side_distribution(g: Graph, v0: int) -> DominatingDistribution:
@@ -167,7 +184,7 @@ def _quasi_distribution(g: Graph, member: int, v0: int) -> DominatingDistributio
     if member in QUASI_BY_MEMBER:
         for key in QUASI_BY_MEMBER[member]:
             entry = exceptional_colouring(key)
-            for sigma in _iso_search(entry.graph, g, want_all=True):
+            for sigma in _iso_search(entry.graph, g):
                 if sigma[entry.quasi_vertex] == v0:
                     return relabel(colouring_to_distribution(entry.phi), list(sigma))
         raise ConstructionError(
@@ -206,7 +223,7 @@ def _catalog_case(g: Graph, keys: list[str]) -> DominatingDistribution:
     raise ConstructionError("no catalog table embeds into this residue")
 
 
-# -- C4: twin suspended 2-paths -----------------------------------------
+# -- twin suspended 2-paths (C4) and 3-paths -----------------------------
 
 
 def _find_twin_2paths(g: Graph) -> Optional[tuple[int, int]]:
@@ -226,28 +243,26 @@ def _find_twin_2paths(g: Graph) -> Optional[tuple[int, int]]:
     return None
 
 
-def _twin_2path_case(g: Graph, m1: int, m2: int) -> DominatingDistribution:
-    reduced, keep = g.remove_vertices([m1])
+def _twin_case(g: Graph, copies: dict[int, int], keys: list[str]) -> DominatingDistribution:
+    """Delete each new vertex of copies (new -> twin), solve the rest and
+    mirror the new vertices back; a catalog table when the rest is
+    exceptional."""
+    reduced, keep = g.remove_vertices(list(copies))
     if bad_family_check(reduced) is not None:
-        # the graph is K_{2,4} or carries a spanning theta(2,2,5)
-        return _catalog_case(g, ["fig6a-K24", "fig6b-theta225"])
-    d = relabel(_construct(reduced), keep)
-    return _mirror(d, {m1: m2})
+        return _catalog_case(g, keys)
+    return _mirror(relabel(_construct(reduced), keep), copies)
 
 
 def _mirror(d: DominatingDistribution, copies: dict[int, int]) -> DominatingDistribution:
     """Add each new vertex exactly to the atoms containing its twin."""
-    out: dict[int, Fraction] = {}
+    pairs = []
     for s, p in d.atoms:
         t = s
         for new, old in copies.items():
             if (s >> old) & 1:
                 t |= 1 << new
-        out[t] = out.get(t, Fraction(0)) + p
-    return DominatingDistribution.from_map(out)
-
-
-# -- twin suspended 3-paths ---------------------------------------------
+        pairs.append((t, p))
+    return DominatingDistribution.from_pairs(pairs)
 
 
 def _twin_3path_case(g: Graph, p: SuspendedPath, q: SuspendedPath) -> DominatingDistribution:
@@ -255,11 +270,7 @@ def _twin_3path_case(g: Graph, p: SuspendedPath, q: SuspendedPath) -> Dominating
     u2, v2 = q.internal
     if q.vertices[0] != p.vertices[0]:
         u2, v2 = v2, u2  # align the twin's orientation with p's
-    reduced, keep = g.remove_vertices([u, v])
-    if bad_family_check(reduced) is not None:
-        return _catalog_case(g, ["fig6c-theta334"])
-    d = relabel(_construct(reduced), keep)
-    return _mirror(d, {u: u2, v: v2})
+    return _twin_case(g, {u: u2, v: v2}, ["fig6c-theta334"])
 
 
 # -- suspended 3-path outside any hammock: contraction -------------------
@@ -286,43 +297,33 @@ def _contract_3path_case(g: Graph, p: SuspendedPath) -> DominatingDistribution:
     if bad_family_check(reduced) is not None:
         # the residue has a degree-4 vertex; the host carries theta(3,4,4)
         return _catalog_case(g, ["fig6e-theta344"])
-    d_r = relabel(_construct(reduced), keep)
-
     # w in D' means both u and v in the lifted base set
-    base: dict[int, Fraction] = {}
-    for s, pr in d_r.atoms:
-        t = s | (1 << v) if (s >> u) & 1 else s
-        base[t] = base.get(t, Fraction(0)) + pr
-    d0 = DominatingDistribution.from_map(base)
+    d0 = _mirror(relabel(_construct(reduced), keep), {v: u})
 
     nu, nv = g.closed_mask[u], g.closed_mask[v]
     p_u_bad = sum((pr for s, pr in d0.atoms if not (s & nu)), Fraction(0))
     p_v_bad = sum((pr for s, pr in d0.atoms if not (s & nv)), Fraction(0))
 
-    out: dict[int, Fraction] = {}
-
-    def put(mask: int, pr: Fraction) -> None:
-        out[mask] = out.get(mask, Fraction(0)) + pr
-
+    out: list[tuple[int, Fraction]] = []
     fifth = Fraction(1, 5)
     for s, pr in d0.atoms:
         u_dom, v_dom = bool(s & nu), bool(s & nv)
         u_in, v_in = bool((s >> u) & 1), bool((s >> v) & 1)
         if not u_dom:
-            put(s | (1 << x), pr)
+            out.append((s | (1 << x), pr))
         elif not v_dom:
-            put(s | (1 << y), pr)
+            out.append((s | (1 << y), pr))
         elif not u_in and not v_in:
             if p_v_bad >= fifth:
-                put(s | (1 << x), pr)
+                out.append((s | (1 << x), pr))
             elif p_u_bad >= fifth:
-                put(s | (1 << y), pr)
+                out.append((s | (1 << y), pr))
             else:
-                put(s | (1 << x), pr / 2)
-                put(s | (1 << y), pr / 2)
+                out.append((s | (1 << x), pr / 2))
+                out.append((s | (1 << y), pr / 2))
         else:
-            put(s, pr)
-    d = DominatingDistribution.from_map(out)
+            out.append((s, pr))
+    d = DominatingDistribution.from_pairs(out)
     for w in (x, y):
         if d.membership(w) > R25:
             raise ConstructionError("contraction surgery exceeded the rate")
@@ -336,8 +337,7 @@ def _long_path_case(g: Graph, long_paths: list[SuspendedPath]) -> DominatingDist
     for p in long_paths:
         reduced, keep = remove_suspended_path(g, p)
         if bad_family_check(reduced) is None:
-            d = relabel(_construct(reduced), keep)
-            return attach_suspended_path(d, p, R25, g.n)
+            return _peel_case(g, p, reduced, keep, R25, _construct)
     # every removal lands on a 7-cycle: the host is its 5-path extension
     return _catalog_case(g, ["fig6d-C7-plus-5path"])
 
@@ -391,28 +391,22 @@ def hammock_base_annotations(g: Graph,
                               [p for p in paths if p.length == 3])
 
 
-def base_case_hammock(g: Graph, ann: Optional[HammockAnnotations] = None,
-                      coin_cap: int = 16) -> DominatingDistribution:
+def base_case_hammock(g: Graph, ann: HammockAnnotations) -> DominatingDistribution:
     """The explicit 2/5-distribution for expanded multigraphs: independent
     2/5-coins on the plain hubs, a shared 1/5-skip coin plus fair coins on
     the hammock hubs, then the deterministic and uniform fill-in rules for
     the subdivision vertices.  All coin outcomes are enumerated with exact
     probabilities; memberships end at most 2/5 and are completed to
     exactly 2/5."""
-    if ann is None:
-        ann = hammock_base_annotations(g)
-    if len(ann.b0) + len(ann.b1) > coin_cap:
-        raise CapExceeded(f"hammock base coins capped at {coin_cap} hubs")
+    if len(ann.b0) + len(ann.b1) > HAMMOCK_COIN_CAP:
+        raise CapExceeded(f"hammock base coins capped at {HAMMOCK_COIN_CAP} hubs")
 
-    atom_map: dict[int, Fraction] = {}
-
-    def add(mask: int, pr: Fraction) -> None:
-        atom_map[mask] = atom_map.get(mask, Fraction(0)) + pr
+    outcomes: list[tuple[int, Fraction]] = []
 
     def expand_choices(mask: int, pr: Fraction,
                        choice_sets: list[list[int]]) -> None:
         if not choice_sets:
-            add(mask, pr)
+            outcomes.append((mask, pr))
             return
         head, rest = choice_sets[0], choice_sets[1:]
         share = pr / len(head)
@@ -460,7 +454,7 @@ def base_case_hammock(g: Graph, ann: Optional[HammockAnnotations] = None,
                     choice_sets.append([a, b])
             expand_choices(base_mask, pr, choice_sets)
 
-    d = DominatingDistribution.from_map(atom_map)
+    d = DominatingDistribution.from_pairs(outcomes)
     for s, _ in d.atoms:
         if not is_dominating(g, s):
             raise ConstructionError("a base-case outcome fails to dominate")
@@ -499,58 +493,19 @@ def planar_girth_construct(g: Graph, k: int) -> DominatingDistribution:
 
 
 def _planar_recurse(g: Graph, k: int, r: Fraction) -> DominatingDistribution:
-    if g.n == 2 and g.m == 1:
-        # bridge base: endpoints each present with probability r, never both
-        return DominatingDistribution.from_map({
-            0b01: r, 0b10: r, 0: 1 - 2 * r})
-    degs = g.degrees()
-    if all(d == 2 for d in degs):
-        order = [0]
-        prev = -1
-        while len(order) < g.n:
-            nxt = [w for w in sorted(g.adj[order[-1]]) if w != prev]
-            prev = order[-1]
-            order.append(nxt[0])
-        d = relabel(cycle_distribution(g.n), order)
-        if d.membership(0) > r:
-            raise ConstructionError("cycle too short for the target rate")
-        return complete_to_r(d, r, g.n)
+    if g.n == 2:
+        return _edge_case(r)
+    if all(d == 2 for d in g.degrees()):
+        return _cycle_case(g, r)
     cuts, _ = cut_vertices_and_blocks(g)
     if cuts:
-        v0 = cuts[0]
-        comp = _one_component(g, v0)
-        side0 = comp | {v0}
-        side1 = set(range(g.n)) - comp
-        g0, map0 = g.induced(side0)
-        g1, map1 = g.induced(side1)
-        d0 = _planar_recurse(g0, k, r)
-        d1 = _planar_recurse(g1, k, r)
-        return glue_at_cutvertex(d0, g0, map0, d1, g1, map1, v0, r)
-    p = _longest_suspended_path(g)
-    if p is None or p.length < 3 * k - 2:
+        return _cut_vertex_case(g, cuts[0], r, lambda h, _: _planar_recurse(h, k, r))
+    p = find_long_suspended_path(g, 3 * k - 3)
+    if p is None:
         raise ConstructionError(
             "no suspended path of length >= 3k-2 in a non-cycle block")
     reduced, keep = remove_suspended_path(g, p)
-    d = relabel(_planar_recurse(reduced, k, r), keep)
-    return attach_suspended_path(d, p, r, g.n)
-
-
-def _one_component(g: Graph, v0: int) -> set[int]:
-    start = next(v for v in range(g.n) if v != v0)
-    comp = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w != v0 and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return comp
-
-
-def _longest_suspended_path(g: Graph) -> Optional[SuspendedPath]:
-    paths = suspended_paths(g)
-    return max(paths, key=lambda p: p.length) if paths else None
+    return _peel_case(g, p, reduced, keep, r, lambda h: _planar_recurse(h, k, r))
 
 
 # -- the intersecting set family -----------------------------------------

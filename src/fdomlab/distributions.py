@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .graphs import Graph, mask_of, mask_to_list
+from .graphs import Graph, fraction_from_pair, mask_of, mask_to_list
 
 
 class DistributionError(ValueError):
@@ -35,8 +35,13 @@ class DominatingDistribution:
             raise DistributionError("probabilities must sum to exactly 1")
         return DominatingDistribution(tuple(sorted(cleaned.items())))
 
-    def as_map(self) -> dict[int, Fraction]:
-        return dict(self.atoms)
+    @staticmethod
+    def from_pairs(pairs: Iterable[tuple[int, Fraction]]) -> "DominatingDistribution":
+        """Like from_map, with the probabilities of repeated bitmasks summed."""
+        atom_map: dict[int, Fraction] = {}
+        for s, p in pairs:
+            atom_map[s] = atom_map[s] + p if s in atom_map else p
+        return DominatingDistribution.from_map(atom_map)
 
     def membership(self, v: int) -> Fraction:
         return sum((p for s, p in self.atoms if (s >> v) & 1), Fraction(0))
@@ -54,13 +59,9 @@ class DominatingDistribution:
 
     @staticmethod
     def from_json(obj: dict) -> tuple["DominatingDistribution", Fraction]:
-        r = Fraction(int(obj["r"][0]), int(obj["r"][1]))
-        atom_map: dict[int, Fraction] = {}
-        for a in obj["atoms"]:
-            s = mask_of(a["set"])
-            p = Fraction(int(a["p"][0]), int(a["p"][1]))
-            atom_map[s] = atom_map.get(s, Fraction(0)) + p
-        return DominatingDistribution.from_map(atom_map), r
+        r = fraction_from_pair(obj["r"])
+        return DominatingDistribution.from_pairs(
+            (mask_of(a["set"]), fraction_from_pair(a["p"])) for a in obj["atoms"]), r
 
 
 DemandFunction = Callable[[int], Fraction]
@@ -130,12 +131,9 @@ class FractionalColouring:
 
 def colouring_to_distribution(phi: FractionalColouring) -> DominatingDistribution:
     """A uniformly random colour class: membership q/p for every vertex."""
-    atom_map: dict[int, Fraction] = {}
     unit = Fraction(1, phi.p)
-    for i in range(1, phi.p + 1):
-        s = phi.colour_class(i)
-        atom_map[s] = atom_map.get(s, Fraction(0)) + unit
-    return DominatingDistribution.from_map(atom_map)
+    return DominatingDistribution.from_pairs(
+        (phi.colour_class(i), unit) for i in range(1, phi.p + 1))
 
 
 def distribution_to_colouring(d: DominatingDistribution, n: int) -> FractionalColouring:
@@ -176,7 +174,7 @@ def complete_to_r(d: DominatingDistribution, r: Fraction, n: int) -> DominatingD
     of it, so domination probabilities never decrease; support grows by at
     most one atom per vertex.
     """
-    atom_map = d.as_map()
+    atom_map = dict(d.atoms)
     for v in range(n):
         have = sum((p for s, p in atom_map.items() if (s >> v) & 1), Fraction(0))
         if have > r:
@@ -207,11 +205,9 @@ def cycle_distribution(n: int) -> DominatingDistribution:
     if n < 3:
         raise DistributionError("cycle needs n >= 3")
     base = list(range(0, n, 3))  # gaps of 3, final wrap gap <= 3: dominating
-    atom_map: dict[int, Fraction] = {}
-    for shift in range(n):
-        s = mask_of((v + shift) % n for v in base)
-        atom_map[s] = atom_map.get(s, Fraction(0)) + Fraction(1, n)
-    return DominatingDistribution.from_map(atom_map)
+    unit = Fraction(1, n)
+    return DominatingDistribution.from_pairs(
+        (mask_of((v + shift) % n for v in base), unit) for shift in range(n))
 
 
 def point_mass(mask: int) -> DominatingDistribution:
@@ -222,7 +218,7 @@ def relabel(d: DominatingDistribution, mapping: Sequence[int]) -> DominatingDist
     """Relabel atom vertices through mapping (local id -> global id)."""
     if list(mapping) == list(range(len(mapping))):
         return d
-    out: dict[int, Fraction] = {}
+    pairs = []
     for s, p in d.atoms:
         t = 0
         u = s
@@ -230,5 +226,5 @@ def relabel(d: DominatingDistribution, mapping: Sequence[int]) -> DominatingDist
             low = u & -u
             t |= 1 << mapping[low.bit_length() - 1]
             u ^= low
-        out[t] = out.get(t, Fraction(0)) + p
-    return DominatingDistribution.from_map(out)
+        pairs.append((t, p))
+    return DominatingDistribution.from_pairs(pairs)

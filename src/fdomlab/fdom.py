@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .domset import (CapExceeded, coverage, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
                      min_weight_dominating_set, verify_bottleneck)
-from .graphs import Graph, mask_of, mask_to_list
+from .graphs import Graph, fraction_from_pair, mask_of, mask_to_list
 from .iso import orbits
 from .simplex import IntegerLP
 from .structure import Hammock
@@ -73,16 +73,12 @@ class FdomResult:
     dual: DualCertificate
 
 
-def _frac_from_pair(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
-
-
 def certificate_from_json(obj: dict) -> PrimalCertificate | DualCertificate:
     if obj.get("type") == "primal":
-        cols = [(mask_of(c["set"]), _frac_from_pair(c["x"])) for c in obj["columns"]]
-        return PrimalCertificate(cols, _frac_from_pair(obj["value"]))
+        cols = [(mask_of(c["set"]), fraction_from_pair(c["x"])) for c in obj["columns"]]
+        return PrimalCertificate(cols, fraction_from_pair(obj["value"]))
     if obj.get("type") == "dual":
-        return DualCertificate([_frac_from_pair(w) for w in obj["weights"]])
+        return DualCertificate([fraction_from_pair(w) for w in obj["weights"]])
     raise CertificateError("unknown certificate type")
 
 
@@ -91,7 +87,7 @@ def weights_to_json(weights: Sequence[Fraction]) -> dict:
 
 
 def weights_from_json(obj: dict) -> list[Fraction]:
-    return [_frac_from_pair(w) for w in obj["weights"]]
+    return [fraction_from_pair(w) for w in obj["weights"]]
 
 
 def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
@@ -210,7 +206,7 @@ def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
     master = IntegerLP([1] * g.n)
     columns: list[int] = []
     seen: set[int] = set()
-    for col in _greedy_domatic_columns(g) + [g.closed_mask[v] | (1 << v) for v in range(g.n)]:
+    for col in _greedy_domatic_columns(g) + list(g.closed_mask):
         col = _complete_to_dominating(g, col)
         if col not in seen:
             seen.add(col)
@@ -443,7 +439,6 @@ def pq_colouring_exists(g: Graph, p: int, q: int,
     if not (1 <= q <= p):
         raise ValueError("needs 1 <= q <= p")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
     choices = [frozenset(c) for c in combinations(range(1, p + 1), q)]
     assigned: dict[int, frozenset[int]] = {}
     nodes = 0

@@ -28,18 +28,9 @@ from .structure import SuspendedPath
 def _split3(d: DominatingDistribution, v: int, nbr_mask: int):
     """Atoms of d partitioned by the events (v in S), (v out, neighbour in),
     (closed neighbourhood missed); returned with their total masses."""
-    a: dict[int, Fraction] = {}
-    b: dict[int, Fraction] = {}
-    c: dict[int, Fraction] = {}
-    for s, p in d.atoms:
-        if (s >> v) & 1:
-            a[s] = a.get(s, Fraction(0)) + p
-        elif s & nbr_mask:
-            b[s] = b.get(s, Fraction(0)) + p
-        else:
-            c[s] = c.get(s, Fraction(0)) + p
-    return (a, sum(a.values(), Fraction(0))), (b, sum(b.values(), Fraction(0))), \
-           (c, sum(c.values(), Fraction(0)))
+    return (_condition(d, lambda s: (s >> v) & 1),
+            _condition(d, lambda s: not (s >> v) & 1 and s & nbr_mask),
+            _condition(d, lambda s: not (s >> v) & 1 and not s & nbr_mask))
 
 
 def _couple(out: dict[int, Fraction], mass: Fraction,
@@ -188,17 +179,10 @@ def attach_suspended_path(d_host: DominatingDistribution, p: SuspendedPath,
             f"attachment of a length-{p.length} path needs k/(3k-1) <= r < 1/2")
     table = path_tables(p.length)
     u, v = p.endpoints
-    d0 = _path_distribution(table.phi0, p)
-    d1 = _path_distribution(table.phi1, p)
+    d0 = relabel(colouring_to_distribution(table.phi0), list(p.vertices))
+    d1 = relabel(colouring_to_distribution(table.phi1), list(p.vertices))
     combined = extend_over_pair(d_host, u, v, d0, d1, r)
     for w in p.internal:
         if combined.membership(w) > r:
             raise DistributionError("internal: path membership overshoot")
     return complete_to_r(combined, r, n_total)
-
-
-def _path_distribution(phi, p: SuspendedPath) -> DominatingDistribution:
-    """The random-colour-class distribution of a path colouring, re-labelled
-    to the path's host vertex ids."""
-    local = colouring_to_distribution(phi)
-    return relabel(local, list(p.vertices))

@@ -8,10 +8,15 @@ on Python-int bitsets throughout).
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
+    pass
+
+
+class RationalError(ValueError):
     pass
 
 
@@ -255,6 +260,14 @@ def read_graph_text(text: str) -> Graph:
 def read_multigraph_text(text: str) -> MultiGraph:
     n, edges = _parse_edges(text)
     return MultiGraph(n, edges)
+
+
+def fraction_from_pair(pair) -> Fraction:
+    """The rational of a JSON ["num", "den"] pair; den must be nonzero."""
+    num, den = int(pair[0]), int(pair[1])
+    if den == 0:
+        raise RationalError(f"zero denominator in {pair!r}")
+    return Fraction(num, den)
 
 
 # -- bitset helpers ----------------------------------------------------

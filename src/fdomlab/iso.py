@@ -14,9 +14,9 @@ from typing import Iterator, Optional
 from .graphs import Graph
 
 
-def _refine_colours(g: Graph, colours: list[int], rounds: int = 3) -> list[int]:
-    """Iterated neighbourhood-colour refinement (1-WL)."""
-    for _ in range(rounds):
+def _refine_colours(g: Graph, colours: list[int]) -> list[int]:
+    """Iterated neighbourhood-colour refinement (1-WL), to a fixed point."""
+    for _ in range(g.n):
         sig = [(colours[v], tuple(sorted(colours[w] for w in g.adj[v]))) for v in range(g.n)]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [palette[s] for s in sig]
@@ -27,10 +27,10 @@ def _refine_colours(g: Graph, colours: list[int], rounds: int = 3) -> list[int]:
 
 
 def _initial_colours(g: Graph) -> list[int]:
-    return _refine_colours(g, [g.degree(v) for v in range(g.n)], rounds=g.n)
+    return _refine_colours(g, [g.degree(v) for v in range(g.n)])
 
 
-def _iso_search(g: Graph, h: Graph, want_all: bool) -> Iterator[tuple[int, ...]]:
+def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
     """Yield isomorphisms g -> h as tuples phi with phi[u] in V(h)."""
     if g.n != h.n or g.m != h.m:
         return
@@ -90,7 +90,7 @@ def _iso_search(g: Graph, h: Graph, want_all: bool) -> Iterator[tuple[int, ...]]
 
 def isomorphism(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
     """An isomorphism g -> h (phi[u] = image of u), or None."""
-    for phi in _iso_search(g, h, want_all=False):
+    for phi in _iso_search(g, h):
         return phi
     return None
 
@@ -101,7 +101,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All automorphisms of g (small graphs only)."""
-    return list(_iso_search(g, g, want_all=True))
+    return list(_iso_search(g, g))
 
 
 def orbits(n: int, perms: list[tuple[int, ...]]) -> list[list[int]]:

@@ -85,6 +85,57 @@ def test_verify_primal_rejects_out_of_range_vertex(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("invalid: column [0, 7]")
 
 
+def test_verify_dual_rejects_zero_denominator(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    cert = tmp_path / "dual.json"
+    cert.write_text(json.dumps({"type": "dual", "value": ["1", "1"],
+                                "weights": [["1", "0"], ["1", "1"], ["1", "1"]]}))
+    assert main(["verify", "--in", path, "--dual", str(cert)]) == 2
+    assert capsys.readouterr().err.strip() == "error: zero denominator in ['1', '0']"
+
+
+def test_verify_primal_rejects_zero_denominator(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    cert = tmp_path / "primal.json"
+    cert.write_text(json.dumps({"type": "primal", "value": ["1", "0"],
+                                "columns": [{"set": [0], "x": ["1", "1"]}]}))
+    assert main(["verify", "--in", path, "--primal", str(cert)]) == 2
+    assert capsys.readouterr().err.strip() == "error: zero denominator in ['1', '0']"
+
+
+def test_verify_distribution_rejects_zero_denominator(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"r": ["1", "1"],
+                                "atoms": [{"set": [0, 1, 2], "p": ["1", "0"]}]}))
+    assert main(["verify", "--in", path, "--distribution", str(dist)]) == 2
+    assert capsys.readouterr().err.strip() == "error: zero denominator in ['1', '0']"
+
+
+def test_sample_rejects_zero_denominator(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    assert main(["sample-lnbound", "--in", path, "--p", "1/0", "--trials", "10"]) == 2
+    assert capsys.readouterr().err.strip() == "error: zero denominator in '1/0'"
+
+
+def test_verify_colouring_rejects_too_few_entries(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"p": 3, "q": 1, "phi": [[1], [2]]}))
+    assert main(["verify", "--in", path, "--colouring", str(phi)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid: colouring has 2 entries for n=3"
+
+
+def test_verify_colouring_rejects_too_many_entries(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"p": 3, "q": 1, "phi": [[1], [2], [3], [1]]}))
+    assert main(["verify", "--in", path, "--colouring", str(phi)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid: colouring has 4 entries for n=3"
+    phi.write_text(json.dumps({"p": 3, "q": 1, "phi": [[1], [2], [3]]}))
+    assert main(["verify", "--in", path, "--colouring", str(phi)]) == 0
+
+
 def test_gamma_domatic_chi(tmp_path, capsys):
     path = write_graph(tmp_path, cycle(6))
     assert main(["gamma", "--in", path]) == 0

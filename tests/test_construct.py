@@ -112,6 +112,13 @@ def test_base_case_k4_expansion_membership():
     assert ok, why
 
 
+def test_k2_is_the_shared_edge_step():
+    k2 = Graph(2, [(0, 1)])
+    assert construct52(k2).atoms == ((0, F(1, 5)), (0b01, F(2, 5)), (0b10, F(2, 5)))
+    with pytest.raises(ValueError):
+        planar_girth_construct(k2, 2)  # no cycle, minimum degree 1
+
+
 def test_planar_pipeline_cycle_case():
     d = planar_girth_construct(cycle(16), 2)
     g = cycle(16)
@@ -151,6 +158,19 @@ def test_planar_pipeline_with_bridge():
     edges += [(16 + i, 16 + (i + 1) % 16) for i in range(16)]
     edges.append((0, 16))
     g = Graph(32, edges)
+    d = planar_girth_construct(g, 2)
+    ok, why = verify_f_dominating(g, d, constant_demand(F(1)), F(2, 5))
+    assert ok, why
+
+
+def test_planar_pipeline_cut_vertex_with_peeled_side():
+    # theta(8,8,8) and a 16-cycle sharing hub 0: the theta side of the cut
+    # vertex is solved by peeling a suspended path down to a 16-cycle
+    theta = theta_graph((8, 8, 8))
+    ring = [0] + list(range(theta.n, theta.n + 15))
+    g = Graph(theta.n + 15, list(theta.edges()) +
+              [(ring[i], ring[(i + 1) % 16]) for i in range(16)])
+    assert g.n == 38 and g.girth() == 16
     d = planar_girth_construct(g, 2)
     ok, why = verify_f_dominating(g, d, constant_demand(F(1)), F(2, 5))
     assert ok, why

@@ -43,6 +43,16 @@ def test_probabilities_must_sum_to_one():
         DominatingDistribution.from_map({0b1: F(3, 2), 0b10: F(-1, 2)})
 
 
+def test_from_pairs_sums_repeated_masks():
+    d = DominatingDistribution.from_pairs(
+        [(0b01, F(1, 5)), (0b10, F(2, 5)), (0b01, F(1, 5)), (0b11, F(0)), (0, F(1, 5))])
+    assert d.atoms == ((0, F(1, 5)), (0b01, F(2, 5)), (0b10, F(2, 5)))
+    with pytest.raises(DistributionError):
+        DominatingDistribution.from_pairs([(0b01, F(3, 2)), (0b10, F(-1, 2))])
+    with pytest.raises(DistributionError):
+        DominatingDistribution.from_pairs([(0b01, F(1, 2)), (0b01, F(1, 3))])
+
+
 def test_verify_f_dominating():
     g = cycle(5)
     d = c5_pairs()
