@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
-budget exceeded.  Rationals are printed as num/den, never as decimals.
+budget exceeded, 4 internal error (a construction failed its own
+postcondition).  Rationals are printed as num/den, never as decimals.
 All randomness flows through --seed (default 0) into random.Random, a
 Mersenne Twister, identical across platforms.  The environment variable
 FDOMLAB_TIME_BUDGET_MS bounds the integral-chromatic searches.
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .chromatic import (check_reduction, chromatic_number,
                         fractional_chromatic, fullness_check)
-from .construct import (BadFamilyInput, construct52,
+from .construct import (BadFamilyInput, ConstructionError, construct52,
                         intersecting_family, planar_girth_construct)
 from .distributions import (DominatingDistribution, FractionalColouring,
                             constant_demand, standard_demand,
@@ -36,7 +37,7 @@ from .structure import hammocks
 BAD_FAMILY_NAMES = {1: "C4", 2: "K2,3", 3: "C7", 4: "2C4", 5: "C7-chord",
                     6: "2C4-edge", 7: "C7-cross", 8: "C7-cross-chord"}
 
-EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
+EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _frac(text: str) -> Fraction:
@@ -292,12 +293,12 @@ def _cmd_corpus(args) -> int:
                 d = construct52(g)
                 row["atoms"] = len(d.atoms)
                 row["pass"] = True
-            else:
-                print(f"unknown check {args.check}", file=sys.stderr)
-                return EXIT_USAGE
         except BadFamilyInput as e:
             row["pass"] = False
             row["error"] = f"bad-family:{BAD_FAMILY_NAMES[e.member]}"
+        except CapExceeded as e:
+            row["pass"] = False
+            row["error"] = f"cap: {e}"
         failures += not row["pass"]
         rows.append(row)
     print(json.dumps({"check": args.check, "results": rows,
@@ -393,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run a check over a directory of graphs")
     p.add_argument("--dir", required=True)
-    p.add_argument("--check", required=True)
+    p.add_argument("--check", required=True,
+                   choices=["fdom<5/2", "fdom>=5/2", "construct52"])
     p.set_defaults(fn=_cmd_corpus)
 
     return ap
@@ -410,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP
+    except ConstructionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (GraphError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

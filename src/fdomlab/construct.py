@@ -38,7 +38,8 @@ from typing import Callable, Optional
 from .badfamily import bad_family_check
 from .distributions import (DominatingDistribution, colouring_to_distribution,
                             complete_to_r, constant_demand, cycle_distribution,
-                            relabel, standard_demand, verify_f_dominating)
+                            relabel, scaled_sums, standard_demand,
+                            verify_f_dominating)
 from .domset import CapExceeded, is_dominating
 from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
@@ -458,8 +459,10 @@ def base_case_hammock(g: Graph, ann: HammockAnnotations) -> DominatingDistributi
     for s, _ in d.atoms:
         if not is_dominating(g, s):
             raise ConstructionError("a base-case outcome fails to dominate")
+    big, member, _ = scaled_sums(d, g.n, R25.denominator)
+    target = R25.numerator * (big // R25.denominator)
     for v in range(g.n):
-        if d.membership(v) > R25:
+        if member[v] > target:
             raise ConstructionError(f"base-case membership above 2/5 at {v}")
     return complete_to_r(d, R25, g.n)
 

@@ -20,6 +20,13 @@ class DistributionError(ValueError):
     pass
 
 
+def _common_denominator(probs: Iterable[Fraction], den: int = 1) -> tuple[int, dict[int, int]]:
+    """D = lcm(den, the denominators of probs), and D // q for each of them."""
+    dens = {p.denominator for p in probs}
+    big = lcm(den, *dens)
+    return big, {q: big // q for q in dens}
+
+
 @dataclass(frozen=True)
 class DominatingDistribution:
     """Deduplicated support atoms (bitmask -> probability > 0), summing to 1."""
@@ -29,9 +36,10 @@ class DominatingDistribution:
     @staticmethod
     def from_map(atom_map: dict[int, Fraction]) -> "DominatingDistribution":
         cleaned = {s: p for s, p in atom_map.items() if p != 0}
-        if any(p < 0 for p in cleaned.values()):
+        if any(p.numerator < 0 for p in cleaned.values()):
             raise DistributionError("negative atom probability")
-        if sum(cleaned.values(), Fraction(0)) != 1:
+        big, scale = _common_denominator(cleaned.values())
+        if sum(p.numerator * scale[p.denominator] for p in cleaned.values()) != big:
             raise DistributionError("probabilities must sum to exactly 1")
         return DominatingDistribution(tuple(sorted(cleaned.items())))
 
@@ -76,19 +84,64 @@ def standard_demand(g: Graph) -> DemandFunction:
     return lambda v: Fraction(4, 5) if g.degree(v) == 1 else Fraction(1)
 
 
+def scaled_sums(d: DominatingDistribution, n: int, den: int = 1,
+                g: Graph | None = None) -> tuple[int, list[int], list[int]]:
+    """(D, member, dom): D = lcm(den, atom denominators), and the integer
+    numerators over D of the membership and, given g, of the domination
+    probability of vertices 0..n-1 (dom is empty without g).
+
+    One pass over the atoms: each numerator is added to every vertex of the
+    atom, and subtracted from the total at every vertex its closed-
+    neighbourhood cover misses, which is no vertex for a dominating atom.
+    Vertices >= n are ignored.
+    """
+    big, scale = _common_denominator((p for _, p in d.atoms), den)
+    member = [0] * n
+    missed = [0] * n if g is not None else []
+    closed = g.closed_mask if g is not None else ()
+    full = (1 << n) - 1
+    total = 0
+    for s, p in d.atoms:
+        num = p.numerator * scale[p.denominator]
+        total += num
+        cover = 0
+        u = s & full
+        while u:
+            low = u & -u
+            v = low.bit_length() - 1
+            member[v] += num
+            if closed:
+                cover |= closed[v]
+            u ^= low
+        u = full & ~cover if closed else 0
+        while u:
+            low = u & -u
+            missed[low.bit_length() - 1] += num
+            u ^= low
+    return big, member, [total - m for m in missed]
+
+
 def verify_f_dominating(g: Graph, d: DominatingDistribution, f: DemandFunction,
                         r: Fraction) -> tuple[bool, str]:
+    """Exact check that every atom lies in the graph, every membership is r
+    and every domination probability meets f.  The sums are integer
+    numerators over D, the lcm of r's and the atoms' denominators
+    (`scaled_sums`); a failing value is rebuilt as a Fraction only for its
+    message.
+    """
     for s, _ in d.atoms:
         high = s >> g.n
         if high:
             v = g.n + (high & -high).bit_length() - 1
             return False, f"vertex {v} out of range for n={g.n}"
+    big, member, dom = scaled_sums(d, g.n, r.denominator, g)
+    target = r.numerator * (big // r.denominator)
     for v in range(g.n):
-        if d.membership(v) != r:
-            return False, f"membership {d.membership(v)} != {r} at vertex {v}"
-        dom = d.dominated_prob(g, v)
-        if dom < f(v):
-            return False, f"domination {dom} < demand {f(v)} at vertex {v}"
+        if member[v] != target:
+            return False, f"membership {Fraction(member[v], big)} != {r} at vertex {v}"
+        demand = f(v)
+        if dom[v] * demand.denominator < demand.numerator * big:
+            return False, f"domination {Fraction(dom[v], big)} < demand {demand} at vertex {v}"
     return True, "ok"
 
 
@@ -139,16 +192,10 @@ def colouring_to_distribution(phi: FractionalColouring) -> DominatingDistributio
 def distribution_to_colouring(d: DominatingDistribution, n: int) -> FractionalColouring:
     """Replicate atoms into p = lcm-of-denominators colour slots; requires a
     constant membership r, giving q = r*p colours per vertex."""
-    r = d.membership(0) if n else Fraction(0)
-    for v in range(n):
-        if d.membership(v) != r:
-            raise DistributionError("membership is not constant across vertices")
-    p = lcm(*[pr.denominator for _, pr in d.atoms]) if d.atoms else 1
-    q = r * p
-    if q.denominator != 1:
-        p = lcm(p, r.denominator)
-        q = r * p
-    q = int(q)
+    p, member, _ = scaled_sums(d, n)
+    q = member[0] if n else 0
+    if any(m != q for m in member):
+        raise DistributionError("membership is not constant across vertices")
     assignment: list[set[int]] = [set() for _ in range(n)]
     slot = 1
     for s, pr in d.atoms:
@@ -173,13 +220,20 @@ def complete_to_r(d: DominatingDistribution, r: Fraction, n: int) -> DominatingD
     not, with exact masses.  Each original atom's mass ends up on supersets
     of it, so domination probabilities never decrease; support grows by at
     most one atom per vertex.
+
+    The masses are integer numerators over D, the lcm of r's and the atoms'
+    denominators.  The memberships are summed once, up front: moving mass from s to
+    s | {v} changes the membership of no vertex but v, so each vertex still
+    has its starting membership when its turn comes.
     """
-    atom_map = dict(d.atoms)
+    big, member, _ = scaled_sums(d, n, r.denominator)
+    target = r.numerator * (big // r.denominator)
+    atom_map = {s: p.numerator * (big // p.denominator) for s, p in d.atoms}
     for v in range(n):
-        have = sum((p for s, p in atom_map.items() if (s >> v) & 1), Fraction(0))
-        if have > r:
-            raise DistributionError(f"membership {have} exceeds target {r} at vertex {v}")
-        need = r - have
+        if member[v] > target:
+            raise DistributionError(
+                f"membership {Fraction(member[v], big)} exceeds target {r} at vertex {v}")
+        need = target - member[v]
         if need == 0:
             continue
         for s in sorted(atom_map):
@@ -189,14 +243,14 @@ def complete_to_r(d: DominatingDistribution, r: Fraction, n: int) -> DominatingD
             take = min(p, need)
             atom_map[s] = p - take
             grown = s | (1 << v)
-            atom_map[grown] = atom_map.get(grown, Fraction(0)) + take
+            atom_map[grown] = atom_map.get(grown, 0) + take
             need -= take
             if need == 0:
                 break
         if need != 0:
-            raise DistributionError("insufficient mass to complete membership")
+            raise DistributionError(f"insufficient mass to complete membership at vertex {v}")
         atom_map = {s: p for s, p in atom_map.items() if p != 0}
-    return DominatingDistribution.from_map(atom_map)
+    return DominatingDistribution.from_map({s: Fraction(p, big) for s, p in atom_map.items()})
 
 
 def cycle_distribution(n: int) -> DominatingDistribution:

@@ -404,20 +404,25 @@ def sample_lnbound(g: Graph, p: Fraction, trials: int, seed: int = 0) -> SampleR
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
+    randrange = rng.randrange
     num, den = p.numerator, p.denominator
+    bits = [1 << v for v in range(g.n)]
+    tally: dict[int, int] = {}
+    for _ in range(trials):
+        x = 0
+        for b in bits:
+            if randrange(den) < num:
+                x |= b
+        tally[x] = tally.get(x, 0) + 1
+    # each distinct draw is completed and counted once, weighted by its tally
     counts = [0] * g.n
     all_dom = True
     full = (1 << g.n) - 1
-    for _ in range(trials):
-        x = 0
-        for v in range(g.n):
-            if rng.randrange(den) < num:
-                x |= 1 << v
-        covered = coverage(g, x)
-        d = x | (full & ~covered)
+    for x, times in tally.items():
+        d = x | (full & ~coverage(g, x))
         all_dom &= is_dominating(g, d)
         for v in mask_to_list(d):
-            counts[v] += 1
+            counts[v] += times
     freqs = [Fraction(c, trials) for c in counts]
     delta = g.min_degree()
     bound = p + (1 - p) ** (delta + 1)

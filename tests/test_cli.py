@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
 
+from fdomlab import cli
 from fdomlab.cli import main
+from fdomlab.construct import ConstructionError
 from fdomlab.distributions import DominatingDistribution
 from fdomlab.fdom import certificate_from_json
 from fdomlab.generators import cycle, theta_graph
@@ -210,3 +212,31 @@ def test_corpus_runner(tmp_path, capsys):
     assert summary["failures"] == 1
     assert [r["file"] for r in summary["results"]] == \
         ["a_c5.graph", "b_c7.graph", "c_theta.graph"]
+
+
+def test_corpus_rejects_unknown_check(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["corpus", "--dir", str(empty), "--check", "bogus"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_corpus_records_cap_per_file(tmp_path, capsys):
+    (tmp_path / "a_c21.graph").write_text(write_graph_text(cycle(21)))
+    (tmp_path / "b_c7.graph").write_text(write_graph_text(cycle(7)))
+    assert main(["corpus", "--dir", str(tmp_path), "--check", "fdom<5/2"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    a, b = summary["results"]
+    assert a["pass"] is False and a["error"].startswith("cap: ")
+    assert b["pass"] is True and b["fdom"] == "7/3"
+    assert summary["failures"] == 1
+
+
+def test_construction_error_exits_internal(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise ConstructionError("postcondition violated: membership 1/5 != 2/5 at vertex 0")
+    monkeypatch.setattr(cli, "construct52", broken)
+    assert main(["construct52", "--in", write_graph(tmp_path, cycle(5))]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: postcondition violated")
+    assert "Traceback" not in err

@@ -1,7 +1,12 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdomlab.distributions import (DistributionError, DominatingDistribution,
                                    FractionalColouring,
@@ -161,3 +166,158 @@ def test_relabel():
     d = point_mass(0b011)
     out = relabel(d, [4, 2, 0])
     assert out.atoms == ((0b10100, F(1)),)
+
+
+# -- integer accounting against per-vertex Fraction sums --------------------
+
+
+def closed_neighbourhood(g, v):
+    return {v} | set(g.adj[v])
+
+
+def ref_membership(d, v):
+    return sum((p for s, p in d.atoms if (s >> v) & 1), F(0))
+
+
+def ref_domination(g, d, v):
+    nb = closed_neighbourhood(g, v)
+    return sum((p for s, p in d.atoms if any((s >> u) & 1 for u in nb)), F(0))
+
+
+def reference_verify(g, d, f, r):
+    """verify_f_dominating's contract, one Fraction sum per vertex."""
+    for s, _ in d.atoms:
+        high = [v for v in range(g.n, s.bit_length()) if (s >> v) & 1]
+        if high:
+            return False, f"vertex {high[0]} out of range for n={g.n}"
+    for v in range(g.n):
+        member = ref_membership(d, v)
+        if member != r:
+            return False, f"membership {member} != {r} at vertex {v}"
+        dom = ref_domination(g, d, v)
+        if dom < f(v):
+            return False, f"domination {dom} < demand {f(v)} at vertex {v}"
+    return True, "ok"
+
+
+def seeded_graph(n, seed):
+    rng = random.Random(seed)
+    p = rng.choice([0.2, 0.35, 0.5, 0.8])
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def shift_mixture(rng, n):
+    """A mixture of the n cyclic shifts of random b-sets, with random
+    rational weights: membership exactly b/n at every vertex."""
+    b = rng.randint(1, n)
+    weights = [F(rng.randint(1, 5), rng.choice([1, 3, 7])) for _ in range(rng.randint(1, 3))]
+    total = sum(weights)
+    pairs = []
+    for w in weights:
+        base = rng.sample(range(n), b)
+        pairs += [(mask_of((x + t) % n for x in base), w / total / n) for t in range(n)]
+    return DominatingDistribution.from_pairs(pairs), F(b, n)
+
+
+def random_distribution(rng, n):
+    raw = [F(rng.randint(1, 9), rng.choice([1, 2, 3, 5, 9])) for _ in range(rng.randint(1, 6))]
+    total = sum(raw)
+    return DominatingDistribution.from_pairs((rng.randrange(1 << n), p / total) for p in raw)
+
+
+def scale_of(d, r):
+    return lcm(r.denominator, *(p.denominator for _, p in d.atoms))
+
+
+@pytest.mark.parametrize("case", ["random", "tight", "above", "r_off", "moved", "high"])
+@given(n=st.integers(1, 10), seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_verify_f_dominating_matches_fraction_reference(case, n, seed):
+    g = seeded_graph(n, seed)
+    rng = random.Random(seed)
+    if case == "random":
+        d = random_distribution(rng, n)
+        r = rng.choice([F(2, 5), F(1, 3), F(3, 7), F(2, 9), F(1)])
+        f = rng.choice([constant_demand(F(4, 5)), constant_demand(F(1)),
+                        constant_demand(F(2, 3)), standard_demand(g)])
+        assert verify_f_dominating(g, d, f, r) == reference_verify(g, d, f, r)
+        return
+    d, r = shift_mixture(rng, n)
+    big = scale_of(d, r)
+    if case == "r_off":
+        r += rng.choice([-1, 1]) * F(1, big)  # every membership off by 1/lcm
+    elif case == "moved":
+        # 1/lcm of one atom's mass moves to the atom with v toggled: only
+        # v's membership changes
+        s, _ = rng.choice(d.atoms)
+        v = rng.randrange(n)
+        d = DominatingDistribution.from_pairs(
+            list(d.atoms) + [(s, -F(1, big)), (s ^ (1 << v), F(1, big))])
+    elif case == "high":
+        i = rng.randrange(len(d.atoms))
+        extra = 1 << (n + rng.randrange(3))
+        d = DominatingDistribution(tuple(
+            (s | extra if j == i else s, p) for j, (s, p) in enumerate(d.atoms)))
+    low = min(ref_domination(g, d, v) for v in range(n))
+    # "tight" meets the lowest domination exactly; "above" misses it by 1/lcm
+    f = constant_demand(low + F(1, scale_of(d, r)) if case == "above" else low)
+    ok, why = verify_f_dominating(g, d, f, r)
+    assert (ok, why) == reference_verify(g, d, f, r)
+    expected = {"tight": "ok", "above": "domination", "r_off": "membership",
+                "moved": "membership", "high": "vertex"}[case]
+    assert why.startswith(expected) and ok == (case == "tight")
+
+
+def reference_complete_to_r(d, r, n):
+    """complete_to_r as a per-vertex re-sum over the growing atom map."""
+    atom_map = dict(d.atoms)
+    for v in range(n):
+        have = sum((p for s, p in atom_map.items() if (s >> v) & 1), F(0))
+        if have > r:
+            raise DistributionError(f"membership {have} exceeds target {r} at vertex {v}")
+        need = r - have
+        if need == 0:
+            continue
+        for s in sorted(atom_map):
+            if (s >> v) & 1:
+                continue
+            p = atom_map[s]
+            take = min(p, need)
+            atom_map[s] = p - take
+            grown = s | (1 << v)
+            atom_map[grown] = atom_map.get(grown, F(0)) + take
+            need -= take
+            if need == 0:
+                break
+        if need != 0:
+            raise DistributionError(f"insufficient mass to complete membership at vertex {v}")
+        atom_map = {s: p for s, p in atom_map.items() if p != 0}
+    return DominatingDistribution.from_map(atom_map)
+
+
+def test_complete_to_r_matches_resumming_reference():
+    rng = random.Random(2024)
+    outcomes = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        # up to `mass` on random nonempty sets, the rest on the empty set
+        mass = rng.choice([F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1)])
+        raw = [F(rng.randint(1, 9), rng.choice([1, 2, 3, 5, 7])) for _ in range(rng.randint(1, 6))]
+        total = sum(raw)
+        pairs = [(rng.randrange(1, 1 << n), mass * p / total) for p in raw]
+        d = DominatingDistribution.from_pairs(pairs + [(0, 1 - mass)])
+        r = rng.choice([F(2, 5), F(1, 3), F(3, 7), F(1, 2), F(2, 3), F(1), F(4, 3)])
+        try:
+            want = reference_complete_to_r(d, r, n)
+        except DistributionError as e:
+            with pytest.raises(DistributionError) as got:
+                complete_to_r(d, r, n)
+            assert str(got.value) == str(e)
+            outcomes[str(e).split()[0]] += 1
+            continue
+        out = complete_to_r(d, r, n)
+        assert out.atoms == want.atoms
+        assert all(type(p) is F for _, p in out.atoms)
+        outcomes["completed"] += 1
+    assert outcomes["completed"] and outcomes["membership"] and outcomes["insufficient"]
+

@@ -6,7 +6,7 @@ import pytest
 
 from fdomlab.domset import domination_number, is_dominating
 from fdomlab.fdom import (CertificateError, DualCertificate, PrimalCertificate,
-                          certificate_from_json, closed_form_certificate,
+                          SampleReport, certificate_from_json, closed_form_certificate,
                           fdom_colgen, fdom_exact, pq_colouring_exists,
                           sample_lnbound, symmetric_certificate, verify_dual,
                           verify_primal, verify_pq_colouring)
@@ -205,6 +205,37 @@ def test_sampler_determinism_and_bound():
     assert rep1.all_dominating
     assert rep1.analytic_bound == p + (1 - p) ** 3
     assert rep1.max_frequency <= rep1.analytic_bound + F(3, 100)
+
+
+def reference_sample(g, p, trials, seed):
+    """The sampler as one completion and one count per trial."""
+    rng = random.Random(seed)
+    counts = [0] * g.n
+    all_dom = True
+    for _ in range(trials):
+        x = {v for v in range(g.n) if rng.randrange(p.denominator) < p.numerator}
+        covered = x | {u for v in x for u in g.adj[v]}
+        d = x | (set(range(g.n)) - covered)
+        all_dom &= is_dominating(g, mask_of(d))
+        for v in d:
+            counts[v] += 1
+    freqs = [F(c, trials) for c in counts]
+    bound = p + (1 - p) ** (g.min_degree() + 1)
+    return SampleReport(trials, freqs, max(freqs), bound, all_dom)
+
+
+@pytest.mark.parametrize("g,p", [(cycle(9), F(3662, 10000)), (hypercube(3), F(1, 4)),
+                                 (cycle(6), F(1)), (complete(5), F(0))])
+def test_sampler_matches_per_trial_reference(g, p):
+    for seed in (0, 7, 42):
+        assert sample_lnbound(g, p, 600, seed) == reference_sample(g, p, 600, seed)
+
+
+def test_sampler_frequencies_pinned():
+    # any change to the sequence of random calls moves these counts
+    rep = sample_lnbound(cycle(9), F(3662, 10000), trials=4000, seed=42)
+    assert rep.frequencies == [F(c, 4000) for c in
+                               (2539, 2456, 2457, 2490, 2521, 2451, 2447, 2541, 2480)]
 
 
 def test_pq_colouring_search():
