@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .graphs import Graph
-from .iso import is_isomorphic
+from .iso import is_isomorphic, vertex_signature
 
 
 def _c(n: int) -> list[tuple[int, int]]:
@@ -41,6 +41,14 @@ _MEMBERS: dict[int, Graph] = {
 }
 
 
+def _key(g: Graph) -> tuple:
+    return (g.n, g.m, tuple(sorted(vertex_signature(g.adj))))
+
+
+_SIZES = {(ref.n, ref.m) for ref in _MEMBERS.values()}
+_BY_KEY = {_key(ref): idx for idx, ref in _MEMBERS.items()}  # the 8 keys differ
+
+
 def bad_family_members() -> dict[int, Graph]:
     return dict(_MEMBERS)
 
@@ -48,12 +56,13 @@ def bad_family_members() -> dict[int, Graph]:
 def bad_family_check(g: Graph) -> Optional[int]:
     """The index of the exceptional-family member isomorphic to g, or None.
 
-    Degree-sequence pruning happens inside the isomorphism test; all
-    references have at most 7 vertices.
+    The isomorphism test runs only on a member whose invariant key
+    (n, m, sorted vertex signatures) equals g's, and the key is computed
+    only when some member has g's vertex and edge counts.
     """
-    if g.n > 7:
+    if (g.n, g.m) not in _SIZES:
         return None
-    for idx, ref in _MEMBERS.items():
-        if g.n == ref.n and g.m == ref.m and is_isomorphic(g, ref):
-            return idx
+    idx = _BY_KEY.get(_key(g))
+    if idx is not None and is_isomorphic(g, _MEMBERS[idx]):
+        return idx
     return None

@@ -200,7 +200,8 @@ def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
     colour = 0
     for s, x in res.classes:
         copies = x * q
-        assert copies.denominator == 1
+        if copies.denominator != 1:
+            raise RuntimeError(f"class weight {x} is not a multiple of 1/{q}")
         for _ in range(int(copies)):
             colour += 1
             for v in mask_to_list(s):

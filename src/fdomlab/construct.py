@@ -83,7 +83,8 @@ def construct52(g: Graph) -> DominatingDistribution:
 
 
 def _construct(g: Graph) -> DominatingDistribution:
-    assert bad_family_check(g) is None
+    if bad_family_check(g) is not None:
+        raise ConstructionError("an exceptional graph reached the construction")
     if g.n == 2:
         return _edge_case(R25)
     degs = g.degrees()

@@ -200,12 +200,14 @@ def distribution_to_colouring(d: DominatingDistribution, n: int) -> FractionalCo
     slot = 1
     for s, pr in d.atoms:
         copies = pr * p
-        assert copies.denominator == 1
+        if copies.denominator != 1:
+            raise DistributionError(f"atom probability {pr} is not a multiple of 1/{p}")
         for _ in range(int(copies)):
             for v in mask_to_list(s):
                 assignment[v].add(slot)
             slot += 1
-    assert slot == p + 1
+    if slot != p + 1:
+        raise DistributionError(f"{slot - 1} colour slots for p = {p}")
     return FractionalColouring(p, q, tuple(frozenset(a) for a in assignment))
 
 

@@ -289,7 +289,8 @@ def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:
         part = [0] * k
         for v in range(g.n):
             part[colour[v]] |= 1 << v
-        assert all(is_dominating(g, p) for p in part)
+        if not all(is_dominating(g, p) for p in part):
+            raise RuntimeError("domatic partition has a non-dominating class")
         return part
     return None
 

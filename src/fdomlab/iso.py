@@ -1,5 +1,6 @@
-"""Small-graph isomorphism machinery: backtracking isomorphism with
-degree/neighbour-degree pruning, full automorphism enumeration, canonical
+"""Small-graph isomorphism machinery: one isomorphism-invariant vertex
+signature (colour refinement), backtracking isomorphism with colour
+pruning, automorphism groups (in full, or by a generating set), canonical
 forms, and spanning-subgraph embeddings.
 
 Everything here is exponential in the worst case and intended for the
@@ -9,42 +10,40 @@ the exhaustive test corpora).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from collections import Counter
+from typing import Collection, Iterator, Optional, Sequence
 
 from .graphs import Graph
 
 
-def _refine_colours(g: Graph, colours: list[int]) -> list[int]:
-    """Iterated neighbourhood-colour refinement (1-WL), to a fixed point."""
-    for _ in range(g.n):
-        sig = [(colours[v], tuple(sorted(colours[w] for w in g.adj[v]))) for v in range(g.n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colours:
-            break
-        colours = new
-    return colours
+def vertex_signature(adj: Sequence[Collection[int]]) -> list[int]:
+    """Colour refinement (1-WL) from the degrees, to a stable partition.
+
+    `adj[v]` holds the neighbours of v.  A colour is the hash of the
+    vertex's previous colour and the sorted colours of its neighbours, so
+    it is a function of the refinement history alone and means the same
+    in every graph: an isomorphism maps each vertex to one of equal
+    signature, and isomorphic graphs have equal signature multisets.
+    Refinement stops at the first round that splits no class.  A hash
+    collision can only merge classes, which weakens the signature as a
+    pruning device but never makes it depend on the labelling.
+    """
+    colours = [len(a) for a in adj]
+    classes = len(set(colours))
+    while True:
+        new = [hash((c, tuple(sorted([colours[w] for w in a]))))
+               for c, a in zip(colours, adj)]
+        k = len(set(new))
+        if k <= classes:
+            return new
+        colours, classes = new, k
 
 
-def _initial_colours(g: Graph) -> list[int]:
-    return _refine_colours(g, [g.degree(v) for v in range(g.n)])
-
-
-def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield isomorphisms g -> h as tuples phi with phi[u] in V(h)."""
-    if g.n != h.n or g.m != h.m:
-        return
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return
-    cg = _initial_colours(g)
-    ch = _initial_colours(h)
-    if sorted(cg) != sorted(ch):
-        return
-    # map vertices of g in most-constrained order: rare colour class first
-    from collections import Counter
-    freq = Counter(cg)
-    order = sorted(range(g.n), key=lambda v: (freq[cg[v]], -g.degree(v), v))
-    # interleave to keep mapped vertices adjacent where possible
+def _search_order(g: Graph, colours: list[int]) -> list[int]:
+    """The order in which the backtracking maps the vertices of g: rare
+    colour class first, then depth-first so mapped vertices stay adjacent."""
+    freq = Counter(colours)
+    order = sorted(range(g.n), key=lambda v: (freq[colours[v]], -g.degree(v), v))
     ordered = []
     seen: set[int] = set()
     stack = list(reversed(order))
@@ -54,9 +53,16 @@ def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
             continue
         ordered.append(v)
         seen.add(v)
-        for w in sorted(g.adj[v], key=lambda x: (freq[cg[x]], x)):
+        for w in sorted(g.adj[v], key=lambda x: (freq[colours[x]], x)):
             if w not in seen:
                 stack.append(w)
+    return ordered
+
+
+def _extensions(g: Graph, h: Graph, cg: list[int], ch: list[int], ordered: list[int],
+                fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
+    """Yield isomorphisms g -> h that respect the colours and send each
+    key of `fixed` to its value, mapping g's vertices in `ordered` order."""
     phi: dict[int, int] = {}
     used = [False] * h.n
 
@@ -66,18 +72,13 @@ def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
             return
         v = ordered[i]
         mapped_nbrs = [phi[w] for w in g.adj[v] if w in phi]
-        for t in range(h.n):
-            if used[t] or ch[t] != cg[v] or h.degree(t) != g.degree(v):
+        for t in ((fixed[v],) if v in fixed else range(h.n)):
+            if used[t] or ch[t] != cg[v]:
                 continue
             if any(not h.has_edge(t, x) for x in mapped_nbrs):
                 continue
             # mapped non-neighbours of v must stay non-neighbours of t
-            ok = True
-            for w, tw in phi.items():
-                if g.has_edge(v, w) != h.has_edge(t, tw):
-                    ok = False
-                    break
-            if not ok:
+            if any(g.has_edge(v, w) != h.has_edge(t, tw) for w, tw in phi.items()):
                 continue
             phi[v] = t
             used[t] = True
@@ -88,11 +89,20 @@ def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
     yield from backtrack(0)
 
 
+def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
+    """Yield isomorphisms g -> h as tuples phi with phi[u] in V(h)."""
+    if g.n != h.n or g.m != h.m:
+        return
+    cg = vertex_signature(g.adj)
+    ch = cg if h is g else vertex_signature(h.adj)
+    if sorted(cg) != sorted(ch):
+        return
+    yield from _extensions(g, h, cg, ch, _search_order(g, cg), {})
+
+
 def isomorphism(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
     """An isomorphism g -> h (phi[u] = image of u), or None."""
-    for phi in _iso_search(g, h):
-        return phi
-    return None
+    return next(_iso_search(g, h), None)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -102,6 +112,37 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All automorphisms of g (small graphs only)."""
     return list(_iso_search(g, g))
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """A generating set of Aut(g); empty when g has no other automorphism.
+
+    Along the search order v_0, v_1, ..., level i (taken from the last
+    level up) adds, for each vertex t of v_i's signature outside the orbit
+    of v_i under the generators found so far, one automorphism that fixes
+    v_0..v_{i-1} and sends v_i to t, if there is one.  The generators
+    found at levels i..n-1 then reach the whole orbit of v_i under the
+    stabiliser of v_0..v_{i-1} and contain generators of the stabiliser of
+    v_0..v_i, so they generate the stabiliser of v_0..v_{i-1}; at level 0
+    that is Aut(g).  A graph whose signature separates every vertex needs
+    no search at all.
+    """
+    cg = vertex_signature(g.adj)
+    ordered = _search_order(g, cg)
+    gens: list[tuple[int, ...]] = []
+    for i in reversed(range(g.n)):
+        v = ordered[i]
+        fixed = {u: u for u in ordered[:i]}
+        orbit = {v}
+        for t in ordered[i + 1:]:
+            if t in orbit or cg[t] != cg[v]:
+                continue
+            fixed[v] = t
+            phi = next(_extensions(g, g, cg, cg, ordered, fixed), None)
+            if phi is not None:
+                gens.append(phi)
+                orbit = next(o for o in orbits(g.n, gens) if v in o)
+    return gens
 
 
 def orbits(n: int, perms: list[tuple[int, ...]]) -> list[list[int]]:
@@ -151,7 +192,7 @@ def canonical_form(g: Graph) -> tuple:
     n = g.n
     if n == 0:
         return (0, 0)
-    colours = _initial_colours(g)
+    colours = vertex_signature(g.adj)
     best: Optional[int] = None
     order: list[int] = []
     pos = [0] * n
@@ -188,7 +229,8 @@ def canonical_form(g: Graph) -> tuple:
             order.pop()
 
     backtrack(0, set())
-    assert best is not None
+    if best is None:
+        raise RuntimeError("canonical_form found no vertex ordering")
     return (n, g.m, best)
 
 

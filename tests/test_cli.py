@@ -232,6 +232,15 @@ def test_corpus_records_cap_per_file(tmp_path, capsys):
     assert summary["failures"] == 1
 
 
+def test_corpus_honours_enum_cap(tmp_path, capsys):
+    (tmp_path / "c21.graph").write_text(write_graph_text(cycle(21)))
+    assert main(["--caps", "enum=24", "corpus", "--dir", str(tmp_path),
+                 "--check", "fdom<5/2"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["results"]
+    assert row["fdom"] == "3/1" and "error" not in row
+    assert row["pass"] is False
+
+
 def test_construction_error_exits_internal(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise ConstructionError("postcondition violated: membership 1/5 != 2/5 at vertex 0")
