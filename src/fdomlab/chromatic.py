@@ -106,16 +106,12 @@ def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
 
 
 def _greedy_colouring_classes(g: Graph) -> list[int]:
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    classes: list[int] = []
-    for v in order:
-        for i, cls in enumerate(classes):
-            if not (g.nbr_mask[v] & cls):
-                classes[i] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    # grow each class to a maximal independent set
+    """The colour classes of the greedy colouring, each grown to a maximal
+    independent set."""
+    colours = _greedy_colour_list(g)
+    classes = [0] * (max(colours) + 1)
+    for v, c in enumerate(colours):
+        classes[c] |= 1 << v
     out = []
     for cls in classes:
         for v in range(g.n):
@@ -125,8 +121,10 @@ def _greedy_colouring_classes(g: Graph) -> list[int]:
     return out
 
 
-def fractional_chromatic(g: Graph, enum_cap: int = 25,
-                         max_iter: int = 10000) -> FractionalChromaticResult:
+CHI_F_ROUNDS = 10_000  # column-generation rounds fractional_chromatic may run
+
+
+def fractional_chromatic(g: Graph, enum_cap: int = 25) -> FractionalChromaticResult:
     """Exact chi_f via the covering LP over independent sets.
 
     The dual clique weights are certified by an independent branch-and-bound:
@@ -147,7 +145,7 @@ def fractional_chromatic(g: Graph, enum_cap: int = 25,
     for s in _greedy_colouring_classes(g):
         pool.append(s)
         lp.add_column([(v, -1) for v in mask_to_list(s)], -1)
-    for _ in range(max_iter):
+    for _ in range(CHI_F_ROUNDS):
         lp.reoptimize()
         best_mask, best_w = max_weight_independent_set(g, lp.scaled_duals())
         if best_w <= lp.D:
@@ -157,7 +155,7 @@ def fractional_chromatic(g: Graph, enum_cap: int = 25,
                 value, [(s, x) for s, x in zip(pool, xs) if x > 0], ys)
         pool.append(best_mask)
         lp.add_column([(v, -1) for v in mask_to_list(best_mask)], -1)
-    raise CapExceeded(f"chi_f column generation did not converge in {max_iter} iterations")
+    raise CapExceeded(f"chi_f column generation did not converge in {CHI_F_ROUNDS} rounds")
 
 
 def _solve_covering(g: Graph, sets: list[int]):
@@ -356,13 +354,12 @@ class FullnessReport:
     degree: int
     chi_square_lower: int
     chi_square_upper: int
-    chi_f_square: Optional[Fraction]
+    chi_f_square: Fraction
     dom_full: Optional[bool]
-    fdom_full: Optional[bool]
+    fdom_full: bool
 
 
-def fullness_check(g: Graph, time_budget_ms: Optional[int] = None,
-                   with_fractional: bool = True) -> FullnessReport:
+def fullness_check(g: Graph, time_budget_ms: Optional[int] = None) -> FullnessReport:
     """For regular graphs: domatically full iff chi(G^2) = d+1, and
     fdom-full iff chi_f(G^2) = d+1.  Bounds are reported when the integral
     solver hits its budget; no value is ever guessed."""
@@ -377,12 +374,8 @@ def fullness_check(g: Graph, time_budget_ms: Optional[int] = None,
         dom_full = False
     elif chi.exact:
         dom_full = chi.value == d + 1
-    chi_f: Optional[Fraction] = None
-    fdom_full = None
-    if with_fractional:
-        chi_f = fractional_chromatic(sq).value
-        fdom_full = chi_f == d + 1
-    return FullnessReport(d, chi.lower, chi.upper, chi_f, dom_full, fdom_full)
+    chi_f = fractional_chromatic(sq).value
+    return FullnessReport(d, chi.lower, chi.upper, chi_f, dom_full, chi_f == d + 1)
 
 
 @dataclass

@@ -217,30 +217,35 @@ def _cmd_sample(args) -> int:
     return EXIT_OK if rep.all_dominating else EXIT_VERIFY
 
 
+#: the graph-free certificate kinds: their parameters and the family they certify
+CERT_PARAMS = {"girth6": (("n",), "girth6"),
+               "kmn_dual": (("m", "n"), "complete_bipartite"),
+               "kmn_primal": (("m", "n"), "complete_bipartite"),
+               "hnd": (("n", "d"), "incidence")}
+
+
 def _cmd_family_cert(args) -> int:
     kw: dict = {}
-    if args.kind in ("neighbourhood", "uniform", "hammock"):
-        g = _load_graph(args.input)
-        kw["g"] = g
+    if args.kind in CERT_PARAMS:
+        names, family = CERT_PARAMS[args.kind]
+        if len(args.params) != len(names):
+            raise GraphError(f"--kind {args.kind} takes the parameters {' '.join(names)}")
+        kw = dict(zip(names, args.params))
+        target = (_load_graph(args.input) if args.input
+                  else generate_named(family, tuple(args.params)))
+    else:
+        if args.input is None:
+            raise GraphError(f"--kind {args.kind} needs --in")
+        target = kw["g"] = _load_graph(args.input)
         if args.kind == "hammock":
-            hs = hammocks(g)
+            hs = hammocks(target)
             if not hs:
                 print("no hammock in input", file=sys.stderr)
                 return EXIT_USAGE
             kw["hammock"] = hs[0]
         if args.kind == "neighbourhood" and args.vertex is not None:
             kw["v"] = args.vertex
-    elif args.kind == "girth6":
-        kw["n"] = args.params[0]
-    elif args.kind in ("kmn_dual", "kmn_primal"):
-        kw["m"], kw["n"] = args.params[0], args.params[1]
-    elif args.kind == "hnd":
-        kw["n"], kw["d"] = args.params[0], args.params[1]
-    else:
-        print(f"unknown kind {args.kind}", file=sys.stderr)
-        return EXIT_USAGE
     cert = closed_form_certificate(args.kind, **kw)
-    target = _load_graph(args.input) if args.input else _certificate_graph(args.kind, args.params)
     if isinstance(cert, DualCertificate):
         ok, why = verify_dual(target, cert)
         total = cert.total
@@ -251,16 +256,6 @@ def _cmd_family_cert(args) -> int:
     print(f"total {_rat(total)}", file=sys.stderr)
     print("valid" if ok else f"invalid: {why}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _certificate_graph(kind: str, params: list[int]) -> Graph:
-    if kind == "girth6":
-        return generate_named("girth6", (params[0],))
-    if kind in ("kmn_dual", "kmn_primal"):
-        return generate_named("complete_bipartite", (params[0], params[1]))
-    if kind == "hnd":
-        return generate_named("incidence", (params[0], params[1]))
-    raise GraphError("certificate kind needs --in")
 
 
 def _cmd_intersecting(args) -> int:

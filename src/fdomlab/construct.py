@@ -17,11 +17,15 @@ count, so it terminates:
   cut vertex             -> the cut step (exceptional sides: quasi tables)
   adjacent 3+-vertices   -> delete the edge, or a catalog table if the
                             residue is exceptional
-  C4 (twin 2-paths)      -> delete one middle, mirror it onto its twin
+  twin 2-paths (a C4)    -> delete one middle, mirror it onto its twin
   twin suspended 3-paths -> delete one path, mirror onto its twin
   3-path not in a hammock-> contract it, then explicit mass surgery
   suspended path, len>=4 -> the peel step
   none of the above      -> the hammock base case (independent coins)
+
+The last five rules read one snapshot of the suspended paths.  Every table
+is found by one spanning-subgraph embedding, which pins a cut-vertex
+table's marked vertex to the cut vertex.
 
 planar_girth_construct is the edge, cycle, cut and peel steps at
 r = k/(3k-1), peeling a longest suspended path (length >= 3k-2) from each
@@ -44,7 +48,7 @@ from .domset import CapExceeded, is_dominating
 from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
 from .graphs import Graph
-from .iso import _iso_search, spanning_subgraph_embedding
+from .iso import spanning_subgraph_embedding
 from .structure import (SuspendedPath, cut_vertices_and_blocks,
                         find_long_suspended_path, hammocks,
                         remove_suspended_path, suspended_paths, twin_pairs)
@@ -52,6 +56,8 @@ from .structure import (SuspendedPath, cut_vertices_and_blocks,
 R25 = Fraction(2, 5)
 #: base_case_hammock enumerates 2^(hammock hubs) coin outcomes
 HAMMOCK_COIN_CAP = 16
+#: intersecting_family lists its whole ground set
+FAMILY_GROUND_CAP = 2_000_000
 
 
 class BadFamilyInput(ValueError):
@@ -99,19 +105,25 @@ def _construct(g: Graph) -> DominatingDistribution:
     if adj3:
         return _adjacent_hubs_case(g, adj3)
 
-    c4 = _find_twin_2paths(g)
-    if c4 is not None:
-        # an exceptional residue means K_{2,4} or a spanning theta(2,2,5)
-        return _twin_case(g, {c4[0]: c4[1]}, ["fig6a-K24", "fig6b-theta225"])
-
+    # one snapshot of the suspended paths serves the remaining rules
     paths = suspended_paths(g)
-    twins3 = [(p, q) for p, q in twin_pairs(paths) if p.length == 3]
+    twins = twin_pairs(paths)
+    twins2 = [(p, q) for p, q in twins if p.length == 2]
+    if twins2:
+        # a C4: the pair with the smallest endpoints, its two smallest
+        # middles; an exceptional residue means K_{2,4} or theta(2,2,5)
+        p, q = min(twins2, key=lambda pq: pq[0].endpoints)
+        return _twin_case(g, p, q, ["fig6a-K24", "fig6b-theta225"])
+    twins3 = [(p, q) for p, q in twins if p.length == 3]
     if twins3:
-        return _twin_3path_case(g, *twins3[0])
+        return _twin_case(g, *twins3[0], ["fig6c-theta334"])
 
-    lonely = _find_non_hammock_3path(g, paths)
-    if lonely is not None:
-        return _contract_3path_case(g, lonely)
+    # the hubs are not adjacent, so a 3-path's endpoints share a neighbour
+    # exactly when a 2-path joins them: when the 3-path is in a hammock
+    in_hammock = {h.three_path for h in hammocks(g, paths)}
+    lonely = [p for p in paths if p.length == 3 and p not in in_hammock]
+    if lonely:
+        return _contract_3path_case(g, lonely[0])
 
     long_paths = [p for p in paths if p.length >= 4]
     if long_paths:
@@ -174,31 +186,13 @@ def _peel_case(g: Graph, p: SuspendedPath, reduced: Graph, keep: list[int],
 
 def _side_distribution(g: Graph, v0: int) -> DominatingDistribution:
     """A 2/5-distribution for one side of a cut vertex: the standard
-    construction when the side is not exceptional, else the marked-vertex
-    table at v0 (domination 4/5 there, or 3/5 on the 4-cycle)."""
+    construction when the side is not exceptional, else a marked-vertex
+    table with its marked vertex at v0 (domination 4/5 there, or 3/5 on
+    the 4-cycle)."""
     member = bad_family_check(g)
     if member is None:
         return _construct(g)
-    return _quasi_distribution(g, member, v0)
-
-
-def _quasi_distribution(g: Graph, member: int, v0: int) -> DominatingDistribution:
-    if member in QUASI_BY_MEMBER:
-        for key in QUASI_BY_MEMBER[member]:
-            entry = exceptional_colouring(key)
-            for sigma in _iso_search(entry.graph, g):
-                if sigma[entry.quasi_vertex] == v0:
-                    return relabel(colouring_to_distribution(entry.phi), list(sigma))
-        raise ConstructionError(
-            f"no marked-vertex table reaches vertex {v0} of member {member}")
-    # members 5..8 contain a spanning 7-cycle; rotate its table onto v0
-    entry = exceptional_colouring("fig4d-C7-quasi")
-    sigma = spanning_subgraph_embedding(entry.graph, g)
-    if sigma is None:
-        raise ConstructionError("expected a spanning 7-cycle in the exceptional member")
-    j = sigma.index(v0)
-    rotated = [sigma[(i + j) % 7] for i in range(7)]
-    return relabel(colouring_to_distribution(entry.phi), rotated)
+    return _catalog_case(g, QUASI_BY_MEMBER[member], v0)
 
 
 # -- edge deletion between adjacent hubs --------------------------------
@@ -213,42 +207,30 @@ def _adjacent_hubs_case(g: Graph, adj3: list[tuple[int, int]]) -> DominatingDist
     return _catalog_case(g, EDGE_CASE_KEYS)
 
 
-def _catalog_case(g: Graph, keys: list[str]) -> DominatingDistribution:
-    """A catalog table applied through a spanning-subgraph embedding."""
+def _catalog_case(g: Graph, keys: list[str],
+                  v0: Optional[int] = None) -> DominatingDistribution:
+    """The first catalog table among keys whose graph embeds as a spanning
+    subgraph of g (extra edges only help domination), with the table's
+    marked vertex sent to v0 when v0 is given."""
     for key in keys:
         entry = exceptional_colouring(key)
-        if entry.graph.n != g.n:
-            continue
-        sigma = spanning_subgraph_embedding(entry.graph, g)
+        fixed = None if v0 is None else {entry.quasi_vertex: v0}
+        sigma = spanning_subgraph_embedding(entry.graph, g, fixed)
         if sigma is not None:
             return relabel(colouring_to_distribution(entry.phi), list(sigma))
-    raise ConstructionError("no catalog table embeds into this residue")
+    raise ConstructionError(f"no catalog table among {keys} embeds into this graph")
 
 
-# -- twin suspended 2-paths (C4) and 3-paths -----------------------------
+# -- twin suspended paths (2-paths: a C4; 3-paths) ----------------------
 
 
-def _find_twin_2paths(g: Graph) -> Optional[tuple[int, int]]:
-    """Middles (m1, m2) of two twin suspended 2-paths forming a C4, if any.
-
-    With no cut vertex and no adjacent hubs, any 4-cycle has exactly two
-    opposite degree-2 corners, which are the twin middles.
-    """
-    degs = g.degrees()
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if g.has_edge(u, w):
-                continue
-            middles = [m for m in sorted(g.adj[u] & g.adj[w]) if degs[m] == 2]
-            if len(middles) >= 2:
-                return middles[0], middles[1]
-    return None
-
-
-def _twin_case(g: Graph, copies: dict[int, int], keys: list[str]) -> DominatingDistribution:
-    """Delete each new vertex of copies (new -> twin), solve the rest and
-    mirror the new vertices back; a catalog table when the rest is
-    exceptional."""
+def _twin_case(g: Graph, p: SuspendedPath, q: SuspendedPath,
+               keys: list[str]) -> DominatingDistribution:
+    """Delete p's internal vertices, solve the rest and mirror each onto its
+    counterpart on the twin q; a catalog table when the rest is
+    exceptional.  Both paths are canonical between the same endpoints, so
+    they run in the same direction."""
+    copies = dict(zip(p.internal, q.internal))
     reduced, keep = g.remove_vertices(list(copies))
     if bad_family_check(reduced) is not None:
         return _catalog_case(g, keys)
@@ -267,25 +249,7 @@ def _mirror(d: DominatingDistribution, copies: dict[int, int]) -> DominatingDist
     return DominatingDistribution.from_pairs(pairs)
 
 
-def _twin_3path_case(g: Graph, p: SuspendedPath, q: SuspendedPath) -> DominatingDistribution:
-    u, v = p.internal
-    u2, v2 = q.internal
-    if q.vertices[0] != p.vertices[0]:
-        u2, v2 = v2, u2  # align the twin's orientation with p's
-    return _twin_case(g, {u: u2, v: v2}, ["fig6c-theta334"])
-
-
 # -- suspended 3-path outside any hammock: contraction -------------------
-
-
-def _find_non_hammock_3path(g: Graph, paths: list[SuspendedPath]) -> Optional[SuspendedPath]:
-    for p in paths:
-        if p.length != 3:
-            continue
-        u, v = p.endpoints
-        if not (g.adj[u] & g.adj[v]):
-            return p
-    return None
 
 
 def _contract_3path_case(g: Graph, p: SuspendedPath) -> DominatingDistribution:
@@ -524,15 +488,16 @@ class IntersectingFamilyReport:
     b_cross_intersection: int
 
 
-def intersecting_family(a_size: int, b_size: int,
-                        cap: int = 2_000_000) -> IntersectingFamilyReport:
+def intersecting_family(a_size: int, b_size: int) -> IntersectingFamilyReport:
     """The explicit set family over the product space [2]^A x [5]^(B+{beta}):
     every set has 2t/5 of the t ground elements, two A-sets share t/5, and
     any pair involving a B-set shares 4t/25.  All three identities are
     verified exactly before returning."""
+    if a_size < 0 or b_size < 0:
+        raise ValueError("set family sizes must be non-negative")
     t = (2 ** a_size) * (5 ** (b_size + 1))
-    if t > cap:
-        raise CapExceeded(f"ground set of size {t} exceeds cap {cap}")
+    if t > FAMILY_GROUND_CAP:
+        raise CapExceeded(f"ground set of size {t} exceeds cap {FAMILY_GROUND_CAP}")
     a_names = [f"a{i}" for i in range(a_size)]
     b_names = [f"b{i}" for i in range(b_size)]
     omega = list(product(*([range(1, 3)] * a_size + [range(1, 6)] * (b_size + 1))))

@@ -241,6 +241,8 @@ def neighbourhood_certificate(g: Graph, v: Optional[int] = None) -> DualCertific
     default): every dominating set meets it, so fdom <= deg(v)+1."""
     if v is None:
         v = min(range(g.n), key=g.degree)
+    elif not 0 <= v < g.n:
+        raise CertificateError(f"vertex {v} out of range for n={g.n}")
     w = [Fraction(0)] * g.n
     for u in mask_to_list(g.closed_mask[v]):
         w[u] = Fraction(1)
@@ -334,8 +336,11 @@ def closed_form_certificate(kind: str, **kw):
 # -- symmetry-based primal certificates --------------------------------
 
 
+ORBIT_CAP = 100_000  # sets symmetric_certificate may list in one orbit
+
+
 def symmetric_certificate(g: Graph, generators: list[tuple[int, ...]],
-                          d_min: int, orbit_cap: int = 100000) -> PrimalCertificate:
+                          d_min: int) -> PrimalCertificate:
     """Uniform weights over the orbit of a minimum dominating set under the
     group generated by validated automorphisms acting transitively on the
     vertices; objective n/|d_min|, per-vertex load exactly 1."""
@@ -359,7 +364,7 @@ def symmetric_certificate(g: Graph, generators: list[tuple[int, ...]],
             for perm in generators:
                 t = mask_of(perm[v] for v in verts)
                 if t not in seen:
-                    if len(seen) >= orbit_cap:
+                    if len(seen) >= ORBIT_CAP:
                         raise CapExceeded("orbit size exceeds cap")
                     seen.add(t)
                     nxt.append(t)
@@ -432,8 +437,10 @@ def sample_lnbound(g: Graph, p: Fraction, trials: int, seed: int = 0) -> SampleR
 # -- dominating (p:q)-colouring search ---------------------------------
 
 
-def pq_colouring_exists(g: Graph, p: int, q: int,
-                        node_cap: int = 20_000_000) -> Optional[list[frozenset[int]]]:
+PQ_NODE_CAP = 20_000_000  # search nodes pq_colouring_exists may visit
+
+
+def pq_colouring_exists(g: Graph, p: int, q: int) -> Optional[list[frozenset[int]]]:
     """Exhaustive search for a dominating (p:q)-colouring: q-subsets of [p]
     per vertex such that every closed neighbourhood spans all p colours.
 
@@ -468,7 +475,7 @@ def pq_colouring_exists(g: Graph, p: int, q: int,
         v = order[i]
         for ch in choices:
             nodes += 1
-            if nodes > node_cap:
+            if nodes > PQ_NODE_CAP:
                 raise CapExceeded("colouring search cap exceeded")
             assigned[v] = ch
             if span_feasible():

@@ -1,15 +1,18 @@
 """Catalog of reference colourings for the exceptional graphs and the
 special cases of the 5/2 construction.
 
-Tables fall into three groups:
-  * (7:3) dominating colourings of the exceptional-family members other
-    than the 4-cycle (the members not listed contain a spanning 7-cycle,
-    whose table transfers);
+Tables fall into two groups:
   * one-vertex-deficient (5:2) colourings of the exceptional members used
     when gluing at a cut vertex: the marked vertex sees >= 4 of the 5
-    colours (>= 3 on the 4-cycle), everyone else sees all 5;
+    colours (>= 3 on the 4-cycle), everyone else sees all 5; members 5..8
+    contain a spanning 7-cycle, whose table transfers;
   * (5:2) or (10:4) dominating colourings of the specific graphs that the
     construction's reductions can bottom out on.
+
+Only tables a rule can select are kept.  A graph that reaches the
+edge-deletion tables has 4, 5 or 7 vertices, and the table it gets depends
+only on its isomorphism class, so the connected non-exceptional graphs on
+at most 7 vertices show which of those tables are needed.
 
 Every table is validated on import, so a bad entry fails the build here
 and never propagates into a construction.  Entries marked "searched"
@@ -64,15 +67,6 @@ def _add(name: str, edges, n: int, phi: FractionalColouring,
     _ENTRIES[name] = CatalogEntry(name, Graph(n, edges), phi, quasi_vertex, quasi_span)
 
 
-# -- (7:3) dominating colourings ----------------------------------------
-
-_add("fig1a-K23", _K23, 5, _phi(7, 3,
-     {1, 6, 7}, {2, 4, 5}, {1, 2, 3}, {3, 6, 7}, {1, 4, 5}))
-_add("fig1b-C7", _C7, 7, _phi(7, 3,
-     {1, 2, 3}, {4, 5, 6}, {7, 1, 2}, {3, 4, 5}, {6, 7, 1}, {2, 3, 4}, {5, 6, 7}))
-_add("fig1c-2C4", _TWO_C4, 7, _phi(7, 3,
-     {3, 5, 6}, {1, 2, 7}, {3, 4, 6}, {1, 4, 5}, {2, 5, 7}, {1, 3, 6}, {2, 4, 7}))
-
 # -- one-vertex-deficient (5:2) colourings ------------------------------
 # marked vertex listed in the name; the 4-cycle's marked vertex only
 # reaches 3 of 5 colours, all other tables reach 4.
@@ -98,19 +92,13 @@ _add("2C4-quasi-near", _TWO_C4, 7, _phi(5, 2,
 
 _add("fig5a-diamond", [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4,
      _phi(5, 2, {1, 2}, {1, 5}, {3, 4}, {1, 5}))
-_add("fig5b-K23-plus-rim", _K23 + [(4, 0)], 5,
-     _phi(5, 2, {1, 2}, {3, 4}, {1, 5}, {2, 3}, {4, 5}))
 _add("fig5c-K23-plus-hub", _K23 + [(1, 3)], 5,
      _phi(5, 2, {1, 5}, {1, 2}, {1, 5}, {3, 4}, {1, 5}))
 # searched
 _add("fig5d-C7-plus-chord", _C7 + [(1, 3)], 7,
      _phi(5, 2, {1, 4}, {1, 2}, {4, 5}, {1, 3}, {1, 4}, {2, 5}, {3, 5}))
-_add("fig5e-C7C4-plus-chord", _C7 + [(2, 5), (0, 3)], 7,
-     _phi(5, 2, {2, 3}, {4, 5}, {1, 2}, {4, 5}, {1, 2}, {3, 4}, {5, 1}))
 _add("fig5f-2C4-plus-far", _TWO_C4 + [(1, 5)], 7,
      _phi(5, 2, {3, 4}, {1, 2}, {3, 4}, {5, 1}, {2, 3}, {4, 5}, {2, 3}))
-_add("fig5g-2C4-plus-near", _TWO_C4 + [(2, 5)], 7,
-     _phi(5, 2, {3, 4}, {1, 2}, {5, 1}, {5, 1}, {1, 2}, {3, 4}, {1, 2}))
 
 # -- special graphs reachable by the reductions -------------------------
 
@@ -144,15 +132,14 @@ def catalog_keys() -> list[str]:
     return sorted(_ENTRIES)
 
 
-# quasi tables by (exceptional member index, orbit representative vertex)
+# marked-vertex tables by exceptional member, one per orbit of marked vertex
 QUASI_BY_MEMBER: dict[int, list[str]] = {
     1: ["fig4a-C4-quasi"],
     2: ["fig4b-K23-quasi-deg3", "fig4c-K23-quasi-deg2"],
-    3: ["fig4d-C7-quasi"],
     4: ["fig4e-2C4-quasi-hub", "fig4f-2C4-quasi-far", "2C4-quasi-near"],
+    **{member: ["fig4d-C7-quasi"] for member in (3, 5, 6, 7, 8)},
 }
 
 # dominating tables applicable when deleting an edge lands in the family
-EDGE_CASE_KEYS = ["fig5a-diamond", "fig5b-K23-plus-rim", "fig5c-K23-plus-hub",
-                  "fig5d-C7-plus-chord", "fig5e-C7C4-plus-chord",
-                  "fig5f-2C4-plus-far", "fig5g-2C4-plus-near"]
+EDGE_CASE_KEYS = ["fig5a-diamond", "fig5c-K23-plus-hub", "fig5d-C7-plus-chord",
+                  "fig5f-2C4-plus-far"]

@@ -53,10 +53,9 @@ def kneser(a: int, b: int) -> Graph:
     if b < 1 or a < 2 * b:
         raise GraphError("Kneser graph needs a >= 2b >= 2")
     subsets = [frozenset(c) for c in combinations(range(a), b)]
-    labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in subsets]
     edges = [(i, j) for i, j in combinations(range(len(subsets)), 2)
              if not (subsets[i] & subsets[j])]
-    return Graph(len(subsets), edges, labels)
+    return Graph(len(subsets), edges)
 
 
 def hypercube(d: int) -> Graph:
@@ -152,8 +151,7 @@ def incidence_graph(n: int, d: int) -> Graph:
         raise GraphError("incidence graph needs 1 <= d < n")
     bsets = list(combinations(range(n), d))
     edges = [(a, n + i) for i, b in enumerate(bsets) for a in b]
-    labels = [str(a) for a in range(n)] + ["{" + ",".join(map(str, b)) + "}" for b in bsets]
-    return Graph(n + len(bsets), edges, labels)
+    return Graph(n + len(bsets), edges)
 
 
 def girth6_family(n: int) -> Graph:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class GraphError(ValueError):
@@ -23,10 +23,9 @@ class RationalError(ValueError):
 class Graph:
     """Simple undirected graph.  Vertices are 0..n-1; no loops, no parallel edges."""
 
-    __slots__ = ("n", "adj", "nbr_mask", "closed_mask", "labels", "_edges")
+    __slots__ = ("n", "adj", "nbr_mask", "closed_mask", "_edges")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("negative vertex count")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -41,7 +40,6 @@ class Graph:
         self.adj = tuple(frozenset(s) for s in adj)
         self.nbr_mask = tuple(sum(1 << w for w in s) for s in adj)
         self.closed_mask = tuple(m | (1 << v) for v, m in enumerate(self.nbr_mask))
-        self.labels = tuple(labels) if labels is not None else None
         self._edges = tuple(sorted((min(u, v), max(u, v))
                                    for u in range(n) for v in adj[u] if u < v))
 

@@ -166,7 +166,10 @@ def orbits(n: int, perms: list[tuple[int, ...]]) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def group_closure(n: int, gens: list[tuple[int, ...]], cap: int = 100000) -> list[tuple[int, ...]]:
+GROUP_CAP = 100_000  # elements group_closure may list
+
+
+def group_closure(n: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """All elements of the permutation group generated by gens (BFS closure)."""
     ident = tuple(range(n))
     seen = {ident}
@@ -177,7 +180,7 @@ def group_closure(n: int, gens: list[tuple[int, ...]], cap: int = 100000) -> lis
             for gperm in gens:
                 q = tuple(gperm[p[i]] for i in range(n))
                 if q not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= GROUP_CAP:
                         raise ValueError("group closure exceeds cap")
                     seen.add(q)
                     nxt.append(q)
@@ -234,9 +237,13 @@ def canonical_form(g: Graph) -> tuple:
     return (n, g.m, best)
 
 
-def spanning_subgraph_embedding(pattern: Graph, host: Graph) -> Optional[tuple[int, ...]]:
+def spanning_subgraph_embedding(pattern: Graph, host: Graph,
+                                fixed: Optional[dict[int, int]] = None
+                                ) -> Optional[tuple[int, ...]]:
     """A bijection sigma: V(pattern) -> V(host) with sigma(E(pattern)) a subset
-    of E(host); None if no such embedding exists."""
+    of E(host) and sigma(u) = fixed[u] for each key u of fixed; None if no
+    such embedding exists."""
+    fixed = fixed or {}
     if pattern.n != host.n or pattern.m > host.m:
         return None
     order = sorted(range(pattern.n), key=lambda v: -pattern.degree(v))
@@ -261,7 +268,7 @@ def spanning_subgraph_embedding(pattern: Graph, host: Graph) -> Optional[tuple[i
             return tuple(phi[v] for v in range(pattern.n))
         v = ordered[i]
         mapped_nbrs = [phi[w] for w in pattern.adj[v] if w in phi]
-        for t in range(host.n):
+        for t in ((fixed[v],) if v in fixed else range(host.n)):
             if used[t] or host.degree(t) < pattern.degree(v):
                 continue
             if any(not host.has_edge(t, x) for x in mapped_nbrs):

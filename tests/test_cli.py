@@ -185,6 +185,38 @@ def test_family_cert_cli(tmp_path, capsys):
     assert blob["type"] == "dual"
 
 
+def assert_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_family_cert_graph_kinds_need_input(capsys):
+    for kind in ("uniform", "neighbourhood", "hammock"):
+        assert_usage_error(["family-cert", "--kind", kind], capsys)
+
+
+def test_family_cert_rejects_too_few_params(capsys):
+    for kind in ("girth6", "kmn_dual", "kmn_primal", "hnd"):
+        assert_usage_error(["family-cert", "--kind", kind], capsys)
+    for kind in ("kmn_dual", "kmn_primal", "hnd"):
+        assert_usage_error(["family-cert", "--kind", kind, "4"], capsys)
+
+
+def test_family_cert_rejects_out_of_range_vertex(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle(3))
+    for v in ("7", "3", "-1"):
+        assert_usage_error(["family-cert", "--kind", "neighbourhood", "--in", path,
+                            "--vertex", v], capsys)
+    assert main(["family-cert", "--kind", "neighbourhood", "--in", path,
+                 "--vertex", "2"]) == 0
+
+
+def test_intersecting_family_rejects_negative_sizes(capsys):
+    assert_usage_error(["intersecting-family", "--a", "-1", "--b", "0"], capsys)
+    assert_usage_error(["intersecting-family", "--a", "0", "--b", "-1"], capsys)
+
+
 def test_corpus_runner(tmp_path, capsys):
     # empty directory: empty summary, exit 0
     empty = tmp_path / "empty"

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from fdomlab import construct
 from fdomlab.badfamily import bad_family_check, bad_family_members
 from fdomlab.construct import (BadFamilyInput, ConstructionError,
                                base_case_hammock, construct52,
@@ -12,11 +15,14 @@ from fdomlab.distributions import (constant_demand, standard_demand,
                                    verify_f_dominating)
 from fdomlab.domset import is_dominating
 from fdomlab.fdom import fdom_exact
+from fdomlab.figures import (EDGE_CASE_KEYS, QUASI_BY_MEMBER, catalog_keys,
+                             exceptional_colouring)
 from fdomlab.generators import (complete, complete_bipartite, cycle,
                                 girth6_family, hammock_expand, hypercube,
                                 incidence_graph, kneser, subdivide,
                                 theta_graph)
 from fdomlab.graphs import Graph, MultiGraph
+from fdomlab.iso import spanning_subgraph_embedding
 
 
 def assert_valid(g, d, r=F(2, 5)):
@@ -69,6 +75,42 @@ def test_pendant_and_cut_vertices():
                               (3, 4), (4, 5), (5, 6), (6, 3),
                               (6, 7), (7, 8), (8, 9), (9, 6)])
     assert_valid(two_c4_chain, construct52(two_c4_chain))
+
+
+def test_exceptional_members_glued_at_every_vertex(monkeypatch):
+    # each member hangs off C3 and off C5 at each of its vertices, so every
+    # marked-vertex table is used, including the 2C4 far vertex and the
+    # 7-cycle table on members 5..8
+    embedded = set()
+
+    def embed(pattern, host, fixed=None):
+        sigma = spanning_subgraph_embedding(pattern, host, fixed)
+        if sigma is not None:
+            embedded.add(id(pattern))
+        return sigma
+
+    monkeypatch.setattr(construct, "spanning_subgraph_embedding", embed)
+    for h in bad_family_members().values():
+        for v in range(h.n):
+            for c in (cycle(3), cycle(5)):
+                ring = [v] + list(range(h.n, h.n + c.n - 1))
+                g = Graph(h.n + c.n - 1, list(h.edges()) +
+                          [(ring[a], ring[b]) for a, b in c.edges()])
+                # reversed labels put the cycle first: the cut step then
+                # splits at a 2C4 hub with both 4-cycles on one side
+                flipped = Graph(g.n, [(g.n - 1 - a, g.n - 1 - b) for a, b in g.edges()])
+                for host in (g, flipped):
+                    construct52(host)  # verifies its own postcondition
+    reached = {k for k in catalog_keys() if id(exceptional_colouring(k).graph) in embedded}
+    assert set().union(*QUASI_BY_MEMBER.values()) <= reached
+
+
+def test_every_catalog_table_is_named_by_a_rule():
+    tree = ast.parse(Path(construct.__file__).read_text())
+    named = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    named |= set(EDGE_CASE_KEYS).union(*QUASI_BY_MEMBER.values())
+    assert set(catalog_keys()) <= named
 
 
 def test_exhaustive_corpus_n7(corpus7):

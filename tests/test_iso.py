@@ -88,3 +88,16 @@ def test_spanning_subgraph_embedding():
     for u, v in c4.edges():
         assert host.has_edge(sigma[u], sigma[v])
     assert spanning_subgraph_embedding(complete(4), host) is None
+
+
+def test_spanning_subgraph_embedding_with_fixed_vertices():
+    # the diamond's degree-3 corners are 0 and 2
+    host = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    k13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for t in (0, 2):
+        assert spanning_subgraph_embedding(k13, host, {0: t})[0] == t
+    assert spanning_subgraph_embedding(k13, host, {0: 1}) is None
+    for t in range(4):
+        sigma = spanning_subgraph_embedding(cycle(4), host, {2: t, 0: (t + 2) % 4})
+        assert sigma is not None and sigma[2] == t and sigma[0] == (t + 2) % 4
+    assert spanning_subgraph_embedding(cycle(4), host, {0: 0, 1: 2}) is None
