@@ -174,17 +174,17 @@ def _check_chi_f(g: Graph, sets: list[int], value: Fraction,
     total = Fraction(0)
     for s, x in zip(sets, xs):
         if x < 0 or not _is_independent(g, s):
-            raise CapExceeded("internal: bad covering-LP witness")
+            raise RuntimeError("internal: bad covering-LP witness")
         total += x
         for v in mask_to_list(s):
             cover[v] += x
     if total != value or any(cv < 1 for cv in cover):
-        raise CapExceeded("internal: covering-LP witness infeasible")
+        raise RuntimeError("internal: covering-LP witness infeasible")
     # no independent set above weight 1, tested on the integer numerators
     ints, den = scale_to_integers(ys)
     _, w = max_weight_independent_set(g, ints)
     if w > den or sum(ys, Fraction(0)) != value:
-        raise CapExceeded("internal: covering-LP dual not certified")
+        raise RuntimeError("internal: covering-LP dual not certified")
 
 
 def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
@@ -209,7 +209,7 @@ def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
         raise ValueError("LP value exceeds the requested ratio")
     for v in range(g.n):
         if len(assignment[v]) < q:
-            raise AssertionError("covering witness misses a vertex")
+            raise RuntimeError("covering witness misses a vertex")
         assignment[v] = set(sorted(assignment[v])[:q])
     return p, q, [frozenset(a) for a in assignment]
 
@@ -344,7 +344,7 @@ def check_reduction(g: Graph) -> ReductionReport:
         full = FractionalColouring(p, q, tuple(ext))
         for v in range(s.n):
             if full.spans(s, v) != p:
-                raise AssertionError("extension recipe failed to dominate")
+                raise RuntimeError("extension recipe failed to dominate")
         extension_checked = True
     return ReductionReport(chi.value, fr.value, left == right, extension_checked)
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
-budget exceeded, 4 internal error (a construction failed its own
-postcondition).  Rationals are printed as num/den, never as decimals.
+budget exceeded, 4 internal error (a construction or certificate failed
+its own check).  Rationals are printed as num/den, never as decimals.
 All randomness flows through --seed (default 0) into random.Random, a
 Mersenne Twister, identical across platforms.  The environment variable
 FDOMLAB_TIME_BUDGET_MS bounds the integral-chromatic searches.
@@ -20,8 +20,8 @@ from pathlib import Path
 from . import __version__
 from .chromatic import (check_reduction, chromatic_number,
                         fractional_chromatic, fullness_check)
-from .construct import (BadFamilyInput, ConstructionError, construct52,
-                        intersecting_family, planar_girth_construct)
+from .construct import (BadFamilyInput, construct52, intersecting_family,
+                        planar_girth_construct)
 from .distributions import (DominatingDistribution, FractionalColouring,
                             constant_demand, standard_demand,
                             verify_f_dominating)
@@ -225,6 +225,8 @@ CERT_PARAMS = {"girth6": (("n",), "girth6"),
 
 
 def _cmd_family_cert(args) -> int:
+    if args.vertex is not None and args.kind != "neighbourhood":
+        raise GraphError(f"--kind {args.kind} takes no --vertex")
     kw: dict = {}
     if args.kind in CERT_PARAMS:
         names, family = CERT_PARAMS[args.kind]
@@ -234,6 +236,8 @@ def _cmd_family_cert(args) -> int:
         target = (_load_graph(args.input) if args.input
                   else generate_named(family, tuple(args.params)))
     else:
+        if args.params:
+            raise GraphError(f"--kind {args.kind} takes no parameters")
         if args.input is None:
             raise GraphError(f"--kind {args.kind} needs --in")
         target = kw["g"] = _load_graph(args.input)
@@ -243,7 +247,7 @@ def _cmd_family_cert(args) -> int:
                 print("no hammock in input", file=sys.stderr)
                 return EXIT_USAGE
             kw["hammock"] = hs[0]
-        if args.kind == "neighbourhood" and args.vertex is not None:
+        if args.vertex is not None:
             kw["v"] = args.vertex
     cert = closed_form_certificate(args.kind, **kw)
     if isinstance(cert, DualCertificate):
@@ -405,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP
-    except ConstructionError as e:
+    except RuntimeError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (GraphError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:

@@ -236,7 +236,7 @@ def domatic_number(g: Graph, cap: int = 30) -> tuple[int, list[int]]:
         part = _domatic_partition(g, k)
         if part is not None:
             return k, part
-    raise AssertionError("unreachable: k=1 always feasible")
+    raise RuntimeError("unreachable: k=1 always feasible")
 
 
 def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:

@@ -1,22 +1,27 @@
 """Combining partial distributions across small separations.
 
-glue_at_cutvertex implements the order-1 case: each side's atoms are
-partitioned by what happens at the shared vertex v (v in the set / v out
-but a neighbour in / closed neighbourhood missed) and the two sides are
-coupled case-by-case so that each side's marginal is preserved exactly and
-the domination probability at v becomes min(1, f0(v) + f1(v) - r).
+Both gluing steps partition each input once by an event at the separation
+and couple the parts by one plan: each (mass, left event, right event)
+entry draws the two sides independently given their events, so each
+side's marginal is preserved exactly.
 
-extend_over_pair implements the order-2 case used for suspended paths:
-the host distribution's four endpoint events drive which conditioned piece
-of the two path distributions is attached; the Bernoulli switch is
-realised by splitting the "both endpoints out" mass into exact alpha/beta
-and 1 - alpha/beta parts.
+glue_at_cutvertex is the order-1 case: the event at the shared vertex v is
+(v in the set / v out but a neighbour in / closed neighbourhood missed),
+and the plan makes the domination probability at v min(1, f0(v) + f1(v) - r).
+
+extend_over_pair is the order-2 case used for suspended paths: the event
+is the pair (u in, v in).  The host's four events pick which conditioned
+piece of the two path distributions is attached, and the Bernoulli switch
+splits the "both endpoints out" mass into exact alpha/beta and
+1 - alpha/beta parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Hashable
 
 from .distributions import (DistributionError, DominatingDistribution,
                             colouring_to_distribution, complete_to_r, relabel)
@@ -25,28 +30,45 @@ from .pathtables import path_tables
 from .structure import SuspendedPath
 
 
-def _split3(d: DominatingDistribution, v: int, nbr_mask: int):
-    """Atoms of d partitioned by the events (v in S), (v out, neighbour in),
-    (closed neighbourhood missed); returned with their total masses."""
-    return (_condition(d, lambda s: (s >> v) & 1),
-            _condition(d, lambda s: not (s >> v) & 1 and s & nbr_mask),
-            _condition(d, lambda s: not (s >> v) & 1 and not s & nbr_mask))
+@dataclass
+class Group:
+    """The atoms of a distribution that share an event, and their mass."""
+    atoms: dict[int, Fraction] = field(default_factory=dict)
+    mass: Fraction = Fraction(0)
 
 
-def _couple(out: dict[int, Fraction], mass: Fraction,
-            left: tuple[dict[int, Fraction], Fraction],
-            right: tuple[dict[int, Fraction], Fraction]) -> None:
-    """Add mass * (left conditional x right conditional) to out."""
-    if mass == 0:
-        return
-    (la, lm), (ra, rm) = left, right
-    if lm == 0 or rm == 0:
-        raise DistributionError("internal: coupling against a null event")
-    for s0, p0 in la.items():
-        for s1, p1 in ra.items():
-            w = mass * p0 * p1 / (lm * rm)
-            key = s0 | s1
-            out[key] = out.get(key, Fraction(0)) + w
+def _by_event(d: DominatingDistribution,
+              event: Callable[[int], Hashable]) -> defaultdict[Hashable, Group]:
+    """d's atoms grouped by event(atom) in one pass; an event no atom has
+    reads as an empty group of mass 0."""
+    groups: defaultdict[Hashable, Group] = defaultdict(Group)
+    for s, p in d.atoms:
+        group = groups[event(s)]
+        group.atoms[s] = p
+        group.mass += p
+    return groups
+
+
+def _at_pair(u: int, v: int) -> Callable[[int], tuple[int, int]]:
+    """The event (u in the set, v in the set)."""
+    return lambda s: ((s >> u) & 1, (s >> v) & 1)
+
+
+def _couple(plan: list[tuple[Fraction, Group, Group]]) -> DominatingDistribution:
+    """The sum over the plan's (mass, left, right) triples of
+    mass * (left conditional x right conditional)."""
+    out: dict[int, Fraction] = {}
+    for mass, left, right in plan:
+        if mass == 0:
+            continue
+        if left.mass == 0 or right.mass == 0:
+            raise DistributionError("internal: coupling against a null event")
+        scale = mass / (left.mass * right.mass)
+        for s0, p0 in left.atoms.items():
+            for s1, p1 in right.atoms.items():
+                key = s0 | s1
+                out[key] = out.get(key, Fraction(0)) + scale * p0 * p1
+    return DominatingDistribution.from_map(out)
 
 
 def glue_at_cutvertex(d0: DominatingDistribution, g0: Graph, map0: list[int],
@@ -60,33 +82,26 @@ def glue_at_cutvertex(d0: DominatingDistribution, g0: Graph, map0: list[int],
     distribution and dominates v with probability at least
     min(1, f0(v) + f1(v) - r).
     """
-    v0, v1 = map0.index(v), map1.index(v)
-    lifted0 = relabel(d0, map0)
-    lifted1 = relabel(d1, map1)
-    n0 = mask_of(map0[u] for u in g0.adj[v0])
-    n1 = mask_of(map1[u] for u in g1.adj[v1])
-    if lifted0.membership(v) != r or lifted1.membership(v) != r:
+    def at_v(g: Graph, mapping: list[int]) -> Callable[[int], str]:
+        nbrs = mask_of(mapping[u] for u in g.adj[mapping.index(v)])
+        return lambda s: "in" if (s >> v) & 1 else "seen" if s & nbrs else "missed"
+
+    side0 = _by_event(relabel(d0, map0), at_v(g0, map0))
+    side1 = _by_event(relabel(d1, map1), at_v(g1, map1))
+    a0, b0, c0 = side0["in"], side0["seen"], side0["missed"]
+    a1, b1, c1 = side1["in"], side1["seen"], side1["missed"]
+    if a0.mass != r or a1.mass != r:
         raise DistributionError("membership at the cut vertex must equal r on both sides")
-
-    (a0, pa0), (b0, pb0), (c0, pc0) = _split3(lifted0, v, n0)
-    (a1, pa1), (b1, pb1), (c1, pc1) = _split3(lifted1, v, n1)
-    if pa0 != r or pa1 != r:
-        raise DistributionError("internal: event masses disagree with membership")
-
-    out: dict[int, Fraction] = {}
-    if pb0 + pb1 >= 1 - r:
-        # case 1: rich neighbourhood coverage
-        _couple(out, r, (a0, pa0), (a1, pa1))
-        _couple(out, pc0, (c0, pc0), (b1, pb1))
-        _couple(out, pc1, (b0, pb0), (c1, pc1))
-        _couple(out, 1 - r - pc0 - pc1, (b0, pb0), (b1, pb1))
+    if b0.mass + b1.mass >= 1 - r:
+        # rich neighbourhood coverage: a side that misses v meets a side
+        # whose neighbourhood sees it
+        plan = [(r, a0, a1), (c0.mass, c0, b1), (c1.mass, b0, c1),
+                (1 - r - c0.mass - c1.mass, b0, b1)]
     else:
-        # case 2: thin coverage
-        _couple(out, r, (a0, pa0), (a1, pa1))
-        _couple(out, pb0, (b0, pb0), (c1, pc1))
-        _couple(out, pb1, (c0, pc0), (b1, pb1))
-        _couple(out, 1 - r - pb0 - pb1, (c0, pc0), (c1, pc1))
-    return DominatingDistribution.from_map(out)
+        # thin coverage: a side that sees v meets a side that misses it
+        plan = [(r, a0, a1), (b0.mass, b0, c1), (b1.mass, c0, b1),
+                (1 - r - b0.mass - b1.mass, c0, c1)]
+    return _couple(plan)
 
 
 @dataclass(frozen=True)
@@ -99,17 +114,8 @@ class CornerStats:
 
 
 def corner_stats(d: DominatingDistribution, u: int, v: int, r: Fraction) -> CornerStats:
-    both = sum((p for s, p in d.atoms if (s >> u) & 1 and (s >> v) & 1), Fraction(0))
-    neither = sum((p for s, p in d.atoms if not ((s >> u) & 1) and not ((s >> v) & 1)),
-                  Fraction(0))
-    alpha = both / r
-    beta = neither / (1 - r)
-    return CornerStats(alpha, beta)
-
-
-def _condition(d: DominatingDistribution, pred) -> tuple[dict[int, Fraction], Fraction]:
-    atoms = {s: p for s, p in d.atoms if pred(s)}
-    return atoms, sum(atoms.values(), Fraction(0))
+    host = _by_event(d, _at_pair(u, v))
+    return CornerStats(alpha=host[1, 1].mass / r, beta=host[0, 0].mass / (1 - r))
 
 
 def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
@@ -131,35 +137,22 @@ def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
         raise DistributionError("pair extension needs 0 < r < 1/2")
     if d_host.membership(u) != r or d_host.membership(v) != r:
         raise DistributionError("host membership at the pair must equal r")
-    if any((s >> u) & 1 and (s >> v) & 1 for s, _ in d0.atoms):
+    host, piece0, piece1 = (_by_event(d, _at_pair(u, v)) for d in (d_host, d0, d1))
+    if (1, 1) in piece0:
         raise DistributionError("d0 must keep the endpoints exclusive")
-    if any(((s >> u) & 1) != ((s >> v) & 1) for s, _ in d1.atoms):
+    if piece1.keys() - {(1, 1), (0, 0)}:
         raise DistributionError("d1 must keep the endpoints identified")
-
+    # the memberships at u and v make P(both out) = 1 - 2r + P(both in) > 0,
+    # so beta > 0
     stats = corner_stats(d_host, u, v, r)
-    alpha, beta = stats.alpha, stats.beta
-
-    host_uv, m_uv = _condition(d_host, lambda s: (s >> u) & 1 and (s >> v) & 1)
-    host_u, m_u = _condition(d_host, lambda s: (s >> u) & 1 and not (s >> v) & 1)
-    host_v, m_v = _condition(d_host, lambda s: not (s >> u) & 1 and (s >> v) & 1)
-    host_n, m_n = _condition(d_host, lambda s: not (s >> u) & 1 and not (s >> v) & 1)
-
-    d1_u, p1u = _condition(d1, lambda s: (s >> u) & 1)
-    d1_nu, p1nu = _condition(d1, lambda s: not (s >> u) & 1)
-    d0_u, p0u = _condition(d0, lambda s: (s >> u) & 1)
-    d0_v, p0v = _condition(d0, lambda s: (s >> v) & 1)
-    d0_n, p0n = _condition(d0, lambda s: not (s >> u) & 1 and not (s >> v) & 1)
-
-    out: dict[int, Fraction] = {}
-    _couple(out, m_uv, (host_uv, m_uv), (d1_u, p1u))
-    _couple(out, m_u, (host_u, m_u), (d0_u, p0u))
-    _couple(out, m_v, (host_v, m_v), (d0_v, p0v))
-    if m_n:
-        if beta == 0:
-            raise DistributionError("internal: positive both-out mass with beta = 0")
-        _couple(out, m_n * alpha / beta, (host_n, m_n), (d1_nu, p1nu))
-        _couple(out, m_n * (1 - alpha / beta), (host_n, m_n), (d0_n, p0n))
-    return DominatingDistribution.from_map(out)
+    switch = stats.alpha / stats.beta
+    neither = host[0, 0]
+    plan = [(host[1, 1].mass, host[1, 1], piece1[1, 1]),
+            (host[1, 0].mass, host[1, 0], piece0[1, 0]),
+            (host[0, 1].mass, host[0, 1], piece0[0, 1]),
+            (neither.mass * switch, neither, piece1[0, 0]),
+            (neither.mass * (1 - switch), neither, piece0[0, 0])]
+    return _couple(plan)
 
 
 def attach_suspended_path(d_host: DominatingDistribution, p: SuspendedPath,
@@ -182,7 +175,4 @@ def attach_suspended_path(d_host: DominatingDistribution, p: SuspendedPath,
     d0 = relabel(colouring_to_distribution(table.phi0), list(p.vertices))
     d1 = relabel(colouring_to_distribution(table.phi1), list(p.vertices))
     combined = extend_over_pair(d_host, u, v, d0, d1, r)
-    for w in p.internal:
-        if combined.membership(w) > r:
-            raise DistributionError("internal: path membership overshoot")
     return complete_to_r(combined, r, n_total)

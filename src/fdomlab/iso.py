@@ -246,20 +246,8 @@ def spanning_subgraph_embedding(pattern: Graph, host: Graph,
     fixed = fixed or {}
     if pattern.n != host.n or pattern.m > host.m:
         return None
-    order = sorted(range(pattern.n), key=lambda v: -pattern.degree(v))
-    # keep connectivity in the mapping order where possible
-    ordered: list[int] = []
-    seen: set[int] = set()
-    stack = list(reversed(order))
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        ordered.append(v)
-        seen.add(v)
-        for w in sorted(pattern.adj[v]):
-            if w not in seen:
-                stack.append(w)
+    # one colour class: highest degree first, then depth-first
+    ordered = _search_order(pattern, [0] * pattern.n)
     phi: dict[int, int] = {}
     used = [False] * host.n
 

@@ -281,3 +281,25 @@ def test_construction_error_exits_internal(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error: postcondition violated")
     assert "Traceback" not in err
+
+
+def test_family_cert_rejects_flags_its_kind_does_not_read(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle(5))
+    for kind in ("uniform", "hammock"):
+        assert_usage_error(["family-cert", "--kind", kind, "--in", path,
+                            "--vertex", "99"], capsys)
+    assert_usage_error(["family-cert", "--kind", "girth6", "2", "--vertex", "0"], capsys)
+    for kind in ("uniform", "neighbourhood", "hammock"):
+        assert_usage_error(["family-cert", "--kind", kind, "7", "7", "--in", path], capsys)
+
+
+def test_failed_chi_f_self_check_exits_internal(tmp_path, capsys, monkeypatch):
+    from fdomlab import chromatic
+
+    def overweight(g, weights):
+        return (1 << g.n) - 1, sum(weights)
+    monkeypatch.setattr(chromatic, "max_weight_independent_set", overweight)
+    assert main(["chif", "--in", write_graph(tmp_path, cycle(5))]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err

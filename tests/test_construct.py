@@ -120,6 +120,32 @@ def test_exhaustive_corpus_n7(corpus7):
         construct52(g)  # verifies its own postcondition
 
 
+def test_each_graph_is_classified_once(corpus7, monkeypatch):
+    # _construct's argument has been classified by its caller; identity,
+    # not equality, since both sides of a cut can be equal labelled graphs
+    stack, repeats = [], []
+    inner, check = construct._construct, construct.bad_family_check
+
+    def tracked(g):
+        stack.append(g)
+        try:
+            return inner(g)
+        finally:
+            stack.pop()
+
+    def counted(g):
+        if stack and g is stack[-1]:
+            repeats.append(g)
+        return check(g)
+
+    monkeypatch.setattr(construct, "_construct", tracked)
+    monkeypatch.setattr(construct, "bad_family_check", counted)
+    for g in corpus7:
+        if check(g) is None:
+            construct52(g)
+    assert len(repeats) == 0
+
+
 def test_fdom_never_below_52_on_witnessed_graphs(corpus7_mindeg2):
     rng = random.Random(12)
     for g in rng.sample(corpus7_mindeg2, 25):

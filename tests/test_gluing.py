@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -148,3 +149,181 @@ def test_attach_preserves_host_values():
     for v in range(5):
         assert out.membership(v) == F(2, 5)
         assert out.dominated_prob(g, v) >= host.dominated_prob(cycle(5), v)
+
+
+# -- reference: the per-event gluing, one filter pass per event ----------
+
+
+def _condition(d, pred):
+    atoms = {s: p for s, p in d.atoms if pred(s)}
+    return atoms, sum(atoms.values(), F(0))
+
+
+def _split3(d, v, nbr_mask):
+    return (_condition(d, lambda s: (s >> v) & 1),
+            _condition(d, lambda s: not (s >> v) & 1 and s & nbr_mask),
+            _condition(d, lambda s: not (s >> v) & 1 and not s & nbr_mask))
+
+
+def _couple_into(out, mass, left, right):
+    if mass == 0:
+        return
+    (la, lm), (ra, rm) = left, right
+    for s0, p0 in la.items():
+        for s1, p1 in ra.items():
+            key = s0 | s1
+            out[key] = out.get(key, F(0)) + mass * p0 * p1 / (lm * rm)
+
+
+def reference_glue(d0, g0, map0, d1, g1, map1, v, r):
+    lifted0, lifted1 = relabel(d0, map0), relabel(d1, map1)
+    n0 = mask_of(map0[u] for u in g0.adj[map0.index(v)])
+    n1 = mask_of(map1[u] for u in g1.adj[map1.index(v)])
+    a0, b0, c0 = _split3(lifted0, v, n0)
+    a1, b1, c1 = _split3(lifted1, v, n1)
+    pb0, pc0, pb1, pc1 = b0[1], c0[1], b1[1], c1[1]
+    out = {}
+    if pb0 + pb1 >= 1 - r:
+        _couple_into(out, r, a0, a1)
+        _couple_into(out, pc0, c0, b1)
+        _couple_into(out, pc1, b0, c1)
+        _couple_into(out, 1 - r - pc0 - pc1, b0, b1)
+    else:
+        _couple_into(out, r, a0, a1)
+        _couple_into(out, pb0, b0, c1)
+        _couple_into(out, pb1, c0, b1)
+        _couple_into(out, 1 - r - pb0 - pb1, c0, c1)
+    return DominatingDistribution.from_map(out)
+
+
+def reference_extend(d_host, u, v, d0, d1, r):
+    host_uv = _condition(d_host, lambda s: (s >> u) & 1 and (s >> v) & 1)
+    host_u = _condition(d_host, lambda s: (s >> u) & 1 and not (s >> v) & 1)
+    host_v = _condition(d_host, lambda s: not (s >> u) & 1 and (s >> v) & 1)
+    host_n = _condition(d_host, lambda s: not (s >> u) & 1 and not (s >> v) & 1)
+    out = {}
+    _couple_into(out, host_uv[1], host_uv, _condition(d1, lambda s: (s >> u) & 1))
+    _couple_into(out, host_u[1], host_u, _condition(d0, lambda s: (s >> u) & 1))
+    _couple_into(out, host_v[1], host_v, _condition(d0, lambda s: (s >> v) & 1))
+    if host_n[1]:
+        alpha, beta = host_uv[1] / r, host_n[1] / (1 - r)
+        nu = _condition(d1, lambda s: not (s >> u) & 1)
+        nn = _condition(d0, lambda s: not (s >> u) & 1 and not (s >> v) & 1)
+        _couple_into(out, host_n[1] * alpha / beta, host_n, nu)
+        _couple_into(out, host_n[1] * (1 - alpha / beta), host_n, nn)
+    return DominatingDistribution.from_map(out)
+
+
+def random_groups(rng, groups):
+    """A distribution with the given total mass on each group, spread over
+    random atoms drawn by each group's sampler."""
+    out = {}
+    for mass, draw in groups:
+        if mass == 0:
+            continue
+        weights = {}
+        for _ in range(rng.randint(1, 4)):
+            s = draw()
+            weights[s] = weights.get(s, 0) + rng.randint(1, 5)
+        total = sum(weights.values())
+        for s, w in weights.items():
+            out[s] = out.get(s, F(0)) + mass * F(w, total)
+    return DominatingDistribution.from_map(out)
+
+
+def random_side(rng, k, r):
+    """A connected graph on k vertices with local vertex 0 the cut vertex,
+    and a distribution with membership r at 0."""
+    edges = {(rng.randrange(w), w) for w in range(1, k)}
+    edges |= {(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.3}
+    d = random_groups(rng, [(r, lambda: rng.randrange(1 << k) | 1),
+                            (1 - r, lambda: rng.randrange(1 << k) & ~1)])
+    return Graph(k, edges), d
+
+
+def project(d, vertices):
+    mask = mask_of(vertices)
+    return DominatingDistribution.from_pairs((s & mask, p) for s, p in d.atoms)
+
+
+def test_glue_matches_the_per_event_reference():
+    rng = random.Random(5)
+    rich = thin = 0
+    for _ in range(300):
+        r = rng.choice([F(1, 5), F(1, 4), F(1, 3), F(2, 5)])
+        k0, k1 = rng.randint(2, 5), rng.randint(2, 5)
+        g0, d0 = random_side(rng, k0, r)
+        g1, d1 = random_side(rng, k1, r)
+        n = k0 + k1 - 1
+        v = rng.randrange(n)
+        others = [w for w in range(n) if w != v]
+        rng.shuffle(others)
+        map0 = [v] + others[:k0 - 1]
+        map1 = [v] + others[k0 - 1:]
+        g = Graph(n, [(map0[a], map0[b]) for a, b in g0.edges()] +
+                  [(map1[a], map1[b]) for a, b in g1.edges()])
+        out = glue_at_cutvertex(d0, g0, map0, d1, g1, map1, v, r)
+        assert out.atoms == reference_glue(d0, g0, map0, d1, g1, map1, v, r).atoms
+        lifted0, lifted1 = relabel(d0, map0), relabel(d1, map1)
+        assert project(out, map0) == lifted0
+        assert project(out, map1) == lifted1
+        f0, f1 = d0.dominated_prob(g0, 0), d1.dominated_prob(g1, 0)
+        assert out.dominated_prob(g, v) >= min(1, f0 + f1 - r)
+        # f = r + P(v out, a neighbour in): the rich plan runs iff f0 + f1 - r >= 1
+        if f0 + f1 - r >= 1:
+            rich += 1
+        else:
+            thin += 1
+    assert rich > 20 and thin > 20
+
+
+def test_glue_thin_coverage_on_two_edges():
+    # P3 as two K2 sides at the middle: P(a neighbour in, v out) = r on
+    # each side, so 2r < 1 - r at r = 1/4 takes the thin-coverage plan
+    k2 = Graph(2, [(0, 1)])
+    r = F(1, 4)
+    side = DominatingDistribution.from_map({0b01: r, 0b10: r, 0: 1 - 2 * r})
+    out = glue_at_cutvertex(side, k2, [1, 0], side, k2, [1, 2], 1, r)
+    assert out.atoms == reference_glue(side, k2, [1, 0], side, k2, [1, 2], 1, r).atoms
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    assert out.dominated_prob(p3, 1) == 3 * r  # f0 + f1 - r, below 1
+    assert all(out.membership(w) == r for w in range(3))
+
+
+def random_pair_inputs(rng, r, m_uv):
+    """A host on 0..5 with membership r at u = 0 and v = 1 and P(both in)
+    = m_uv, and path pieces on 0, 1 and internal vertices 6..8."""
+    host_rest = lambda: rng.randrange(1 << 6) & ~0b11
+    host = random_groups(rng, [(m_uv, lambda: host_rest() | 0b11),
+                               (r - m_uv, lambda: host_rest() | 0b01),
+                               (r - m_uv, lambda: host_rest() | 0b10),
+                               (1 - 2 * r + m_uv, host_rest)])
+    inner = lambda: rng.randrange(1 << 3) << 6
+    third = F(1, 3)
+    d0 = random_groups(rng, [(third, lambda: inner() | 0b01),
+                             (third, lambda: inner() | 0b10), (third, inner)])
+    d1 = random_groups(rng, [(F(1, 2), lambda: inner() | 0b11), (F(1, 2), inner)])
+    return host, d0, d1
+
+
+def test_extend_over_pair_matches_the_per_event_reference():
+    rng = random.Random(8)
+    for trial in range(200):
+        r = rng.choice([F(1, 5), F(1, 4), F(1, 3), F(2, 5)])
+        m_uv = F(0) if trial % 2 else r * F(rng.randint(1, 4), 5)
+        host, d0, d1 = random_pair_inputs(rng, r, m_uv)
+        out = extend_over_pair(host, 0, 1, d0, d1, r)
+        assert out.atoms == reference_extend(host, 0, 1, d0, d1, r).atoms
+        assert project(out, range(6)) == host
+        assert out.membership(0) == r and out.membership(1) == r
+
+
+def test_extend_over_pair_has_both_out_mass():
+    # with membership r < 1/2 at u and v, P(both out) = 1 - 2r + P(both in)
+    # > 0; a host without it is rejected at the entry checks
+    d0 = DominatingDistribution.from_map({0b001: F(1, 2), 0b010: F(1, 2)})
+    d1 = DominatingDistribution.from_map({0b011: F(1, 2), 0b100: F(1, 2)})
+    host = DominatingDistribution.from_map({0b01: F(1, 2), 0b10: F(1, 2)})
+    for r in (F(1, 2), F(2, 5)):
+        with pytest.raises(DistributionError):
+            extend_over_pair(host, 0, 1, d0, d1, r)

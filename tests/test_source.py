@@ -25,3 +25,21 @@ def test_no_private_names_imported_across_modules():
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert found == []
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; every other module uses what it imports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
