@@ -40,9 +40,10 @@ from itertools import product
 from typing import Callable, Optional
 
 from .badfamily import bad_family_check
-from .distributions import (DominatingDistribution, colouring_to_distribution,
-                            complete_to_r, constant_demand, cycle_distribution,
-                            relabel, standard_demand, verify_f_dominating)
+from .distributions import (DistributionError, DominatingDistribution,
+                            colouring_to_distribution, complete_to_r,
+                            constant_demand, cycle_distribution, relabel,
+                            standard_demand, verify_f_dominating)
 from .domset import CapExceeded, is_dominating
 from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
@@ -80,7 +81,10 @@ def construct52(g: Graph) -> DominatingDistribution:
     member = bad_family_check(g)
     if member is not None:
         raise BadFamilyInput(member)
-    d = _construct(g)
+    try:
+        d = _construct(g)
+    except DistributionError as e:
+        raise ConstructionError(f"recursion failed: {e}") from e
     ok, why = verify_f_dominating(g, d, standard_demand(g), R25)
     if not ok:
         raise ConstructionError(f"postcondition violated: {why}")
@@ -440,7 +444,10 @@ def planar_girth_construct(g: Graph, k: int) -> DominatingDistribution:
     if not g.is_connected():
         raise ValueError("pipeline needs a connected graph")
     r = Fraction(k, 3 * k - 1)
-    d = _planar_recurse(g, k, r)
+    try:
+        d = _planar_recurse(g, k, r)
+    except DistributionError as e:
+        raise ConstructionError(f"planar recursion failed: {e}") from e
     ok, why = verify_f_dominating(g, d, constant_demand(Fraction(1)), r)
     if not ok:
         raise ConstructionError(f"planar pipeline postcondition violated: {why}")

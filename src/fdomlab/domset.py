@@ -1,17 +1,20 @@
-"""Dominating-set engines over bitmask vertex sets: verification, minimal
-dominating set enumeration, exact domination number, minimum-weight
-dominating sets (the LP pricing routine), domatic number, and fractional
-bottleneck verification.
+"""Dominating-set engines over bitmask vertex sets: verification, greedy
+completion, minimal dominating set enumeration, exact domination number,
+minimum-weight dominating sets (the LP pricing routine), dominating
+(p:q)-colourings, and fractional bottleneck verification.
 
 Vertex sets are Python-int bitmasks throughout.  Weights are exact: ints or
 Fractions.  The weighted searches run on ints: pricing passes integer dual
 numerators, and verify_bottleneck scales its weights (scale_to_integers).
 domination_number and min_weight_dominating_set share one packing bound.
+One backtracking search, dominating_colouring, finds dominating
+(p:q)-colourings; the domatic number is its q = 1 case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
@@ -76,18 +79,18 @@ def enumerate_minimal_dominating_sets(g: Graph, cap: int = 20) -> Iterator[int]:
     yield from search(0, 0, 0)
 
 
-def _greedy_dominating(g: Graph) -> int:
+def complete_to_dominating(g: Graph, s: int) -> int:
+    """s grown to a dominating set greedily: the lowest undominated vertex
+    takes the dominator that covers most undominated vertices."""
     full = (1 << g.n) - 1
-    chosen, covered = 0, 0
+    covered = coverage(g, s)
     while covered != full:
-        best, gain = -1, -1
-        for v in range(g.n):
-            add = (g.closed_mask[v] & ~covered).bit_count()
-            if add > gain:
-                best, gain = v, add
-        chosen |= 1 << best
+        v = next(iter(mask_to_list(full & ~covered)))
+        best = max(mask_to_list(g.closed_mask[v]),
+                   key=lambda u: (g.closed_mask[u] & ~covered).bit_count())
+        s |= 1 << best
         covered |= g.closed_mask[best]
-    return chosen
+    return s
 
 
 def _packing_tables(g: Graph, weights: Sequence[int | Fraction]) -> tuple[list, list]:
@@ -150,7 +153,7 @@ def domination_number(g: Graph) -> tuple[int, int]:
     full = (1 << g.n) - 1
     closed = g.closed_mask
     n2, doms = _packing_tables(g, [1] * g.n)
-    best_set = _greedy_dominating(g)
+    best_set = complete_to_dominating(g, 0)
     best = best_set.bit_count()
 
     def search(chosen: int, covered: int, excluded: int) -> None:
@@ -221,78 +224,96 @@ def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
 
 
 def domatic_number(g: Graph, cap: int = 30) -> tuple[int, list[int]]:
-    """(dom(G), partition as list of colour bitmasks): exhaustive backtracking
-    with pruning, assigning colours in BFS order.
-
-    Colours are symmetric; a vertex may only open colour c+1 if colours
-    0..c are already in use.
-    """
+    """(dom(G), partition as list of colour bitmasks): the largest k <= the
+    minimum degree + 1 with a dominating (k:1)-colouring."""
     if g.n > cap:
         raise CapExceeded(f"domatic search capped at {cap} vertices")
     if g.n == 0:
         return 0, []
-    upper = g.min_degree() + 1
-    for k in range(upper, 0, -1):
+    for k in range(g.min_degree() + 1, 1, -1):
         part = _domatic_partition(g, k)
         if part is not None:
             return k, part
-    raise RuntimeError("unreachable: k=1 always feasible")
+    return 1, [(1 << g.n) - 1]
 
 
 def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:
     """A partition of V into k dominating sets, or None."""
-    if k == 1:
-        return [(1 << g.n) - 1]
+    colour = dominating_colouring(g, k, 1)
+    if colour is None:
+        return None
+    part = [0] * k
+    for v, c in enumerate(colour):
+        part[c.bit_length() - 1] |= 1 << v
+    if not all(is_dominating(g, p) for p in part):
+        raise RuntimeError("domatic partition has a non-dominating class")
+    return part
+
+
+#: search nodes one dominating_colouring call may visit
+COLOURING_NODE_CAP = 20_000_000
+
+
+def dominating_colouring(g: Graph, p: int, q: int) -> Optional[list[int]]:
+    """A dominating (p:q)-colouring: per vertex a p-bit colour mask with q
+    bits set, such that every closed neighbourhood spans all p colours; or
+    None when there is none.
+
+    Backtracking in BFS order.  Each closed neighbourhood keeps the colours
+    it has seen and its count of unassigned vertices; a branch is pruned
+    once a neighbourhood misses more colours than q per unassigned vertex,
+    or the unassigned vertices can no longer open the unused colours.
+    Colours are symmetric, so a vertex opens new colours only as the lowest
+    unused ones.  Raises CapExceeded past COLOURING_NODE_CAP nodes.
+    """
+    if not 1 <= q <= p:
+        raise ValueError("needs 1 <= q <= p")
+    n = g.n
     order = g.bfs_order()
-    colour = [-1] * g.n
-    # seen_mask[v] = bitmask of colours present in N[v]
-    seen_mask = [0] * g.n
-    unassigned = [len(g.adj[v]) + 1 for v in range(g.n)]
-    fullk = (1 << k) - 1
-
-    def feasible(v: int) -> bool:
-        return ((fullk & ~seen_mask[v]).bit_count() <= unassigned[v])
-
-    def assign(v: int, c: int, undo: list[tuple[int, int, int]]) -> bool:
-        colour[v] = c
-        for w in mask_to_list(g.closed_mask[v]):
-            undo.append((w, seen_mask[w], unassigned[w]))
-            seen_mask[w] |= 1 << c
-            unassigned[w] -= 1
-            if not feasible(w):
-                return False
-        return True
-
-    def undo_all(v: int, undo: list[tuple[int, int, int]]) -> None:
-        colour[v] = -1
-        for w, sm, ua in reversed(undo):
-            seen_mask[w] = sm
-            unassigned[w] = ua
+    closed = [mask_to_list(m) for m in g.closed_mask]
+    palette = (1 << p) - 1
+    # choices[used]: (mask, used after) for a vertex when colours
+    # 0..used-1 are open: j new colours used..used+j-1 and q-j open ones
+    choices = [[(((1 << j) - 1) << used | sum(1 << c for c in old), used + j)
+                for j in range(min(q, p - used) + 1)
+                for old in combinations(range(used), q - j)]
+               for used in range(p + 1)]
+    colour = [0] * n
+    seen = [0] * n
+    unassigned = [len(c) for c in closed]
+    nodes = 0
 
     def backtrack(i: int, used: int) -> bool:
-        if i == g.n:
-            return used == k
-        v = order[i]
-        cands = list(range(used)) + ([used] if used < k else [])
-        # remaining vertices must still be able to open the unused colours
-        if used + (g.n - i) < k:
+        nonlocal nodes
+        if i == n:
+            # the last assignment in each closed neighbourhood left it
+            # missing no colour
+            return True
+        if used + q * (n - i) < p:
             return False
-        for c in cands:
-            undo: list[tuple[int, int, int]] = []
-            if assign(v, c, undo):
-                if backtrack(i + 1, max(used, c + 1)):
+        v = order[i]
+        for c, opened in choices[used]:
+            nodes += 1
+            if nodes > COLOURING_NODE_CAP:
+                raise CapExceeded(f"dominating-colouring search passed "
+                                  f"{COLOURING_NODE_CAP} nodes")
+            colour[v] = c
+            undo: list[tuple[int, int]] = []
+            for w in closed[v]:
+                undo.append((w, seen[w]))
+                seen[w] |= c
+                unassigned[w] -= 1
+                if (palette & ~seen[w]).bit_count() > q * unassigned[w]:
+                    break
+            else:
+                if backtrack(i + 1, opened):
                     return True
-            undo_all(v, undo)
+            for w, s in reversed(undo):
+                seen[w] = s
+                unassigned[w] += 1
         return False
 
-    if backtrack(0, 0):
-        part = [0] * k
-        for v in range(g.n):
-            part[colour[v]] |= 1 << v
-        if not all(is_dominating(g, p) for p in part):
-            raise RuntimeError("domatic partition has a non-dominating class")
-        return part
-    return None
+    return colour if backtrack(0, 0) else None
 
 
 def scale_to_integers(weights: Sequence[int | Fraction]) -> tuple[list[int], int]:

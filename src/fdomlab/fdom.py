@@ -14,13 +14,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
-from .domset import (CapExceeded, coverage, domination_number,
+from .domset import (CapExceeded, complete_to_dominating, coverage,
+                     dominating_colouring, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
                      min_weight_dominating_set, verify_bottleneck)
-from .graphs import Graph, fraction_from_pair, mask_of, mask_to_list
+from .graphs import Graph, fraction_from_pair, iter_mask, mask_of, mask_to_list
 from .iso import orbits
 from .simplex import IntegerLP
 from .structure import Hammock
@@ -82,14 +82,6 @@ def certificate_from_json(obj: dict) -> PrimalCertificate | DualCertificate:
     raise CertificateError("unknown certificate type")
 
 
-def weights_to_json(weights: Sequence[Fraction]) -> dict:
-    return {"weights": [[str(w.numerator), str(w.denominator)] for w in weights]}
-
-
-def weights_from_json(obj: dict) -> list[Fraction]:
-    return [fraction_from_pair(w) for w in obj["weights"]]
-
-
 def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
     """Check domination of every column, nonnegativity, per-vertex loads
     <= 1 and the objective arithmetic.  Returns (ok, reason)."""
@@ -114,6 +106,8 @@ def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
 
 
 def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
+    if len(cert.weights) != g.n:
+        return False, f"certificate has {len(cert.weights)} weights for n={g.n}"
     ok, total, minw = verify_bottleneck(g, cert.weights)
     if not ok:
         return False, f"a dominating set has weight {minw} < 1"
@@ -136,12 +130,12 @@ def _result_from_master(g: Graph, master: IntegerLP, columns: list[int]) -> Fdom
     dual = DualCertificate(master.duals())
     ok, why = verify_primal(g, primal)
     if not ok:
-        raise CertificateError(f"primal verification failed: {why}")
+        raise RuntimeError(f"primal verification failed: {why}")
     ok, why = verify_dual(g, dual)
     if not ok:
-        raise CertificateError(f"dual verification failed: {why}")
+        raise RuntimeError(f"dual verification failed: {why}")
     if dual.total != value:
-        raise CertificateError("strong duality not witnessed")
+        raise RuntimeError("strong duality not witnessed")
     return FdomResult(value, primal, dual)
 
 
@@ -174,23 +168,11 @@ def _greedy_domatic_columns(g: Graph) -> list[int]:
             if g.closed_mask[v] & ~covered:
                 s |= 1 << v
                 covered |= g.closed_mask[v]
-        cols.append(_complete_to_dominating(g, s))
+        cols.append(complete_to_dominating(g, s))
         remaining &= ~cols[-1]
     if remaining:
-        cols.append(_complete_to_dominating(g, remaining))
+        cols.append(complete_to_dominating(g, remaining))
     return cols
-
-
-def _complete_to_dominating(g: Graph, s: int) -> int:
-    full = (1 << g.n) - 1
-    covered = coverage(g, s)
-    while covered != full:
-        v = next(iter(mask_to_list(full & ~covered)))
-        best = max(mask_to_list(g.closed_mask[v]),
-                   key=lambda u: (g.closed_mask[u] & ~covered).bit_count())
-        s |= 1 << best
-        covered |= g.closed_mask[best]
-    return s
 
 
 def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
@@ -207,7 +189,7 @@ def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
     columns: list[int] = []
     seen: set[int] = set()
     for col in _greedy_domatic_columns(g) + list(g.closed_mask):
-        col = _complete_to_dominating(g, col)
+        col = complete_to_dominating(g, col)
         if col not in seen:
             seen.add(col)
             columns.append(col)
@@ -220,7 +202,7 @@ def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
             # the master duals are feasible for the full LP: optimal
             return _result_from_master(g, master, columns)
         if new_col in seen:
-            raise CertificateError("internal: priced a column already in the pool")
+            raise RuntimeError("priced a column already in the pool")
         seen.add(new_col)
         columns.append(new_col)
         _add_set(master, new_col)
@@ -437,55 +419,14 @@ def sample_lnbound(g: Graph, p: Fraction, trials: int, seed: int = 0) -> SampleR
 # -- dominating (p:q)-colouring search ---------------------------------
 
 
-PQ_NODE_CAP = 20_000_000  # search nodes pq_colouring_exists may visit
-
-
 def pq_colouring_exists(g: Graph, p: int, q: int) -> Optional[list[frozenset[int]]]:
-    """Exhaustive search for a dominating (p:q)-colouring: q-subsets of [p]
-    per vertex such that every closed neighbourhood spans all p colours.
-
-    Vertices are processed in decreasing-degree order; a branch is pruned
-    when some closed neighbourhood can no longer span the palette.  Returns
-    a witness assignment (1-based colour sets) or None.
-    """
-    if not (1 <= q <= p):
-        raise ValueError("needs 1 <= q <= p")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    choices = [frozenset(c) for c in combinations(range(1, p + 1), q)]
-    assigned: dict[int, frozenset[int]] = {}
-    nodes = 0
-
-    def span_feasible() -> bool:
-        for v in range(g.n):
-            seen: set[int] = set()
-            todo = 0
-            for u in mask_to_list(g.closed_mask[v]):
-                if u in assigned:
-                    seen |= assigned[u]
-                else:
-                    todo += 1
-            if len(seen) + q * todo < p:
-                return False
-        return True
-
-    def backtrack(i: int) -> Optional[list[frozenset[int]]]:
-        nonlocal nodes
-        if i == g.n:
-            return [assigned[v] for v in range(g.n)]
-        v = order[i]
-        for ch in choices:
-            nodes += 1
-            if nodes > PQ_NODE_CAP:
-                raise CapExceeded("colouring search cap exceeded")
-            assigned[v] = ch
-            if span_feasible():
-                res = backtrack(i + 1)
-                if res is not None:
-                    return res
-            del assigned[v]
+    """A dominating (p:q)-colouring as 1-based colour sets per vertex (every
+    closed neighbourhood spans all p colours), or None; the search is
+    domset.dominating_colouring."""
+    colour = dominating_colouring(g, p, q)
+    if colour is None:
         return None
-
-    return backtrack(0)
+    return [frozenset(c + 1 for c in iter_mask(m)) for m in colour]
 
 
 def verify_pq_colouring(g: Graph, p: int, q: int,

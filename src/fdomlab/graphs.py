@@ -96,9 +96,9 @@ class Graph:
                     queue.append(w)
         return seen
 
-    def bfs_order(self, start: int = 0) -> list[int]:
+    def bfs_order(self) -> list[int]:
         order, seen = [], set()
-        for root in [start] + list(range(self.n)):
+        for root in range(self.n):
             if root in seen:
                 continue
             seen.add(root)

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 from fdomlab import cli
 from fdomlab.cli import main
 from fdomlab.construct import ConstructionError
-from fdomlab.distributions import DominatingDistribution
+from fdomlab.distributions import DistributionError, DominatingDistribution
 from fdomlab.fdom import certificate_from_json
-from fdomlab.generators import cycle, theta_graph
+from fdomlab.generators import coxeter, cycle, theta_graph
 from fdomlab.graphs import read_graph_text, write_graph_text
 
 
@@ -281,6 +281,46 @@ def test_construction_error_exits_internal(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error: postcondition violated")
     assert "Traceback" not in err
+
+
+def test_complete_to_r_failure_in_construction_exits_internal(tmp_path, capsys, monkeypatch):
+    from fdomlab import construct
+
+    def overshoot(d, r, n):
+        raise DistributionError("membership 3/5 exceeds target 2/5 at vertex 0")
+    monkeypatch.setattr(construct, "complete_to_r", overshoot)
+    assert main(["construct52", "--in", write_graph(tmp_path, cycle(5))]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "exceeds target" in err
+    assert "Traceback" not in err
+
+
+def test_failed_fdom_self_check_exits_internal(tmp_path, capsys, monkeypatch):
+    from fdomlab import fdom
+    monkeypatch.setattr(fdom, "verify_dual", lambda g, cert: (False, "forced failure"))
+    assert main(["fdom", "--in", write_graph(tmp_path, cycle(5))]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: dual verification failed")
+    assert "Traceback" not in err
+
+
+def test_dual_weight_count_must_match_n(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle(5))
+    assert main(["family-cert", "--kind", "girth6", "2", "--in", path]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "invalid: certificate has 14 weights for n=5")
+    cert = tmp_path / "dual.json"
+    cert.write_text(json.dumps({"type": "dual", "value": ["2", "1"],
+                                "weights": [["1", "1"], ["1", "1"]]}))
+    assert main(["verify", "--in", path, "--dual", str(cert)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid: certificate has 2 weights for n=5"
+
+
+def test_domatic_cap_exits_cap(tmp_path, capsys, monkeypatch):
+    from fdomlab import domset
+    monkeypatch.setattr(domset, "COLOURING_NODE_CAP", 100)
+    assert main(["domatic", "--in", write_graph(tmp_path, coxeter())]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
 
 
 def test_family_cert_rejects_flags_its_kind_does_not_read(tmp_path, capsys):

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
-from fdomlab.domset import (CapExceeded, domatic_number, domination_number,
-                            enumerate_minimal_dominating_sets, is_dominating,
-                            min_weight_dominating_set, verify_bottleneck)
+from fdomlab import domset
+from fdomlab.domset import (CapExceeded, domatic_number, dominating_colouring,
+                            domination_number, enumerate_minimal_dominating_sets,
+                            is_dominating, min_weight_dominating_set,
+                            verify_bottleneck)
+from fdomlab.enumerate_graphs import all_graphs
+from fdomlab.fdom import pq_colouring_exists
 from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 kneser, theta_graph)
 from fdomlab.graphs import Graph, mask_of, mask_to_list
@@ -153,3 +158,36 @@ def test_neighbourhood_bottleneck_always_valid(corpus7):
             w[u] = F(1)
         ok, total, _ = verify_bottleneck(g, w)
         assert ok and total == g.degree(v) + 1
+
+
+def spans_palette(g: Graph, colour, p: int) -> bool:
+    """Every closed neighbourhood sees all p colours."""
+    for v in range(g.n):
+        seen = 0
+        for u in mask_to_list(g.closed_mask[v]):
+            seen |= colour[u]
+        if seen != (1 << p) - 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p, q, n_max", [(1, 1, 5), (2, 1, 5), (3, 1, 5), (4, 1, 5),
+                                         (3, 2, 4), (5, 2, 4)])
+def test_dominating_colouring_matches_brute_force(p, q, n_max):
+    masks = [mask_of(c) for c in combinations(range(p), q)]
+    assert dominating_colouring(Graph(0, []), p, q) == []  # vacuously dominating
+    for n in range(1, n_max + 1):
+        for g in all_graphs(n):
+            colour = dominating_colouring(g, p, q)
+            exists = any(spans_palette(g, c, p) for c in product(masks, repeat=n))
+            assert (colour is not None) == exists, (g.edges(), p, q)
+            if colour is not None:
+                assert all(c in masks for c in colour) and spans_palette(g, colour, p)
+
+
+def test_colouring_search_stops_at_its_node_cap(monkeypatch):
+    monkeypatch.setattr(domset, "COLOURING_NODE_CAP", 100)
+    with pytest.raises(CapExceeded):
+        pq_colouring_exists(cycle(11), 11, 4)
+    with pytest.raises(CapExceeded):
+        domatic_number(coxeter())

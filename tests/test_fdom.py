@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fdomlab.domset import domination_number, is_dominating
+from fdomlab.enumerate_graphs import all_graphs
 from fdomlab.fdom import (CertificateError, DualCertificate, PrimalCertificate,
                           SampleReport, certificate_from_json, closed_form_certificate,
                           fdom_colgen, fdom_exact, pq_colouring_exists,
@@ -15,7 +16,7 @@ from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 join_with_clique, kneser, theta_graph,
                                 coxeter_automorphism_generators,
                                 kneser_automorphism_generators)
-from fdomlab.graphs import mask_of
+from fdomlab.graphs import Graph, mask_of
 from fdomlab.structure import hammocks
 from fdomlab.iso import orbits
 
@@ -276,6 +277,25 @@ def test_colgen_cap_reports_bounds():
 
 
 def test_weight_vector_json_roundtrip():
-    from fdomlab.fdom import weights_from_json, weights_to_json
     w = [F(1, 3), F(0), F(12345678901234567890, 7)]
-    assert weights_from_json(json.loads(json.dumps(weights_to_json(w)))) == w
+    blob = json.loads(json.dumps(DualCertificate(w).to_json()))
+    assert certificate_from_json(blob).weights == w
+
+
+def test_pq_colouring_exists_iff_fdom_allows():
+    for g in (g for n in range(1, 7) for g in all_graphs(n)):
+        value = fdom_exact(g).value
+        for p, q in ((2, 1), (3, 1), (4, 1), (5, 2), (3, 2)):
+            phi = pq_colouring_exists(g, p, q)
+            # a colouring found means p/q <= fdom; so p/q > fdom gives None
+            if phi is not None:
+                assert verify_pq_colouring(g, p, q, phi) and F(p, q) <= value
+
+
+def test_pq_colouring_refuted_below_a_fractional_ratio():
+    # fdom = 5/2 < 8/3; the search must refute (8:3) rather than hit its cap
+    g = Graph(5, list(complete_bipartite(2, 3).edges()) + [(2, 4)])
+    assert fdom_exact(g).value == F(5, 2)
+    assert pq_colouring_exists(g, 8, 3) is None
+    phi = pq_colouring_exists(g, 5, 2)
+    assert phi is not None and verify_pq_colouring(g, 5, 2, phi)
