@@ -20,7 +20,7 @@ class DistributionError(ValueError):
     pass
 
 
-def _common_denominator(probs: Iterable[Fraction], den: int = 1) -> tuple[int, dict[int, int]]:
+def common_denominator(probs: Iterable[Fraction], den: int = 1) -> tuple[int, dict[int, int]]:
     """D = lcm(den, the denominators of probs), and D // q for each of them."""
     dens = {p.denominator for p in probs}
     big = lcm(den, *dens)
@@ -38,7 +38,7 @@ class DominatingDistribution:
         cleaned = {s: p for s, p in atom_map.items() if p != 0}
         if any(p.numerator < 0 for p in cleaned.values()):
             raise DistributionError("negative atom probability")
-        big, scale = _common_denominator(cleaned.values())
+        big, scale = common_denominator(cleaned.values())
         if sum(p.numerator * scale[p.denominator] for p in cleaned.values()) != big:
             raise DistributionError("probabilities must sum to exactly 1")
         return DominatingDistribution(tuple(sorted(cleaned.items())))
@@ -95,7 +95,7 @@ def scaled_sums(d: DominatingDistribution, n: int, den: int = 1,
     neighbourhood cover misses, which is no vertex for a dominating atom.
     Vertices >= n are ignored.
     """
-    big, scale = _common_denominator((p for _, p in d.atoms), den)
+    big, scale = common_denominator((p for _, p in d.atoms), den)
     member = [0] * n
     missed = [0] * n if g is not None else []
     closed = g.closed_mask if g is not None else ()

@@ -383,22 +383,29 @@ def sample_lnbound(g: Graph, p: Fraction, trials: int, seed: int = 0) -> SampleR
     against p + (1-p)^(delta+1).
 
     Randomness comes from random.Random(seed) (Mersenne Twister), fixed
-    across platforms; Bernoulli draws use integer arithmetic on p's
-    numerator/denominator, so no float enters the sampling path.
+    across platforms.  With p = num/den in lowest terms, each vertex's draw
+    is r = getrandbits(den.bit_length()), redrawn while r >= den, and the
+    vertex is in when r < num.  That is CPython's own uniform draw below
+    den, word for word, with no float and no Python frame per draw.
     """
+    if g.n == 0:
+        raise ValueError("empty graph")
     if not (0 <= p <= 1):
         raise ValueError("p must be in [0,1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    randrange = rng.randrange
+    getrandbits = random.Random(seed).getrandbits
     num, den = p.numerator, p.denominator
+    k = den.bit_length()
     bits = [1 << v for v in range(g.n)]
     tally: dict[int, int] = {}
     for _ in range(trials):
         x = 0
         for b in bits:
-            if randrange(den) < num:
+            r = getrandbits(k)
+            while r >= den:
+                r = getrandbits(k)
+            if r < num:
                 x |= b
         tally[x] = tally.get(x, 0) + 1
     # each distinct draw is completed and counted once, weighted by its tally

@@ -3,7 +3,8 @@
 Both gluing steps partition each input once by an event at the separation
 and couple the parts by one plan: each (mass, left event, right event)
 entry draws the two sides independently given their events, so each
-side's marginal is preserved exactly.
+side's marginal is preserved exactly.  The coupling sums integer
+numerators over one lcm and builds one Fraction per output atom.
 
 glue_at_cutvertex is the order-1 case: the event at the shared vertex v is
 (v in the set / v out but a neighbour in / closed neighbourhood missed),
@@ -21,10 +22,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable
 
 from .distributions import (DistributionError, DominatingDistribution,
-                            colouring_to_distribution, complete_to_r, relabel)
+                            colouring_to_distribution, common_denominator,
+                            complete_to_r, relabel)
 from .graphs import Graph, mask_of
 from .pathtables import path_tables
 from .structure import SuspendedPath
@@ -56,18 +59,31 @@ def _at_pair(u: int, v: int) -> Callable[[int], tuple[int, int]]:
 
 def _couple(plan: list[tuple[Fraction, Group, Group]]) -> DominatingDistribution:
     """The sum over the plan's (mass, left, right) triples of
-    mass * (left conditional x right conditional)."""
-    out: dict[int, Fraction] = {}
+    mass * (left conditional x right conditional), summed on integer
+    numerators over one common denominator."""
+    terms = []
     for mass, left, right in plan:
         if mass == 0:
             continue
         if left.mass == 0 or right.mass == 0:
             raise DistributionError("internal: coupling against a null event")
-        scale = mass / (left.mass * right.mass)
-        for s0, p0 in left.atoms.items():
-            for s1, p1 in right.atoms.items():
+        (den0, scale0), (den1, scale1) = (common_denominator(group.atoms.values())
+                                          for group in (left, right))
+        # unit: the weight of one product of the atoms' numerators over den0, den1
+        unit = mass / (left.mass * right.mass * den0 * den1)
+        terms.append((unit, left.atoms, scale0, right.atoms, scale1))
+    den = lcm(*(term[0].denominator for term in terms))
+    out: dict[int, int | Fraction] = {}
+    for unit, atoms0, scale0, atoms1, scale1 in terms:
+        weight = unit.numerator * (den // unit.denominator)
+        nums1 = [(s, p.numerator * scale1[p.denominator]) for s, p in atoms1.items()]
+        for s0, p0 in atoms0.items():
+            w0 = weight * p0.numerator * scale0[p0.denominator]
+            for s1, a1 in nums1:
                 key = s0 | s1
-                out[key] = out.get(key, Fraction(0)) + scale * p0 * p1
+                out[key] = out.get(key, 0) + w0 * a1
+    for key, a in out.items():  # in place: no second map at the peak
+        out[key] = Fraction(a, den)
     return DominatingDistribution.from_map(out)
 
 

@@ -120,6 +120,14 @@ def test_sample_rejects_zero_denominator(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "error: zero denominator in '1/0'"
 
 
+def test_sample_rejects_the_empty_graph(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    path.write_text("p 0 0\n")
+    assert main(["sample-lnbound", "--in", str(path), "--p", "1/3", "--trials", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: empty graph" and "Traceback" not in err
+
+
 def test_verify_colouring_rejects_too_few_entries(tmp_path, capsys):
     path = triangle_path(tmp_path)
     phi = tmp_path / "phi.json"

@@ -232,6 +232,22 @@ def test_sampler_matches_per_trial_reference(g, p):
         assert sample_lnbound(g, p, 600, seed) == reference_sample(g, p, 600, seed)
 
 
+@pytest.mark.parametrize("p", [F(0), F(1), F(1, 2), F(2, 2 ** 31 + 1), F(5, 2 ** 32 + 3),
+                               F(2 ** 32 + 1, 2 ** 32 + 3), F(1, 12345678901234),
+                               F(5, 2 ** 70 + 25)])
+def test_sampler_draws_match_the_randrange_reference(p):
+    # denominators of 1, 2, 32, 33, 44 and 71 bits: getrandbits takes one
+    # 32-bit word up to den < 2^32 and several above
+    for g in (cycle(7), hypercube(3)):
+        for seed in (3, 11):
+            assert sample_lnbound(g, p, 300, seed) == reference_sample(g, p, 300, seed)
+
+
+def test_sampler_rejects_the_empty_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        sample_lnbound(Graph(0, []), F(1, 2), trials=10)
+
+
 def test_sampler_frequencies_pinned():
     # any change to the sequence of random calls moves these counts
     rep = sample_lnbound(cycle(9), F(3662, 10000), trials=4000, seed=42)

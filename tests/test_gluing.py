@@ -231,13 +231,13 @@ def random_groups(rng, groups):
     return DominatingDistribution.from_map(out)
 
 
-def random_side(rng, k, r):
+def random_side(rng, k, r, groups=random_groups):
     """A connected graph on k vertices with local vertex 0 the cut vertex,
     and a distribution with membership r at 0."""
     edges = {(rng.randrange(w), w) for w in range(1, k)}
     edges |= {(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.3}
-    d = random_groups(rng, [(r, lambda: rng.randrange(1 << k) | 1),
-                            (1 - r, lambda: rng.randrange(1 << k) & ~1)])
+    d = groups(rng, [(r, lambda: rng.randrange(1 << k) | 1),
+                     (1 - r, lambda: rng.randrange(1 << k) & ~1)])
     return Graph(k, edges), d
 
 
@@ -290,19 +290,19 @@ def test_glue_thin_coverage_on_two_edges():
     assert all(out.membership(w) == r for w in range(3))
 
 
-def random_pair_inputs(rng, r, m_uv):
+def random_pair_inputs(rng, r, m_uv, groups=random_groups):
     """A host on 0..5 with membership r at u = 0 and v = 1 and P(both in)
     = m_uv, and path pieces on 0, 1 and internal vertices 6..8."""
     host_rest = lambda: rng.randrange(1 << 6) & ~0b11
-    host = random_groups(rng, [(m_uv, lambda: host_rest() | 0b11),
-                               (r - m_uv, lambda: host_rest() | 0b01),
-                               (r - m_uv, lambda: host_rest() | 0b10),
-                               (1 - 2 * r + m_uv, host_rest)])
+    host = groups(rng, [(m_uv, lambda: host_rest() | 0b11),
+                        (r - m_uv, lambda: host_rest() | 0b01),
+                        (r - m_uv, lambda: host_rest() | 0b10),
+                        (1 - 2 * r + m_uv, host_rest)])
     inner = lambda: rng.randrange(1 << 3) << 6
     third = F(1, 3)
-    d0 = random_groups(rng, [(third, lambda: inner() | 0b01),
-                             (third, lambda: inner() | 0b10), (third, inner)])
-    d1 = random_groups(rng, [(F(1, 2), lambda: inner() | 0b11), (F(1, 2), inner)])
+    d0 = groups(rng, [(third, lambda: inner() | 0b01),
+                      (third, lambda: inner() | 0b10), (third, inner)])
+    d1 = groups(rng, [(F(1, 2), lambda: inner() | 0b11), (F(1, 2), inner)])
     return host, d0, d1
 
 
@@ -316,6 +316,47 @@ def test_extend_over_pair_matches_the_per_event_reference():
         assert out.atoms == reference_extend(host, 0, 1, d0, d1, r).atoms
         assert project(out, range(6)) == host
         assert out.membership(0) == r and out.membership(1) == r
+
+
+LARGE_PRIMES = [2 ** 31 - 1, 10 ** 9 + 7, 10 ** 9 + 9, 10 ** 9 + 21, 10 ** 9 + 33,
+                10 ** 9 + 87, 10 ** 9 + 93, 10 ** 9 + 97, 10 ** 9 + 103]
+
+
+def prime_groups(rng, groups):
+    """Like random_groups, but each group's mass is split over its own large
+    prime, so every group has a different common denominator."""
+    out = {}
+    for (mass, draw), prime in zip(groups, rng.sample(LARGE_PRIMES, len(groups))):
+        if mass == 0:
+            continue
+        cuts = sorted(rng.sample(range(1, prime), rng.randint(0, 3)))
+        for lo, hi in zip([0] + cuts, cuts + [prime]):
+            s = draw()
+            out[s] = out.get(s, F(0)) + mass * F(hi - lo, prime)
+    return DominatingDistribution.from_map(out)
+
+
+def test_coupling_over_large_mixed_denominators_matches_the_references():
+    rng = random.Random(13)
+    rates = [F(1, 5), F(2, 5), F(333333331, 10 ** 9 + 7)]
+    widest = 0
+    for _ in range(60):
+        r = rng.choice(rates)
+        k0, k1 = rng.randint(2, 5), rng.randint(2, 5)
+        g0, d0 = random_side(rng, k0, r, prime_groups)
+        g1, d1 = random_side(rng, k1, r, prime_groups)
+        map0, map1 = list(range(k0)), [0] + list(range(k0, k0 + k1 - 1))
+        out = glue_at_cutvertex(d0, g0, map0, d1, g1, map1, 0, r)
+        assert out.atoms == reference_glue(d0, g0, map0, d1, g1, map1, 0, r).atoms
+        widest = max(widest, *(p.denominator for _, p in out.atoms))
+    for trial in range(60):
+        r = rng.choice(rates)
+        m_uv = F(0) if trial % 2 else r * F(rng.randint(1, 10 ** 9 + 8), 10 ** 9 + 9)
+        host, d0, d1 = random_pair_inputs(rng, r, m_uv, prime_groups)
+        out = extend_over_pair(host, 0, 1, d0, d1, r)
+        assert out.atoms == reference_extend(host, 0, 1, d0, d1, r).atoms
+        widest = max(widest, *(p.denominator for _, p in out.atoms))
+    assert widest > 10 ** 27  # some atom lies over a product of three large primes
 
 
 def test_extend_over_pair_has_both_out_mass():
