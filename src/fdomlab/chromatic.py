@@ -160,10 +160,9 @@ def fractional_chromatic(g: Graph, enum_cap: int = 25) -> FractionalChromaticRes
 
 def _solve_covering(g: Graph, sets: list[int]):
     # min sum x, Ax >= 1, x >= 0  ==  max sum(-x), -Ax <= -1
-    c = [Fraction(-1)] * len(sets)
-    rows = [[Fraction(-1) if (s >> v) & 1 else Fraction(0) for s in sets]
-            for v in range(g.n)]
-    b = [Fraction(-1)] * g.n
+    c = [-1] * len(sets)
+    rows = [[-1 if (s >> v) & 1 else 0 for s in sets] for v in range(g.n)]
+    b = [-1] * g.n
     res = simplex_exact(c, rows, b)
     return -res.value, res.x, res.y
 

@@ -210,7 +210,7 @@ class MultiGraph:
 #
 #   # comment
 #   p <n> <m>
-#   e <u> <v>        (0-based; repeated lines allowed for multigraphs)
+#   e <u> <v>        (0-based; repeated edges allowed for multigraphs only)
 
 
 def write_graph_text(g: Graph | MultiGraph) -> str:
@@ -251,8 +251,16 @@ def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def read_graph_text(text: str) -> Graph:
+    """A simple graph: an edge given twice, in either orientation, is an error
+    (read_multigraph_text keeps parallel edges)."""
     n, edges = _parse_edges(text)
-    return Graph(n, set((min(u, v), max(u, v)) for u, v in edges))
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            raise GraphError(f"repeated edge ({u},{v})")
+        seen.add(e)
+    return Graph(n, seen)
 
 
 def read_multigraph_text(text: str) -> MultiGraph:

@@ -21,12 +21,28 @@ Dantzig's rule on the integer reduced costs and switches to Bland's rule
 after a run of degenerate pivots, which guarantees termination; ratio
 ties go to the smaller basic column index.
 
+Pricing prices every column in one pass of big-integer arithmetic.  Each
+row is packed into one integer whose lane j (a field of `width` bits)
+holds column j's entry, so that
+
+    T = sum_i y_i * packed_i - D * C + bias * ONES,   bias = 2^(width-1),
+
+holds D times column j's reduced cost plus the bias in lane j, where C
+packs the costs.  The width is the least multiple of 64 bits for which
+max|y| * (largest column 1-norm) + D * max|cost| < bias; that bound keeps
+every lane of T in [0, 2^width), so no lane borrows from its neighbour.
+A lane's top bit is clear exactly when its reduced cost is negative:
+Bland's rule takes the lowest such lane, Dantzig's rule the first lane
+of least value.  Both pick the column a per-column scan would.
+
 simplex_exact solves a rational LP on the kernel and checks the primal and
 dual solutions for feasibility and equal objectives before returning them.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -34,6 +50,7 @@ from typing import Iterable, Literal, Sequence
 
 
 BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule takes over
+WORD = 64  # lane widths are multiples of this many bits
 
 
 class LPError(ValueError):
@@ -82,7 +99,12 @@ class IntegerLP:
                 self.artificials.append(len(self.cols))
                 self.cols.append(((i,), (1,), 0))
         self.first = len(self.cols)
-        self.enterable = [True] * self.first
+        self.norm = 1  # the largest column 1-norm
+        # packed[i] = sum of cols[j]'s row-i entry << (j * width), over the
+        # first npacked columns; _pack brings it up to date
+        self.width = WORD
+        self.packed = [0] * m
+        self.npacked = 0
         self.D = 1
         self.M = [[int(i == j) for j in range(m)] for i in range(m)]
         self.beta = [abs(bi) for bi in b]
@@ -93,7 +115,7 @@ class IntegerLP:
         objective coefficient cost; it enters nonbasic at zero."""
         entries = [(i, a * self.sign[i]) for i, a in entries if a]
         self.cols.append((tuple(i for i, _ in entries), tuple(a for _, a in entries), cost))
-        self.enterable.append(True)
+        self.norm = max(self.norm, sum(abs(a) for _, a in entries))
 
     def reoptimize(self) -> None:
         """Optimise from the current basis.  Raises LPInfeasible when phase 1
@@ -115,36 +137,69 @@ class IntegerLP:
             if self.basis[r] in arts:
                 j = next(i for i in range(self.m) if self.M[r][i])
                 self._pivot(r, j, self._column(j), self.sign[j] * self.y[j])
+        # empty the artificial columns: their reduced cost is 0 from now on,
+        # so none can enter again
         for j in arts:
-            self.enterable[j] = False
+            (i,), (a,), _ = self.cols[j]
+            self.packed[i] -= a << (j * self.width)
+            self.cols[j] = ((), (), 0)
         self.artificials = []
-
-    @staticmethod
-    def _dot(vec: list[int], rows: tuple[int, ...], vals: tuple[int, ...]) -> int:
-        return sum([vec[i] * a for i, a in zip(rows, vals)])
 
     def _column(self, j: int) -> list[int]:
         """D * B^-1 a_j."""
         rows, vals, _ = self.cols[j]
-        return [self._dot(Mi, rows, vals) for Mi in self.M]
+        return [sum([Mi[i] * a for i, a in zip(rows, vals)]) for Mi in self.M]
+
+    def _pack(self, width: int) -> None:
+        """Pack the columns added since the last call into the rows, or
+        repack every column when the lane width changes."""
+        if width != self.width:
+            self.width, self.packed, self.npacked = width, [0] * self.m, 0
+        start = self.npacked
+        block = [[0] * (len(self.cols) - start) for _ in range(self.m)]
+        for j, (rows, vals, _) in enumerate(self.cols[start:]):
+            for i, a in zip(rows, vals):
+                block[i][j] = a
+        self.packed = [p + (_pack_lanes(row, width) << (start * width))
+                       for p, row in zip(self.packed, block)]
+        self.npacked = len(self.cols)
 
     def _run(self, costs: list[int]) -> None:
         self.y = [sum(costs[self.basis[i]] * self.M[i][k] for i in range(self.m))
                   for k in range(self.m)]
+        max_cost = max(map(abs, costs), default=0)
+        self._pack(self.width)
+        lanes_for = 0  # the width that C and high were packed at
         degenerate_run = 0
         while True:
             y, D = self.y, self.D
-            bland = degenerate_run >= BLAND_AFTER
-            q, dq = -1, 0
-            for j, (rows, vals, _) in enumerate(self.cols):
-                if self.enterable[j]:
-                    d = self._dot(y, rows, vals) - D * costs[j]
-                    if d < dq:
-                        q, dq = j, d
-                        if bland:
-                            break
-            if q < 0:
+            bound = max(map(abs, y), default=0) * self.norm + D * max_cost
+            if bound.bit_length() >= self.width:  # bound >= bias: widen the lanes
+                self._pack(WORD * (bound.bit_length() // WORD + 1))
+            width = self.width
+            if lanes_for != width:
+                nbytes, bias = width // 8, 1 << (width - 1)
+                C = _pack_lanes(costs, width)
+                high = int.from_bytes((bytes(nbytes - 1) + b"\x80") * len(costs), "little")
+                lanes_for = width
+            T = sum([yi * p for yi, p in zip(y, self.packed) if yi]) - D * C + high
+            negative = high & ~T  # the top bit of each lane with a negative reduced cost
+            if not negative:
                 return
+            if degenerate_run >= BLAND_AFTER:
+                q = ((negative & -negative).bit_length() - 1) // width
+                dq = ((T >> (q * width)) & ((1 << width) - 1)) - bias
+            else:
+                raw = T.to_bytes(nbytes * len(costs), "little")
+                if width == WORD:
+                    lanes = array("Q", raw)
+                    if sys.byteorder == "big":
+                        lanes.byteswap()
+                else:
+                    lanes = [int.from_bytes(raw[k:k + nbytes], "little")
+                             for k in range(0, len(raw), nbytes)]
+                least = min(lanes)
+                q, dq = lanes.index(least), least - bias
             alpha = self._column(q)
             beta, basis = self.beta, self.basis
             r = -1
@@ -201,8 +256,17 @@ class IntegerLP:
         return [Fraction(v, self.D) for v in self.scaled_duals()]
 
 
-def simplex_exact(c: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
-                  b: Sequence[Fraction]) -> SimplexResult:
+def _pack_lanes(values: list[int], width: int) -> int:
+    """sum(v << (j * width) for j, v in enumerate(values)), built by halves
+    so that it takes O(len * log len) word operations, not O(len^2)."""
+    if len(values) <= 16:
+        return sum([v << (j * width) for j, v in enumerate(values) if v])
+    h = len(values) // 2
+    return _pack_lanes(values[:h], width) + (_pack_lanes(values[h:], width) << (h * width))
+
+
+def simplex_exact(c: Sequence[Fraction | int], rows: Sequence[Sequence[Fraction | int]],
+                  b: Sequence[Fraction | int]) -> SimplexResult:
     """Solve max c.x s.t. rows.x <= b, x >= 0 exactly.
 
     Raises LPInfeasible / LPUnbounded; otherwise returns the optimum with a
@@ -213,38 +277,54 @@ def simplex_exact(c: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
         raise LPError("dimension mismatch")
     c = [Fraction(v) for v in c]
     b = [Fraction(v) for v in b]
-    A = [[Fraction(v) for v in r] for r in rows]
+    A = [[(j, Fraction(v)) for j, v in enumerate(r) if v] for r in rows]
 
     # integer data: each row and the objective times the lcm of their
     # denominators; x is unchanged, row i's dual scales by row_scale[i]/obj_scale
-    row_scale = [lcm(bi.denominator, *(a.denominator for a in r)) for r, bi in zip(A, b)]
+    row_scale = [lcm(bi.denominator, *(a.denominator for _, a in r)) for r, bi in zip(A, b)]
     obj_scale = lcm(*(v.denominator for v in c))
-    lp = IntegerLP([int(bi * s) for bi, s in zip(b, row_scale)])
-    for j in range(n):
-        lp.add_column([(i, int(A[i][j] * row_scale[i])) for i in range(m)],
-                      int(c[j] * obj_scale))
+    A = [[(j, a.numerator * (s // a.denominator)) for j, a in r] for r, s in zip(A, row_scale)]
+    b = [bi.numerator * (s // bi.denominator) for bi, s in zip(b, row_scale)]
+    c = [v.numerator * (obj_scale // v.denominator) for v in c]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, r in enumerate(A):
+        for j, a in r:
+            cols[j].append((i, a))
+    lp = IntegerLP(b)
+    for col, cj in zip(cols, c):
+        lp.add_column(col, cj)
     lp.reoptimize()
-    x = lp.primal()
-    y = [yi * s / obj_scale for yi, s in zip(lp.duals(), row_scale)]
-    value = lp.value() / obj_scale
+    x, y, value = lp.primal(), lp.duals(), lp.value()
 
-    _check_pair(c, A, b, x, y, value)
-    return SimplexResult("optimal", value, x, y)
+    _check_pair(c, A, cols, b, x, y, value)
+    return SimplexResult("optimal", value / obj_scale, x,
+                         [yi * s / obj_scale for yi, s in zip(y, row_scale)])
 
 
-def _check_pair(c, A, b, x, y, value) -> None:
-    n, m = len(c), len(A)
-    if any(xi < 0 for xi in x):
+def _over_common_denominator(v: list[Fraction]) -> tuple[list[int], int]:
+    den = lcm(*(f.denominator for f in v))
+    return [f.numerator * (den // f.denominator) for f in v], den
+
+
+def _check_pair(c, A, cols, b, x, y, value) -> None:
+    """Optimality of the primal x and dual y of max c.x s.t. Ax <= b, x >= 0
+    on the integer data (rows times row_scale, costs times obj_scale), A
+    given sparse by rows and by columns; x and y are checked as integer
+    vectors over their own common denominators."""
+    X, dx = _over_common_denominator(x)
+    Y, dy = _over_common_denominator(y)
+    if any(xi < 0 for xi in X):
         raise LPError("internal: primal negativity")
-    for i in range(m):
-        if sum(A[i][j] * x[j] for j in range(n)) > b[i]:
+    for row, bi in zip(A, b):
+        if sum(a * X[j] for j, a in row) > bi * dx:
             raise LPError("internal: primal infeasibility")
-    if any(yi < 0 for yi in y):
+    if any(yi < 0 for yi in Y):
         raise LPError("internal: dual negativity")
-    for j in range(n):
-        if sum(A[i][j] * y[i] for i in range(m)) < c[j]:
+    for col, cj in zip(cols, c):
+        if sum(a * Y[i] for i, a in col) < cj * dy:
             raise LPError("internal: dual infeasibility")
-    primal_obj = sum(ci * xi for ci, xi in zip(c, x))
-    dual_obj = sum(bi * yi for bi, yi in zip(b, y))
-    if not (primal_obj == dual_obj == value):
+    primal_obj = sum(ci * xi for ci, xi in zip(c, X))  # over dx
+    dual_obj = sum(bi * yi for bi, yi in zip(b, Y))  # over dy
+    if not (primal_obj * dy == dual_obj * dx
+            and primal_obj * value.denominator == value.numerator * dx):
         raise LPError("internal: duality gap")

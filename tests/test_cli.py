@@ -164,6 +164,15 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--in", path]) == 2
 
 
+def test_repeated_edge_in_a_graph_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.graph"
+    path.write_text("p 3 2\ne 0 1\ne 1 0\n")
+    assert main(["fdom", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: repeated edge (1,0)"
+
+
 def test_cap_exit(tmp_path, capsys):
     path = write_graph(tmp_path, cycle(21))
     assert main(["fdom", "--in", path, "--colgen"]) == 0

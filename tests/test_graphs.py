@@ -60,8 +60,16 @@ def test_text_comments_and_multigraph():
     text = "# a triangle with one doubled edge\np 3 4\ne 0 1\ne 0 1\ne 1 2\ne 2 0\n"
     h = read_multigraph_text(text)
     assert h.mult[(0, 1)] == 2
-    g = read_graph_text(text)
-    assert g.m == 3
+    with pytest.raises(GraphError, match=r"repeated edge \(0,1\)"):
+        read_graph_text(text)
+
+
+def test_simple_graph_loader_rejects_a_repeated_edge_in_either_orientation():
+    text = "p 3 2\ne 0 1\ne 1 0\n"
+    with pytest.raises(GraphError, match=r"repeated edge \(1,0\)"):
+        read_graph_text(text)
+    assert read_multigraph_text(text).mult[(0, 1)] == 2
+    assert read_graph_text("p 3 2\ne 0 1\ne 2 1\n").m == 2
 
 
 def test_mask_helpers():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fdomlab import simplex
 from fdomlab.simplex import IntegerLP, LPInfeasible, LPUnbounded, simplex_exact
 
 
@@ -155,3 +156,100 @@ def test_integer_inverse_after_every_pivot():
                                            ([(0, -1), (1, -2)], -1)])
     assert lp.value() == -1
     assert all(j < lp.m or j >= lp.first for j in lp.basis)
+
+
+class PricingChecked(IntegerLP):
+    """Checks every entering column against reduced costs computed here,
+    one column at a time, from cols, y and D: Dantzig's rule takes the
+    first column of least negative reduced cost, Bland's rule (after
+    BLAND_AFTER degenerate pivots in a row) the first negative one, and an
+    optimal run leaves none negative."""
+
+    def __init__(self, b):
+        super().__init__(b)
+        self.pricing = False
+        self.widths = []  # the lane width at each priced pivot
+
+    def reduced_costs(self):
+        return [sum(self.y[i] * a for i, a in zip(rows, vals)) - self.D * self.costs[j]
+                for j, (rows, vals, _) in enumerate(self.cols)]
+
+    def _run(self, costs):
+        self.costs, self.pricing, self.degenerate_run = costs, True, 0
+        super()._run(costs)
+        self.pricing = False
+        assert min(self.reduced_costs()) >= 0
+
+    def _pivot(self, r, q, alpha, dq):
+        if self.pricing:
+            d = self.reduced_costs()
+            if self.degenerate_run >= simplex.BLAND_AFTER:
+                want = next(j for j, v in enumerate(d) if v < 0)
+            else:
+                want = d.index(min(d))
+            assert (q, dq) == (want, d[want]) and dq < 0
+            self.degenerate_run = self.degenerate_run + 1 if self.beta[r] == 0 else 0
+            self.widths.append(self.width)
+        super()._pivot(r, q, alpha, dq)
+
+
+def _random_columns(rng, m, scale):
+    b = [rng.randint(-3, 6) * scale for _ in range(m)]
+    columns = [([(i, -1)], -5) for i in range(m) if b[i] < 0]
+    for _ in range(rng.randint(1, 8)):
+        columns.append(([(i, rng.randint(-3, 4) * scale) for i in range(m)],
+                        rng.randint(-3, 4)))
+    return b, columns
+
+
+@pytest.mark.parametrize("bland_after", [simplex.BLAND_AFTER, 0])
+def test_packed_pricing_picks_the_per_column_choice(monkeypatch, bland_after):
+    monkeypatch.setattr(simplex, "BLAND_AFTER", bland_after)
+    rng = random.Random(13)
+    priced = grown = 0
+    # entries of 2^30 push D and y past 64-bit lanes partway through a run
+    for scale in [1] * 200 + [1 << 30] * 80:
+        b, columns = _random_columns(rng, rng.randint(1, 5), scale)
+        lp = PricingChecked(b)
+        for entries, cost in columns:
+            lp.add_column(entries, cost)
+        try:
+            lp.reoptimize()
+        except (LPInfeasible, LPUnbounded):
+            continue
+        priced += len(lp.widths)
+        grown += bool(lp.widths) and lp.widths[0] == simplex.WORD < lp.widths[-1]
+    assert priced > 250 and grown > 8
+
+
+BEALE = ([0, 0, 1], [([(0, 25), (1, 50)], 75), ([(0, -6000), (1, -9000)], -15000),
+                     ([(0, -4), (1, -2), (2, 1)], 2), ([(0, 900), (1, 300)], -600)])
+
+
+def test_objective_times_2_70_needs_wide_lanes_and_scales_the_value():
+    big = 1 << 70
+    for b, columns in [BEALE] + [_random_columns(random.Random(s), 4, 1) for s in range(40)]:
+        results = []
+        for scale in (1, big):
+            lp = PricingChecked(b)
+            for entries, cost in columns:
+                lp.add_column(entries, cost * scale)
+            try:
+                lp.reoptimize()
+            except (LPInfeasible, LPUnbounded) as exc:
+                results.append(type(exc))
+                continue
+            results.append((lp.primal(), lp.value()))
+            assert lp.width == (simplex.WORD if scale == 1 else 2 * simplex.WORD)
+        if isinstance(results[0], tuple):
+            assert results[1] == (results[0][0], results[0][1] * big)
+        else:
+            assert results[1] is results[0]
+    # the same through simplex_exact, on Beale's rational form
+    c = [F(3, 4), F(-150), F(1, 50), F(-6)]
+    rows = [[F(1, 4), F(-60), F(-1, 25), F(9)],
+            [F(1, 2), F(-90), F(-1, 50), F(3)],
+            [F(0), F(0), F(1), F(0)]]
+    small = simplex_exact(c, rows, [0, 0, 1])
+    scaled = simplex_exact([v * big for v in c], rows, [0, 0, 1])
+    assert scaled.x == small.x and scaled.value == small.value * big == F(big, 20)

@@ -1,7 +1,9 @@
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fdomlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fdomlab"
 
 
 def test_no_assert_statements_in_the_package():
@@ -43,3 +45,17 @@ def test_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_bench_binding_resolves(monkeypatch):
+    # a traced bench pass rebinds these names and reports the missing ones
+    # only at run time, so a rename in the package must fail here first
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    missing = [f"{module.__name__}.{name}" for module, name, _, _ in layers.BINDINGS
+               if not callable(getattr(module, name, None))]
+    assert missing == []
+    bound = {span for _, _, span, _ in layers.BINDINGS}
+    unbound = [f"{workload}: {span}" for workload, spans in layers.REQUIRED.items()
+               for span in spans if span not in bound]
+    assert unbound == []
