@@ -140,7 +140,8 @@ def _construct(g: Graph) -> DominatingDistribution:
 
 def _edge_case(r: Fraction) -> DominatingDistribution:
     """K2: each endpoint present with probability r, never both."""
-    return DominatingDistribution.from_map({0b01: r, 0b10: r, 0: 1 - 2 * r})
+    a, den = r.numerator, r.denominator
+    return DominatingDistribution.from_numerators(den, [(0b01, a), (0b10, a), (0, den - 2 * a)])
 
 
 def _cycle_case(g: Graph, r: Fraction) -> DominatingDistribution:
@@ -240,13 +241,13 @@ def _twin_case(g: Graph, p: SuspendedPath, q: SuspendedPath,
 def _mirror(d: DominatingDistribution, copies: dict[int, int]) -> DominatingDistribution:
     """Add each new vertex exactly to the atoms containing its twin."""
     pairs = []
-    for s, p in d.atoms:
+    for s, a in d.atoms:
         t = s
         for new, old in copies.items():
             if (s >> old) & 1:
                 t |= 1 << new
-        pairs.append((t, p))
-    return DominatingDistribution.from_pairs(pairs)
+        pairs.append((t, a))
+    return DominatingDistribution.from_numerators(d.den, pairs)
 
 
 # -- suspended 3-path outside any hammock: contraction -------------------
@@ -267,29 +268,29 @@ def _contract_3path_case(g: Graph, p: SuspendedPath) -> DominatingDistribution:
     d0 = _mirror(relabel(_construct(reduced), keep), {v: u})
 
     nu, nv = g.closed_mask[u], g.closed_mask[v]
-    p_u_bad = sum((pr for s, pr in d0.atoms if not (s & nu)), Fraction(0))
-    p_v_bad = sum((pr for s, pr in d0.atoms if not (s & nv)), Fraction(0))
+    u_bad = sum(a for s, a in d0.atoms if not (s & nu))
+    v_bad = sum(a for s, a in d0.atoms if not (s & nv))
 
-    out: list[tuple[int, Fraction]] = []
-    fifth = Fraction(1, 5)
-    for s, pr in d0.atoms:
+    # numerators over 2 * d0.den, so an atom's halves stay integers
+    out: list[tuple[int, int]] = []
+    for s, a in d0.atoms:
         u_dom, v_dom = bool(s & nu), bool(s & nv)
         u_in, v_in = bool((s >> u) & 1), bool((s >> v) & 1)
         if not u_dom:
-            out.append((s | (1 << x), pr))
+            out.append((s | (1 << x), 2 * a))
         elif not v_dom:
-            out.append((s | (1 << y), pr))
+            out.append((s | (1 << y), 2 * a))
         elif not u_in and not v_in:
-            if p_v_bad >= fifth:
-                out.append((s | (1 << x), pr))
-            elif p_u_bad >= fifth:
-                out.append((s | (1 << y), pr))
+            if 5 * v_bad >= d0.den:
+                out.append((s | (1 << x), 2 * a))
+            elif 5 * u_bad >= d0.den:
+                out.append((s | (1 << y), 2 * a))
             else:
-                out.append((s | (1 << x), pr / 2))
-                out.append((s | (1 << y), pr / 2))
+                out.append((s | (1 << x), a))
+                out.append((s | (1 << y), a))
         else:
-            out.append((s, pr))
-    return complete_to_r(DominatingDistribution.from_pairs(out), R25, g.n)
+            out.append((s, 2 * a))
+    return complete_to_r(DominatingDistribution.from_numerators(2 * d0.den, out), R25, g.n)
 
 
 # -- long suspended paths ------------------------------------------------

@@ -1,75 +1,82 @@
 """Finite-support random vertex sets with exact rational probabilities.
 
-A distribution is a list of (vertex bitmask, probability) atoms summing to
-exactly 1.  These are the f-dominating r-colourings of the constructive
-machinery: per-vertex membership probability exactly r, per-vertex
-domination probability at least the demand f(v).
+A distribution is one denominator and a list of (vertex bitmask, integer
+numerator) atoms whose numerators sum to it.  These are the f-dominating
+r-colourings of the constructive machinery: per-vertex membership
+probability exactly r, per-vertex domination probability at least the
+demand f(v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Graph, fraction_from_pair, mask_of, mask_to_list
+from .graphs import (Graph, fraction_from_pair, json_list, mask_of,
+                     mask_to_list, vertex_list)
 
 
 class DistributionError(ValueError):
     pass
 
 
-def common_denominator(probs: Iterable[Fraction], den: int = 1) -> tuple[int, dict[int, int]]:
-    """D = lcm(den, the denominators of probs), and D // q for each of them."""
-    dens = {p.denominator for p in probs}
-    big = lcm(den, *dens)
-    return big, {q: big // q for q in dens}
-
-
 @dataclass(frozen=True)
 class DominatingDistribution:
-    """Deduplicated support atoms (bitmask -> probability > 0), summing to 1."""
+    """Atoms (bitmask, numerator > 0) over den: the masks sorted and
+    unique, the numerators summing to den, and gcd(den, *numerators) == 1,
+    so den is the least common denominator of the probabilities."""
 
-    atoms: tuple[tuple[int, Fraction], ...]
+    den: int
+    atoms: tuple[tuple[int, int], ...]
 
     @staticmethod
-    def from_map(atom_map: dict[int, Fraction]) -> "DominatingDistribution":
-        cleaned = {s: p for s, p in atom_map.items() if p != 0}
-        if any(p.numerator < 0 for p in cleaned.values()):
+    def from_numerators(den: int, pairs: Iterable[tuple[int, int]]) -> "DominatingDistribution":
+        """The distribution of (mask, numerator over den) pairs: repeated
+        masks summed, zero atoms dropped, and den and the numerators
+        divided by their gcd."""
+        atom_map: dict[int, int] = {}
+        for s, a in pairs:
+            atom_map[s] = atom_map.get(s, 0) + a
+        if any(a < 0 for a in atom_map.values()):
             raise DistributionError("negative atom probability")
-        big, scale = common_denominator(cleaned.values())
-        if sum(p.numerator * scale[p.denominator] for p in cleaned.values()) != big:
+        if sum(atom_map.values()) != den:
             raise DistributionError("probabilities must sum to exactly 1")
-        return DominatingDistribution(tuple(sorted(cleaned.items())))
+        k = gcd(den, *atom_map.values())
+        return DominatingDistribution(
+            den // k, tuple(sorted((s, a // k) for s, a in atom_map.items() if a)))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, Fraction]]) -> "DominatingDistribution":
-        """Like from_map, with the probabilities of repeated bitmasks summed."""
-        atom_map: dict[int, Fraction] = {}
-        for s, p in pairs:
-            atom_map[s] = atom_map[s] + p if s in atom_map else p
-        return DominatingDistribution.from_map(atom_map)
-
-    def membership(self, v: int) -> Fraction:
-        return sum((p for s, p in self.atoms if (s >> v) & 1), Fraction(0))
-
-    def dominated_prob(self, g: Graph, v: int) -> Fraction:
-        nb = g.closed_mask[v]
-        return sum((p for s, p in self.atoms if s & nb), Fraction(0))
+        """from_numerators over the lcm of the probabilities' denominators."""
+        pairs = list(pairs)
+        den = lcm(*(p.denominator for _, p in pairs))
+        return DominatingDistribution.from_numerators(
+            den, ((s, p.numerator * (den // p.denominator)) for s, p in pairs))
 
     def to_json(self, r: Fraction) -> dict:
-        return {
-            "r": [str(r.numerator), str(r.denominator)],
-            "atoms": [{"set": mask_to_list(s), "p": [str(p.numerator), str(p.denominator)]}
-                      for s, p in self.atoms],
-        }
+        def pair(x: Fraction) -> list[str]:
+            return [str(x.numerator), str(x.denominator)]
+        return {"r": pair(r), "atoms": [{"set": mask_to_list(s), "p": pair(Fraction(a, self.den))}
+                                        for s, a in self.atoms]}
 
     @staticmethod
     def from_json(obj: dict) -> tuple["DominatingDistribution", Fraction]:
+        atoms = json_list(obj, "atoms")
         r = fraction_from_pair(obj["r"])
         return DominatingDistribution.from_pairs(
-            (mask_of(a["set"]), fraction_from_pair(a["p"])) for a in obj["atoms"]), r
+            (mask_of(vertex_list(json_list(a, "set"))), fraction_from_pair(a["p"]))
+            for a in atoms), r
+
+
+def _out_of_range(d: DominatingDistribution, n: int) -> str | None:
+    """The message for the lowest vertex >= n in the first atom holding one."""
+    for s, _ in d.atoms:
+        high = s >> n
+        if high:
+            return f"vertex {n + (high & -high).bit_length() - 1} out of range for n={n}"
+    return None
 
 
 DemandFunction = Callable[[int], Fraction]
@@ -84,25 +91,23 @@ def standard_demand(g: Graph) -> DemandFunction:
     return lambda v: Fraction(4, 5) if g.degree(v) == 1 else Fraction(1)
 
 
-def scaled_sums(d: DominatingDistribution, n: int, den: int = 1,
-                g: Graph | None = None) -> tuple[int, list[int], list[int]]:
-    """(D, member, dom): D = lcm(den, atom denominators), and the integer
-    numerators over D of the membership and, given g, of the domination
-    probability of vertices 0..n-1 (dom is empty without g).
+def scaled_sums(d: DominatingDistribution, n: int,
+                g: Graph | None = None) -> tuple[list[int], list[int]]:
+    """(member, dom): the numerators over d.den of the membership and, given
+    g, of the domination probability of vertices 0..n-1 (dom is empty
+    without g).
 
     One pass over the atoms: each numerator is added to every vertex of the
     atom, and subtracted from the total at every vertex its closed-
     neighbourhood cover misses, which is no vertex for a dominating atom.
     Vertices >= n are ignored.
     """
-    big, scale = common_denominator((p for _, p in d.atoms), den)
     member = [0] * n
     missed = [0] * n if g is not None else []
     closed = g.closed_mask if g is not None else ()
     full = (1 << n) - 1
     total = 0
-    for s, p in d.atoms:
-        num = p.numerator * scale[p.denominator]
+    for s, num in d.atoms:
         total += num
         cover = 0
         u = s & full
@@ -118,30 +123,27 @@ def scaled_sums(d: DominatingDistribution, n: int, den: int = 1,
             low = u & -u
             missed[low.bit_length() - 1] += num
             u ^= low
-    return big, member, [total - m for m in missed]
+    return member, [total - m for m in missed]
 
 
 def verify_f_dominating(g: Graph, d: DominatingDistribution, f: DemandFunction,
                         r: Fraction) -> tuple[bool, str]:
     """Exact check that every atom lies in the graph, every membership is r
     and every domination probability meets f.  The sums are integer
-    numerators over D, the lcm of r's and the atoms' denominators
-    (`scaled_sums`); a failing value is rebuilt as a Fraction only for its
+    numerators over d.den (`scaled_sums`), compared with r and f by cross
+    multiplication; a failing value is rebuilt as a Fraction only for its
     message.
     """
-    for s, _ in d.atoms:
-        high = s >> g.n
-        if high:
-            v = g.n + (high & -high).bit_length() - 1
-            return False, f"vertex {v} out of range for n={g.n}"
-    big, member, dom = scaled_sums(d, g.n, r.denominator, g)
-    target = r.numerator * (big // r.denominator)
+    high = _out_of_range(d, g.n)
+    if high:
+        return False, high
+    member, dom = scaled_sums(d, g.n, g)
     for v in range(g.n):
-        if member[v] != target:
-            return False, f"membership {Fraction(member[v], big)} != {r} at vertex {v}"
+        if member[v] * r.denominator != r.numerator * d.den:
+            return False, f"membership {Fraction(member[v], d.den)} != {r} at vertex {v}"
         demand = f(v)
-        if dom[v] * demand.denominator < demand.numerator * big:
-            return False, f"domination {Fraction(dom[v], big)} < demand {demand} at vertex {v}"
+        if dom[v] * demand.denominator < demand.numerator * d.den:
+            return False, f"domination {Fraction(dom[v], d.den)} < demand {demand} at vertex {v}"
     return True, "ok"
 
 
@@ -178,37 +180,39 @@ class FractionalColouring:
 
     @staticmethod
     def from_json(obj: dict) -> "FractionalColouring":
+        phi = json_list(obj, "phi")
+        if type(obj["p"]) is not int or type(obj["q"]) is not int:
+            raise DistributionError("colouring needs integer p and q")
         return FractionalColouring(obj["p"], obj["q"],
-                                   tuple(frozenset(s) for s in obj["phi"]))
+                                   tuple(frozenset(vertex_list(s)) for s in phi))
 
 
 def colouring_to_distribution(phi: FractionalColouring) -> DominatingDistribution:
     """A uniformly random colour class: membership q/p for every vertex."""
-    unit = Fraction(1, phi.p)
-    return DominatingDistribution.from_pairs(
-        (phi.colour_class(i), unit) for i in range(1, phi.p + 1))
+    return DominatingDistribution.from_numerators(
+        phi.p, ((phi.colour_class(i), 1) for i in range(1, phi.p + 1)))
 
 
 def distribution_to_colouring(d: DominatingDistribution, n: int) -> FractionalColouring:
-    """Replicate atoms into p = lcm-of-denominators colour slots; requires a
-    constant membership r, giving q = r*p colours per vertex."""
-    p, member, _ = scaled_sums(d, n)
+    """Replicate each atom into numerator-many of p = d.den colour slots;
+    requires a constant membership r, giving q = r*p colours per vertex."""
+    high = _out_of_range(d, n)
+    if high:
+        raise DistributionError(high)
+    member, _ = scaled_sums(d, n)
     q = member[0] if n else 0
     if any(m != q for m in member):
         raise DistributionError("membership is not constant across vertices")
     assignment: list[set[int]] = [set() for _ in range(n)]
     slot = 1
-    for s, pr in d.atoms:
-        copies = pr * p
-        if copies.denominator != 1:
-            raise DistributionError(f"atom probability {pr} is not a multiple of 1/{p}")
-        for _ in range(int(copies)):
+    for s, copies in d.atoms:
+        for _ in range(copies):
             for v in mask_to_list(s):
                 assignment[v].add(slot)
             slot += 1
-    if slot != p + 1:
-        raise DistributionError(f"{slot - 1} colour slots for p = {p}")
-    return FractionalColouring(p, q, tuple(frozenset(a) for a in assignment))
+    if slot != d.den + 1:
+        raise DistributionError(f"{slot - 1} colour slots for p = {d.den}")
+    return FractionalColouring(d.den, q, tuple(frozenset(a) for a in assignment))
 
 
 # -- membership completion (derandomised) ------------------------------
@@ -223,14 +227,16 @@ def complete_to_r(d: DominatingDistribution, r: Fraction, n: int) -> DominatingD
     of it, so domination probabilities never decrease; support grows by at
     most one atom per vertex.
 
-    The masses are integer numerators over D, the lcm of r's and the atoms'
-    denominators.  The memberships are summed once, up front: moving mass from s to
+    The masses are integer numerators over D = lcm(d.den, r's denominator).
+    The memberships are summed once, up front: moving mass from s to
     s | {v} changes the membership of no vertex but v, so each vertex still
     has its starting membership when its turn comes.
     """
-    big, member, _ = scaled_sums(d, n, r.denominator)
+    big = lcm(d.den, r.denominator)
+    scale = big // d.den
+    member = [m * scale for m in scaled_sums(d, n)[0]]
     target = r.numerator * (big // r.denominator)
-    atom_map = {s: p.numerator * (big // p.denominator) for s, p in d.atoms}
+    atom_map = {s: a * scale for s, a in d.atoms}
     for v in range(n):
         if member[v] > target:
             raise DistributionError(
@@ -252,7 +258,7 @@ def complete_to_r(d: DominatingDistribution, r: Fraction, n: int) -> DominatingD
         if need != 0:
             raise DistributionError(f"insufficient mass to complete membership at vertex {v}")
         atom_map = {s: p for s, p in atom_map.items() if p != 0}
-    return DominatingDistribution.from_map({s: Fraction(p, big) for s, p in atom_map.items()})
+    return DominatingDistribution.from_numerators(big, atom_map.items())
 
 
 def cycle_distribution(n: int) -> DominatingDistribution:
@@ -261,13 +267,12 @@ def cycle_distribution(n: int) -> DominatingDistribution:
     if n < 3:
         raise DistributionError("cycle needs n >= 3")
     base = list(range(0, n, 3))  # gaps of 3, final wrap gap <= 3: dominating
-    unit = Fraction(1, n)
-    return DominatingDistribution.from_pairs(
-        (mask_of((v + shift) % n for v in base), unit) for shift in range(n))
+    return DominatingDistribution.from_numerators(
+        n, ((mask_of((v + shift) % n for v in base), 1) for shift in range(n)))
 
 
 def point_mass(mask: int) -> DominatingDistribution:
-    return DominatingDistribution.from_map({mask: Fraction(1)})
+    return DominatingDistribution(1, ((mask, 1),))
 
 
 def relabel(d: DominatingDistribution, mapping: Sequence[int]) -> DominatingDistribution:
@@ -275,12 +280,12 @@ def relabel(d: DominatingDistribution, mapping: Sequence[int]) -> DominatingDist
     if list(mapping) == list(range(len(mapping))):
         return d
     pairs = []
-    for s, p in d.atoms:
+    for s, a in d.atoms:
         t = 0
         u = s
         while u:
             low = u & -u
             t |= 1 << mapping[low.bit_length() - 1]
             u ^= low
-        pairs.append((t, p))
-    return DominatingDistribution.from_pairs(pairs)
+        pairs.append((t, a))
+    return DominatingDistribution.from_numerators(d.den, pairs)

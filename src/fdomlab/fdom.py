@@ -20,7 +20,8 @@ from .domset import (CapExceeded, complete_to_dominating, coverage,
                      dominating_colouring, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
                      min_weight_dominating_set, verify_bottleneck)
-from .graphs import Graph, fraction_from_pair, iter_mask, mask_of, mask_to_list
+from .graphs import (Graph, fraction_from_pair, iter_mask, json_list, mask_of,
+                     mask_to_list, vertex_list)
 from .iso import orbits
 from .simplex import IntegerLP
 from .structure import Hammock
@@ -74,11 +75,13 @@ class FdomResult:
 
 
 def certificate_from_json(obj: dict) -> PrimalCertificate | DualCertificate:
-    if obj.get("type") == "primal":
-        cols = [(mask_of(c["set"]), fraction_from_pair(c["x"])) for c in obj["columns"]]
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind == "primal":
+        cols = [(mask_of(vertex_list(json_list(c, "set"))), fraction_from_pair(c["x"]))
+                for c in json_list(obj, "columns")]
         return PrimalCertificate(cols, fraction_from_pair(obj["value"]))
-    if obj.get("type") == "dual":
-        return DualCertificate([fraction_from_pair(w) for w in obj["weights"]])
+    if kind == "dual":
+        return DualCertificate([fraction_from_pair(w) for w in json_list(obj, "weights")])
     raise CertificateError("unknown certificate type")
 
 

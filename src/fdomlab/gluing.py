@@ -3,8 +3,9 @@
 Both gluing steps partition each input once by an event at the separation
 and couple the parts by one plan: each (mass, left event, right event)
 entry draws the two sides independently given their events, so each
-side's marginal is preserved exactly.  The coupling sums integer
-numerators over one lcm and builds one Fraction per output atom.
+side's marginal is preserved exactly.  The coupling sums the groups'
+integer numerators over one denominator: the lcm of the plan entries'
+unit weights.
 
 glue_at_cutvertex is the order-1 case: the event at the shared vertex v is
 (v in the set / v out but a neighbour in / closed neighbourhood missed),
@@ -26,8 +27,7 @@ from math import lcm
 from typing import Callable, Hashable
 
 from .distributions import (DistributionError, DominatingDistribution,
-                            colouring_to_distribution, common_denominator,
-                            complete_to_r, relabel)
+                            colouring_to_distribution, complete_to_r, relabel)
 from .graphs import Graph, mask_of
 from .pathtables import path_tables
 from .structure import SuspendedPath
@@ -35,20 +35,25 @@ from .structure import SuspendedPath
 
 @dataclass
 class Group:
-    """The atoms of a distribution that share an event, and their mass."""
-    atoms: dict[int, Fraction] = field(default_factory=dict)
-    mass: Fraction = Fraction(0)
+    """The atoms (numerators over den) of a distribution that share an event, and their mass."""
+    den: int
+    atoms: dict[int, int] = field(default_factory=dict)
+    mass: int = 0
+
+    @property
+    def prob(self) -> Fraction:
+        return Fraction(self.mass, self.den)
 
 
 def _by_event(d: DominatingDistribution,
               event: Callable[[int], Hashable]) -> defaultdict[Hashable, Group]:
     """d's atoms grouped by event(atom) in one pass; an event no atom has
     reads as an empty group of mass 0."""
-    groups: defaultdict[Hashable, Group] = defaultdict(Group)
-    for s, p in d.atoms:
+    groups: defaultdict[Hashable, Group] = defaultdict(lambda: Group(d.den))
+    for s, a in d.atoms:
         group = groups[event(s)]
-        group.atoms[s] = p
-        group.mass += p
+        group.atoms[s] = a
+        group.mass += a
     return groups
 
 
@@ -59,32 +64,26 @@ def _at_pair(u: int, v: int) -> Callable[[int], tuple[int, int]]:
 
 def _couple(plan: list[tuple[Fraction, Group, Group]]) -> DominatingDistribution:
     """The sum over the plan's (mass, left, right) triples of
-    mass * (left conditional x right conditional), summed on integer
-    numerators over one common denominator."""
+    mass * (left conditional x right conditional): a product of two atoms
+    weighs mass / (left.mass * right.mass) per unit of their numerators'
+    product, summed over the lcm of those unit weights' denominators."""
     terms = []
     for mass, left, right in plan:
         if mass == 0:
             continue
         if left.mass == 0 or right.mass == 0:
             raise DistributionError("internal: coupling against a null event")
-        (den0, scale0), (den1, scale1) = (common_denominator(group.atoms.values())
-                                          for group in (left, right))
-        # unit: the weight of one product of the atoms' numerators over den0, den1
-        unit = mass / (left.mass * right.mass * den0 * den1)
-        terms.append((unit, left.atoms, scale0, right.atoms, scale1))
-    den = lcm(*(term[0].denominator for term in terms))
-    out: dict[int, int | Fraction] = {}
-    for unit, atoms0, scale0, atoms1, scale1 in terms:
+        terms.append((mass / (left.mass * right.mass), left.atoms, right.atoms))
+    den = lcm(*(unit.denominator for unit, _, _ in terms))
+    out: dict[int, int] = {}
+    for unit, atoms0, atoms1 in terms:
         weight = unit.numerator * (den // unit.denominator)
-        nums1 = [(s, p.numerator * scale1[p.denominator]) for s, p in atoms1.items()]
-        for s0, p0 in atoms0.items():
-            w0 = weight * p0.numerator * scale0[p0.denominator]
-            for s1, a1 in nums1:
+        for s0, a0 in atoms0.items():
+            w0 = weight * a0
+            for s1, a1 in atoms1.items():
                 key = s0 | s1
                 out[key] = out.get(key, 0) + w0 * a1
-    for key, a in out.items():  # in place: no second map at the peak
-        out[key] = Fraction(a, den)
-    return DominatingDistribution.from_map(out)
+    return DominatingDistribution.from_numerators(den, out.items())
 
 
 def glue_at_cutvertex(d0: DominatingDistribution, g0: Graph, map0: list[int],
@@ -106,17 +105,17 @@ def glue_at_cutvertex(d0: DominatingDistribution, g0: Graph, map0: list[int],
     side1 = _by_event(relabel(d1, map1), at_v(g1, map1))
     a0, b0, c0 = side0["in"], side0["seen"], side0["missed"]
     a1, b1, c1 = side1["in"], side1["seen"], side1["missed"]
-    if a0.mass != r or a1.mass != r:
+    if a0.prob != r or a1.prob != r:
         raise DistributionError("membership at the cut vertex must equal r on both sides")
-    if b0.mass + b1.mass >= 1 - r:
+    if b0.prob + b1.prob >= 1 - r:
         # rich neighbourhood coverage: a side that misses v meets a side
         # whose neighbourhood sees it
-        plan = [(r, a0, a1), (c0.mass, c0, b1), (c1.mass, b0, c1),
-                (1 - r - c0.mass - c1.mass, b0, b1)]
+        plan = [(r, a0, a1), (c0.prob, c0, b1), (c1.prob, b0, c1),
+                (1 - r - c0.prob - c1.prob, b0, b1)]
     else:
         # thin coverage: a side that sees v meets a side that misses it
-        plan = [(r, a0, a1), (b0.mass, b0, c1), (b1.mass, c0, b1),
-                (1 - r - b0.mass - b1.mass, c0, c1)]
+        plan = [(r, a0, a1), (b0.prob, b0, c1), (b1.prob, c0, b1),
+                (1 - r - b0.prob - b1.prob, c0, c1)]
     return _couple(plan)
 
 
@@ -131,7 +130,7 @@ class CornerStats:
 
 def corner_stats(d: DominatingDistribution, u: int, v: int, r: Fraction) -> CornerStats:
     host = _by_event(d, _at_pair(u, v))
-    return CornerStats(alpha=host[1, 1].mass / r, beta=host[0, 0].mass / (1 - r))
+    return CornerStats(alpha=host[1, 1].prob / r, beta=host[0, 0].prob / (1 - r))
 
 
 def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
@@ -151,9 +150,9 @@ def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
     """
     if not (0 < r < Fraction(1, 2)):
         raise DistributionError("pair extension needs 0 < r < 1/2")
-    if d_host.membership(u) != r or d_host.membership(v) != r:
-        raise DistributionError("host membership at the pair must equal r")
     host, piece0, piece1 = (_by_event(d, _at_pair(u, v)) for d in (d_host, d0, d1))
+    if host[1, 1].prob + host[1, 0].prob != r or host[1, 1].prob + host[0, 1].prob != r:
+        raise DistributionError("host membership at the pair must equal r")
     if (1, 1) in piece0:
         raise DistributionError("d0 must keep the endpoints exclusive")
     if piece1.keys() - {(1, 1), (0, 0)}:
@@ -163,11 +162,11 @@ def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
     stats = corner_stats(d_host, u, v, r)
     switch = stats.alpha / stats.beta
     neither = host[0, 0]
-    plan = [(host[1, 1].mass, host[1, 1], piece1[1, 1]),
-            (host[1, 0].mass, host[1, 0], piece0[1, 0]),
-            (host[0, 1].mass, host[0, 1], piece0[0, 1]),
-            (neither.mass * switch, neither, piece1[0, 0]),
-            (neither.mass * (1 - switch), neither, piece0[0, 0])]
+    plan = [(host[1, 1].prob, host[1, 1], piece1[1, 1]),
+            (host[1, 0].prob, host[1, 0], piece0[1, 0]),
+            (host[0, 1].prob, host[0, 1], piece0[0, 1]),
+            (neither.prob * switch, neither, piece1[0, 0]),
+            (neither.prob * (1 - switch), neither, piece0[0, 0])]
     return _couple(plan)
 
 

@@ -270,10 +270,28 @@ def read_multigraph_text(text: str) -> MultiGraph:
 
 def fraction_from_pair(pair) -> Fraction:
     """The rational of a JSON ["num", "den"] pair; den must be nonzero."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(x) in (str, int) for x in pair)):
+        raise RationalError(f"expected a [num, den] pair, got {pair!r}")
     num, den = int(pair[0]), int(pair[1])
     if den == 0:
         raise RationalError(f"zero denominator in {pair!r}")
     return Fraction(num, den)
+
+
+def json_list(obj, key: str) -> list:
+    """obj[key], where obj must be a JSON object and obj[key] a list."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
+        raise GraphError(f"expected a JSON object whose {key!r} is a list")
+    return obj[key]
+
+
+def vertex_list(ids) -> list[int]:
+    """A JSON list of distinct non-negative integer ids (vertices or colours)."""
+    if (not isinstance(ids, list) or any(type(v) is not int or v < 0 for v in ids)
+            or len(set(ids)) != len(ids)):
+        raise GraphError(f"expected a list of distinct non-negative integer ids, got {ids!r}")
+    return ids
 
 
 # -- bitset helpers ----------------------------------------------------

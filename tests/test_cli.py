@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from fdomlab import cli
 from fdomlab.cli import main
 from fdomlab.construct import ConstructionError
@@ -76,6 +78,41 @@ def test_verify_distribution_rejects_out_of_range_vertex(tmp_path, capsys):
                                 "atoms": [{"set": [0, 1, 2, 9], "p": ["1", "1"]}]}))
     assert main(["verify", "--in", path, "--distribution", str(dist)]) == 1
     assert capsys.readouterr().out.strip() == "invalid: vertex 9 out of range for n=3"
+
+
+def atoms_with(**atom):
+    return {"r": ["1", "3"], "atoms": [{"set": [0], "p": ["1", "1"], **atom}]}
+
+
+MALFORMED = [
+    ("--distribution", []),
+    ("--distribution", {"r": ["1", "3"], "atoms": 5}),
+    ("--distribution", atoms_with(p=["1"])),
+    ("--distribution", atoms_with(set=0)),
+    ("--distribution", atoms_with(set=[0.5])),
+    ("--distribution", atoms_with(set=[True])),
+    ("--distribution", atoms_with(set=[0, 0])),
+    ("--primal", []),
+    ("--primal", {"type": "primal", "value": ["1", "1"], "columns": 5}),
+    ("--primal", {"type": "primal", "value": ["1", "1"],
+                  "columns": [{"set": [0], "x": ["1"]}]}),
+    ("--dual", []),
+    ("--dual", {"type": "dual", "value": ["1", "1"], "weights": 3}),
+    ("--dual", {"type": "dual", "value": ["1", "1"], "weights": [["1"]]}),
+    ("--colouring", {"p": 3, "q": 1, "phi": 7}),
+    ("--colouring", {"p": "5", "q": 1, "phi": [[1], [2], [3]]}),
+]
+
+
+@pytest.mark.parametrize("flag, blob", MALFORMED,
+                         ids=[f"{flag} {json.dumps(blob)}" for flag, blob in MALFORMED])
+def test_verify_malformed_json_exits_2(tmp_path, capsys, flag, blob):
+    path = triangle_path(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["verify", "--in", path, flag, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_verify_primal_rejects_out_of_range_vertex(tmp_path, capsys):

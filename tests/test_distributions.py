@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +18,12 @@ from fdomlab.distributions import (DistributionError, DominatingDistribution,
 from fdomlab.generators import complete_bipartite, cycle
 from fdomlab.graphs import Graph, mask_of
 
+from distview import dominated_prob, fractions, membership
+
 
 def c5_pairs():
-    return DominatingDistribution.from_map(
-        {mask_of([i, (i + 2) % 5]): F(1, 5) for i in range(5)})
+    return DominatingDistribution.from_pairs(
+        {mask_of([i, (i + 2) % 5]): F(1, 5) for i in range(5)}.items())
 
 
 def test_membership_and_dominated_eval():
@@ -29,33 +31,59 @@ def test_membership_and_dominated_eval():
     g = cycle(5)
     # independent check: each vertex lies in exactly 2 of the 5 pairs
     for v in range(5):
-        assert d.membership(v) == F(2, 5)
-        assert d.dominated_prob(g, v) == 1
+        assert membership(d, v) == F(2, 5)
+        assert dominated_prob(d, g, v) == 1
 
 
 def test_point_mass():
     g = cycle(4)
     d = point_mass((1 << 4) - 1)
     for v in range(4):
-        assert d.membership(v) == 1
-        assert d.dominated_prob(g, v) == 1
+        assert membership(d, v) == 1
+        assert dominated_prob(d, g, v) == 1
 
 
 def test_probabilities_must_sum_to_one():
     with pytest.raises(DistributionError):
-        DominatingDistribution.from_map({0b1: F(1, 2)})
+        DominatingDistribution.from_pairs({0b1: F(1, 2)}.items())
     with pytest.raises(DistributionError):
-        DominatingDistribution.from_map({0b1: F(3, 2), 0b10: F(-1, 2)})
+        DominatingDistribution.from_pairs({0b1: F(3, 2), 0b10: F(-1, 2)}.items())
 
 
 def test_from_pairs_sums_repeated_masks():
     d = DominatingDistribution.from_pairs(
         [(0b01, F(1, 5)), (0b10, F(2, 5)), (0b01, F(1, 5)), (0b11, F(0)), (0, F(1, 5))])
-    assert d.atoms == ((0, F(1, 5)), (0b01, F(2, 5)), (0b10, F(2, 5)))
+    assert fractions(d) == ((0, F(1, 5)), (0b01, F(2, 5)), (0b10, F(2, 5)))
     with pytest.raises(DistributionError):
         DominatingDistribution.from_pairs([(0b01, F(3, 2)), (0b10, F(-1, 2))])
     with pytest.raises(DistributionError):
         DominatingDistribution.from_pairs([(0b01, F(1, 2)), (0b01, F(1, 3))])
+
+
+@given(den=st.integers(1, 60), seed=st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_from_numerators_on_random_pairs(den, seed):
+    rng = random.Random(seed)
+    # den split into random parts on a few masks, with repeats and zeros
+    cuts = sorted(rng.choices(range(den + 1), k=rng.randint(0, 6)))
+    pairs = [(rng.randrange(8), hi - lo) for lo, hi in zip([0] + cuts, cuts + [den])]
+    pairs.append((rng.randrange(8), 0))
+    d = DominatingDistribution.from_numerators(den, pairs)
+    want = Counter()
+    for s, a in pairs:
+        want[s] += F(a, den)
+    assert fractions(d) == tuple(sorted((s, p) for s, p in want.items() if p))
+    masks = [s for s, _ in d.atoms]
+    nums = [a for _, a in d.atoms]
+    assert masks == sorted(set(masks)) and min(nums) > 0
+    assert sum(nums) == d.den and gcd(d.den, *nums) == 1
+    back, r = DominatingDistribution.from_json(json.loads(json.dumps(d.to_json(F(1, 3)))))
+    assert back == d and r == F(1, 3)
+    # the sign is checked before the total
+    with pytest.raises(DistributionError, match="^negative atom probability$"):
+        DominatingDistribution.from_numerators(den, pairs + [(16, -1)])
+    with pytest.raises(DistributionError, match="^probabilities must sum to exactly 1$"):
+        DominatingDistribution.from_numerators(den + 1, pairs)
 
 
 def test_verify_f_dominating():
@@ -77,14 +105,14 @@ def test_colouring_to_distribution_fig_7_3():
     g = cycle(7)
     assert len(d.atoms) == 7
     for v in range(7):
-        assert d.membership(v) == F(3, 7)
-        assert d.dominated_prob(g, v) == 1
+        assert membership(d, v) == F(3, 7)
+        assert dominated_prob(d, g, v) == 1
 
 
 def test_constant_colouring_gives_point_mass():
     phi = FractionalColouring(1, 1, (frozenset({1}),) * 3)
     d = colouring_to_distribution(phi)
-    assert d.atoms == ((0b111, F(1)),)
+    assert fractions(d) == ((0b111, F(1)),)
 
 
 def test_distribution_to_colouring_roundtrip():
@@ -94,30 +122,38 @@ def test_distribution_to_colouring_roundtrip():
     back = colouring_to_distribution(phi)
     g = cycle(5)
     for v in range(5):
-        assert back.membership(v) == d.membership(v)
-        assert back.dominated_prob(g, v) == d.dominated_prob(g, v)
+        assert membership(back, v) == membership(d, v)
+        assert dominated_prob(back, g, v) == dominated_prob(d, g, v)
 
 
 def test_distribution_to_colouring_lcm():
-    d = DominatingDistribution.from_map({0b001: F(1, 2), 0b010: F(1, 3), 0b100: F(1, 6)})
+    d = DominatingDistribution.from_pairs({0b001: F(1, 2), 0b010: F(1, 3), 0b100: F(1, 6)}.items())
     with pytest.raises(DistributionError):
         distribution_to_colouring(d, 3)  # memberships differ
     # lcm replication: probabilities 1/6, 1/3, 1/3, 1/6 become 1,2,2,1 slots
-    d2 = DominatingDistribution.from_map(
-        {0b11: F(1, 6), 0b01: F(1, 3), 0b10: F(1, 3), 0b00: F(1, 6)})
+    d2 = DominatingDistribution.from_pairs(
+        {0b11: F(1, 6), 0b01: F(1, 3), 0b10: F(1, 3), 0b00: F(1, 6)}.items())
     phi = distribution_to_colouring(d2, 2)
     assert phi.p == 6 and phi.q == 3
     assert [len(phi.assignment[v]) for v in range(2)] == [3, 3]
+
+
+def test_distribution_to_colouring_rejects_out_of_range_vertex():
+    d = c5_pairs()
+    with pytest.raises(DistributionError, match="^vertex 4 out of range for n=4$"):
+        distribution_to_colouring(d, 4)
+    with pytest.raises(DistributionError, match="^vertex 0 out of range for n=0$"):
+        distribution_to_colouring(d, 0)
 
 
 def test_complete_to_r_identity_and_k2():
     d = c5_pairs()
     assert complete_to_r(d, F(2, 5), 5) == d
     # vertex 1 is below the target and gets the forced exact masses
-    d = DominatingDistribution.from_map({0b01: F(1, 2), 0b00: F(1, 2)})
+    d = DominatingDistribution.from_pairs({0b01: F(1, 2), 0b00: F(1, 2)}.items())
     out = complete_to_r(d, F(1, 2), 2)
-    assert dict(out.atoms) == {0b01: F(1, 2), 0b10: F(1, 2)}
-    assert out.membership(0) == out.membership(1) == F(1, 2)
+    assert dict(fractions(out)) == {0b01: F(1, 2), 0b10: F(1, 2)}
+    assert membership(out, 0) == membership(out, 1) == F(1, 2)
     with pytest.raises(DistributionError):
         complete_to_r(point_mass(0b01), F(1, 2), 2)  # membership 1 > 1/2 at 0
 
@@ -128,25 +164,25 @@ def test_complete_to_r_monotone(corpus7):
     for g in rng.sample(corpus7, 15):
         full = (1 << g.n) - 1
         atoms = {full: F(1, 3), 0: F(1, 3), 1: F(1, 3)}
-        d = DominatingDistribution.from_map(atoms)
-        before = [d.dominated_prob(g, v) for v in range(g.n)]
+        d = DominatingDistribution.from_pairs(atoms.items())
+        before = [dominated_prob(d, g, v) for v in range(g.n)]
         out = complete_to_r(d, F(3, 4), g.n)
         for v in range(g.n):
-            assert out.membership(v) == F(3, 4)
-            assert out.dominated_prob(g, v) >= before[v]
+            assert membership(out, v) == F(3, 4)
+            assert dominated_prob(out, g, v) >= before[v]
 
 
 def test_cycle_distribution():
     d = cycle_distribution(5)
     assert len(d.atoms) == 5
-    assert all(d.membership(v) == F(2, 5) for v in range(5))
+    assert all(membership(d, v) == F(2, 5) for v in range(5))
     d = cycle_distribution(3)
-    assert all(d.membership(v) == F(1, 3) for v in range(3))
+    assert all(membership(d, v) == F(1, 3) for v in range(3))
     d = cycle_distribution(7)
-    assert all(d.membership(v) == F(3, 7) for v in range(7))
+    assert all(membership(d, v) == F(3, 7) for v in range(7))
     g = cycle(9)
     d = cycle_distribution(9)
-    assert all(d.dominated_prob(g, v) == 1 for v in range(9))
+    assert all(dominated_prob(d, g, v) == 1 for v in range(9))
 
 
 def test_distribution_json_roundtrip():
@@ -165,7 +201,7 @@ def test_colouring_json_roundtrip():
 def test_relabel():
     d = point_mass(0b011)
     out = relabel(d, [4, 2, 0])
-    assert out.atoms == ((0b10100, F(1)),)
+    assert fractions(out) == ((0b10100, F(1)),)
 
 
 # -- integer accounting against per-vertex Fraction sums --------------------
@@ -176,12 +212,12 @@ def closed_neighbourhood(g, v):
 
 
 def ref_membership(d, v):
-    return sum((p for s, p in d.atoms if (s >> v) & 1), F(0))
+    return sum((p for s, p in fractions(d) if (s >> v) & 1), F(0))
 
 
 def ref_domination(g, d, v):
     nb = closed_neighbourhood(g, v)
-    return sum((p for s, p in d.atoms if any((s >> u) & 1 for u in nb)), F(0))
+    return sum((p for s, p in fractions(d) if any((s >> u) & 1 for u in nb)), F(0))
 
 
 def reference_verify(g, d, f, r):
@@ -226,7 +262,7 @@ def random_distribution(rng, n):
 
 
 def scale_of(d, r):
-    return lcm(r.denominator, *(p.denominator for _, p in d.atoms))
+    return lcm(r.denominator, *(p.denominator for _, p in fractions(d)))
 
 
 @pytest.mark.parametrize("case", ["random", "tight", "above", "r_off", "moved", "high"])
@@ -252,12 +288,12 @@ def test_verify_f_dominating_matches_fraction_reference(case, n, seed):
         s, _ = rng.choice(d.atoms)
         v = rng.randrange(n)
         d = DominatingDistribution.from_pairs(
-            list(d.atoms) + [(s, -F(1, big)), (s ^ (1 << v), F(1, big))])
+            list(fractions(d)) + [(s, -F(1, big)), (s ^ (1 << v), F(1, big))])
     elif case == "high":
         i = rng.randrange(len(d.atoms))
         extra = 1 << (n + rng.randrange(3))
-        d = DominatingDistribution(tuple(
-            (s | extra if j == i else s, p) for j, (s, p) in enumerate(d.atoms)))
+        d = DominatingDistribution(d.den, tuple(
+            (s | extra if j == i else s, a) for j, (s, a) in enumerate(d.atoms)))
     low = min(ref_domination(g, d, v) for v in range(n))
     # "tight" meets the lowest domination exactly; "above" misses it by 1/lcm
     f = constant_demand(low + F(1, scale_of(d, r)) if case == "above" else low)
@@ -270,7 +306,7 @@ def test_verify_f_dominating_matches_fraction_reference(case, n, seed):
 
 def reference_complete_to_r(d, r, n):
     """complete_to_r as a per-vertex re-sum over the growing atom map."""
-    atom_map = dict(d.atoms)
+    atom_map = dict(fractions(d))
     for v in range(n):
         have = sum((p for s, p in atom_map.items() if (s >> v) & 1), F(0))
         if have > r:
@@ -292,7 +328,7 @@ def reference_complete_to_r(d, r, n):
         if need != 0:
             raise DistributionError(f"insufficient mass to complete membership at vertex {v}")
         atom_map = {s: p for s, p in atom_map.items() if p != 0}
-    return DominatingDistribution.from_map(atom_map)
+    return DominatingDistribution.from_pairs(atom_map.items())
 
 
 def test_complete_to_r_matches_resumming_reference():
@@ -316,8 +352,8 @@ def test_complete_to_r_matches_resumming_reference():
             outcomes[str(e).split()[0]] += 1
             continue
         out = complete_to_r(d, r, n)
-        assert out.atoms == want.atoms
-        assert all(type(p) is F for _, p in out.atoms)
+        assert fractions(out) == fractions(want)
+        assert gcd(out.den, *(a for _, a in out.atoms)) == 1
         outcomes["completed"] += 1
     assert outcomes["completed"] and outcomes["membership"] and outcomes["insufficient"]
 

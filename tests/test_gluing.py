@@ -12,10 +12,12 @@ from fdomlab.gluing import (attach_suspended_path, corner_stats,
 from fdomlab.graphs import Graph, mask_of
 from fdomlab.structure import SuspendedPath
 
+from distview import dominated_prob, fractions, membership
+
 
 def c5_pairs():
-    return DominatingDistribution.from_map(
-        {mask_of([i, (i + 2) % 5]): F(1, 5) for i in range(5)})
+    return DominatingDistribution.from_pairs(
+        {mask_of([i, (i + 2) % 5]): F(1, 5) for i in range(5)}.items())
 
 
 def test_glue_two_c5_at_a_vertex():
@@ -37,7 +39,7 @@ def test_glue_preserves_side_marginals():
     g1, map1 = g.induced([4, 5, 6, 7, 8])
     out = glue_at_cutvertex(c5_pairs(), g0, map0, c5_pairs(), g1, map1, 4, F(2, 5))
     side0_membership = {v: F(0) for v in range(5)}
-    for s, p in out.atoms:
+    for s, p in fractions(out):
         for v in range(5):
             if (s >> v) & 1:
                 side0_membership[v] += p
@@ -48,7 +50,7 @@ def test_glue_point_masses():
     k2a = Graph(2, [(0, 1)])
     out = glue_at_cutvertex(point_mass(0b11), k2a, [0, 1],
                             point_mass(0b11), k2a, [1, 2], 1, F(1))
-    assert out.atoms == ((0b111, F(1)),)
+    assert fractions(out) == ((0b111, F(1)),)
 
 
 def test_glue_quasi_demand_arithmetic():
@@ -65,7 +67,7 @@ def test_glue_quasi_demand_arithmetic():
     g1, map1 = g.induced([0, 4, 5, 6, 7])
     d1 = relabel(c5_pairs(), [0, 1, 2, 3, 4])
     out = glue_at_cutvertex(d0, c4, [0, 1, 2, 3], d1, g1, map1, 0, F(2, 5))
-    assert out.dominated_prob(g, 0) == 1
+    assert dominated_prob(out, g, 0) == 1
     ok, why = verify_f_dominating(g, out, constant_demand(F(1)), F(2, 5))
     assert ok, why
 
@@ -83,6 +85,11 @@ def test_extend_requires_structure():
     bad_d0 = point_mass(0b11)  # endpoints co-occur
     with pytest.raises(DistributionError):
         extend_over_pair(d, 0, 1, bad_d0, bad_d0, F(2, 5))
+    # the host's membership is checked at each endpoint
+    for host in (d, DominatingDistribution.from_pairs([(0b01, F(1, 3)), (0, F(2, 3))]),
+                 DominatingDistribution.from_pairs([(0b10, F(1, 3)), (0, F(2, 3))])):
+        with pytest.raises(DistributionError, match="host membership at the pair"):
+            extend_over_pair(host, 0, 1, bad_d0, bad_d0, F(1, 3))
 
 
 def test_extend_alpha_zero_branch():
@@ -91,18 +98,18 @@ def test_extend_alpha_zero_branch():
     g6 = cycle(6)
     atoms = {mask_of([i, i + 2, (i + 4) % 6]): F(1, 3) for i in range(2)}
     atoms[mask_of([2, 4, 0])] = atoms.pop(mask_of([2, 4, 0]))  # dedupe no-op
-    d = DominatingDistribution.from_map(
+    d = DominatingDistribution.from_pairs(
         {mask_of([0, 2]): F(1, 6), mask_of([2, 4]): F(1, 6), mask_of([4, 0]): F(1, 6),
-         mask_of([1, 3]): F(1, 6), mask_of([3, 5]): F(1, 6), mask_of([5, 1]): F(1, 6)})
+         mask_of([1, 3]): F(1, 6), mask_of([3, 5]): F(1, 6), mask_of([5, 1]): F(1, 6)}.items())
     # u=0, v=3 never co-occur: alpha = 0
     st = corner_stats(d, 0, 3, F(1, 3))
     assert st.alpha == 0
-    d0 = DominatingDistribution.from_map(
-        {mask_of([0, 7]): F(1, 3), mask_of([3, 8]): F(1, 3), mask_of([7, 8]): F(1, 3)})
-    d1 = DominatingDistribution.from_map(
-        {mask_of([0, 3, 7]): F(1, 3), mask_of([7, 8]): F(2, 3)})
+    d0 = DominatingDistribution.from_pairs(
+        {mask_of([0, 7]): F(1, 3), mask_of([3, 8]): F(1, 3), mask_of([7, 8]): F(1, 3)}.items())
+    d1 = DominatingDistribution.from_pairs(
+        {mask_of([0, 3, 7]): F(1, 3), mask_of([7, 8]): F(2, 3)}.items())
     out = extend_over_pair(d, 0, 3, d0, d1, F(1, 3))
-    assert out.membership(0) == F(1, 3) and out.membership(3) == F(1, 3)
+    assert membership(out, 0) == F(1, 3) and membership(out, 3) == F(1, 3)
     # the identified-endpoints piece never fires with alpha = 0
     for s, _ in out.atoms:
         assert not ((s >> 0) & 1 and (s >> 3) & 1)
@@ -135,7 +142,7 @@ def test_attach_boundary_rates():
     g, p = host_c5_with_path(6)
     # k = 2: k/(3k-1) = 2/5 <= r is the exact boundary
     out = attach_suspended_path(c5_pairs(), p, F(2, 5), g.n)
-    assert out.membership(5) == F(2, 5)
+    assert membership(out, 5) == F(2, 5)
     g, p = host_c5_with_path(3)
     # k = 1 would need r >= 1/2, impossible below 1/2: rejected
     with pytest.raises(DistributionError):
@@ -147,15 +154,15 @@ def test_attach_preserves_host_values():
     host = c5_pairs()
     out = attach_suspended_path(host, p, F(2, 5), g.n)
     for v in range(5):
-        assert out.membership(v) == F(2, 5)
-        assert out.dominated_prob(g, v) >= host.dominated_prob(cycle(5), v)
+        assert membership(out, v) == F(2, 5)
+        assert dominated_prob(out, g, v) >= dominated_prob(host, cycle(5), v)
 
 
 # -- reference: the per-event gluing, one filter pass per event ----------
 
 
 def _condition(d, pred):
-    atoms = {s: p for s, p in d.atoms if pred(s)}
+    atoms = {s: p for s, p in fractions(d) if pred(s)}
     return atoms, sum(atoms.values(), F(0))
 
 
@@ -193,7 +200,7 @@ def reference_glue(d0, g0, map0, d1, g1, map1, v, r):
         _couple_into(out, pb0, b0, c1)
         _couple_into(out, pb1, c0, b1)
         _couple_into(out, 1 - r - pb0 - pb1, c0, c1)
-    return DominatingDistribution.from_map(out)
+    return DominatingDistribution.from_pairs(out.items())
 
 
 def reference_extend(d_host, u, v, d0, d1, r):
@@ -211,7 +218,7 @@ def reference_extend(d_host, u, v, d0, d1, r):
         nn = _condition(d0, lambda s: not (s >> u) & 1 and not (s >> v) & 1)
         _couple_into(out, host_n[1] * alpha / beta, host_n, nu)
         _couple_into(out, host_n[1] * (1 - alpha / beta), host_n, nn)
-    return DominatingDistribution.from_map(out)
+    return DominatingDistribution.from_pairs(out.items())
 
 
 def random_groups(rng, groups):
@@ -228,7 +235,7 @@ def random_groups(rng, groups):
         total = sum(weights.values())
         for s, w in weights.items():
             out[s] = out.get(s, F(0)) + mass * F(w, total)
-    return DominatingDistribution.from_map(out)
+    return DominatingDistribution.from_pairs(out.items())
 
 
 def random_side(rng, k, r, groups=random_groups):
@@ -243,7 +250,7 @@ def random_side(rng, k, r, groups=random_groups):
 
 def project(d, vertices):
     mask = mask_of(vertices)
-    return DominatingDistribution.from_pairs((s & mask, p) for s, p in d.atoms)
+    return DominatingDistribution.from_pairs((s & mask, p) for s, p in fractions(d))
 
 
 def test_glue_matches_the_per_event_reference():
@@ -263,12 +270,12 @@ def test_glue_matches_the_per_event_reference():
         g = Graph(n, [(map0[a], map0[b]) for a, b in g0.edges()] +
                   [(map1[a], map1[b]) for a, b in g1.edges()])
         out = glue_at_cutvertex(d0, g0, map0, d1, g1, map1, v, r)
-        assert out.atoms == reference_glue(d0, g0, map0, d1, g1, map1, v, r).atoms
+        assert fractions(out) == fractions(reference_glue(d0, g0, map0, d1, g1, map1, v, r))
         lifted0, lifted1 = relabel(d0, map0), relabel(d1, map1)
         assert project(out, map0) == lifted0
         assert project(out, map1) == lifted1
-        f0, f1 = d0.dominated_prob(g0, 0), d1.dominated_prob(g1, 0)
-        assert out.dominated_prob(g, v) >= min(1, f0 + f1 - r)
+        f0, f1 = dominated_prob(d0, g0, 0), dominated_prob(d1, g1, 0)
+        assert dominated_prob(out, g, v) >= min(1, f0 + f1 - r)
         # f = r + P(v out, a neighbour in): the rich plan runs iff f0 + f1 - r >= 1
         if f0 + f1 - r >= 1:
             rich += 1
@@ -282,12 +289,12 @@ def test_glue_thin_coverage_on_two_edges():
     # each side, so 2r < 1 - r at r = 1/4 takes the thin-coverage plan
     k2 = Graph(2, [(0, 1)])
     r = F(1, 4)
-    side = DominatingDistribution.from_map({0b01: r, 0b10: r, 0: 1 - 2 * r})
+    side = DominatingDistribution.from_pairs({0b01: r, 0b10: r, 0: 1 - 2 * r}.items())
     out = glue_at_cutvertex(side, k2, [1, 0], side, k2, [1, 2], 1, r)
-    assert out.atoms == reference_glue(side, k2, [1, 0], side, k2, [1, 2], 1, r).atoms
+    assert fractions(out) == fractions(reference_glue(side, k2, [1, 0], side, k2, [1, 2], 1, r))
     p3 = Graph(3, [(0, 1), (1, 2)])
-    assert out.dominated_prob(p3, 1) == 3 * r  # f0 + f1 - r, below 1
-    assert all(out.membership(w) == r for w in range(3))
+    assert dominated_prob(out, p3, 1) == 3 * r  # f0 + f1 - r, below 1
+    assert all(membership(out, w) == r for w in range(3))
 
 
 def random_pair_inputs(rng, r, m_uv, groups=random_groups):
@@ -313,9 +320,9 @@ def test_extend_over_pair_matches_the_per_event_reference():
         m_uv = F(0) if trial % 2 else r * F(rng.randint(1, 4), 5)
         host, d0, d1 = random_pair_inputs(rng, r, m_uv)
         out = extend_over_pair(host, 0, 1, d0, d1, r)
-        assert out.atoms == reference_extend(host, 0, 1, d0, d1, r).atoms
+        assert fractions(out) == fractions(reference_extend(host, 0, 1, d0, d1, r))
         assert project(out, range(6)) == host
-        assert out.membership(0) == r and out.membership(1) == r
+        assert membership(out, 0) == r and membership(out, 1) == r
 
 
 LARGE_PRIMES = [2 ** 31 - 1, 10 ** 9 + 7, 10 ** 9 + 9, 10 ** 9 + 21, 10 ** 9 + 33,
@@ -333,7 +340,7 @@ def prime_groups(rng, groups):
         for lo, hi in zip([0] + cuts, cuts + [prime]):
             s = draw()
             out[s] = out.get(s, F(0)) + mass * F(hi - lo, prime)
-    return DominatingDistribution.from_map(out)
+    return DominatingDistribution.from_pairs(out.items())
 
 
 def test_coupling_over_large_mixed_denominators_matches_the_references():
@@ -347,24 +354,24 @@ def test_coupling_over_large_mixed_denominators_matches_the_references():
         g1, d1 = random_side(rng, k1, r, prime_groups)
         map0, map1 = list(range(k0)), [0] + list(range(k0, k0 + k1 - 1))
         out = glue_at_cutvertex(d0, g0, map0, d1, g1, map1, 0, r)
-        assert out.atoms == reference_glue(d0, g0, map0, d1, g1, map1, 0, r).atoms
-        widest = max(widest, *(p.denominator for _, p in out.atoms))
+        assert fractions(out) == fractions(reference_glue(d0, g0, map0, d1, g1, map1, 0, r))
+        widest = max(widest, *(p.denominator for _, p in fractions(out)))
     for trial in range(60):
         r = rng.choice(rates)
         m_uv = F(0) if trial % 2 else r * F(rng.randint(1, 10 ** 9 + 8), 10 ** 9 + 9)
         host, d0, d1 = random_pair_inputs(rng, r, m_uv, prime_groups)
         out = extend_over_pair(host, 0, 1, d0, d1, r)
-        assert out.atoms == reference_extend(host, 0, 1, d0, d1, r).atoms
-        widest = max(widest, *(p.denominator for _, p in out.atoms))
+        assert fractions(out) == fractions(reference_extend(host, 0, 1, d0, d1, r))
+        widest = max(widest, *(p.denominator for _, p in fractions(out)))
     assert widest > 10 ** 27  # some atom lies over a product of three large primes
 
 
 def test_extend_over_pair_has_both_out_mass():
     # with membership r < 1/2 at u and v, P(both out) = 1 - 2r + P(both in)
     # > 0; a host without it is rejected at the entry checks
-    d0 = DominatingDistribution.from_map({0b001: F(1, 2), 0b010: F(1, 2)})
-    d1 = DominatingDistribution.from_map({0b011: F(1, 2), 0b100: F(1, 2)})
-    host = DominatingDistribution.from_map({0b01: F(1, 2), 0b10: F(1, 2)})
+    d0 = DominatingDistribution.from_pairs({0b001: F(1, 2), 0b010: F(1, 2)}.items())
+    d1 = DominatingDistribution.from_pairs({0b011: F(1, 2), 0b100: F(1, 2)}.items())
+    host = DominatingDistribution.from_pairs({0b01: F(1, 2), 0b10: F(1, 2)}.items())
     for r in (F(1, 2), F(2, 5)):
         with pytest.raises(DistributionError):
             extend_over_pair(host, 0, 1, d0, d1, r)
