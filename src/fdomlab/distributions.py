@@ -162,7 +162,7 @@ class FractionalColouring:
         if not (1 <= self.q <= self.p):
             raise DistributionError("needs 1 <= q <= p")
         for s in self.assignment:
-            if len(s) != self.q or not s <= set(range(1, self.p + 1)):
+            if len(s) != self.q or not all(1 <= c <= self.p for c in s):
                 raise DistributionError("each vertex needs exactly q colours from [p]")
 
     def colour_class(self, i: int) -> int:

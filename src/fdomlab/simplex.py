@@ -6,13 +6,33 @@ over integer data.  The invariant: the basis inverse is held as the
 integer matrix M = D * B^-1, where D = |det B| > 0 (Edmonds/Bareiss
 integer-preserving pivoting, as in Avis's lrs).  The basic values
 beta = M b and the scaled duals y = D * c_B B^-1 are integers as well, so
-no Fraction is built and no gcd is taken inside the pivot loop.  Pivoting
-on entry alpha_r of the entering column replaces every other row i by
-(alpha_r * row_i - alpha_i * row_r) // D, and y likewise with the
-entering reduced cost; the division is exact by Sylvester's identity.
-Then D becomes alpha_r, which the ratio test keeps positive; the one
-pivot on a negative entry (driving a phase-1 artificial out at zero)
-negates M, beta, y and D together.
+no Fraction is built and no gcd is taken inside the pivot loop.
+
+M is stored by columns: Mc[k] = sum_i M[i][k] * 2^(i*mw), one signed lane
+of mw bits per row.  The entering column alpha = D * B^-1 a_q is
+sum_i a_qi * Mc[i] in the same form, decoded once for the ratio test.
+Pivoting on alpha_r replaces each column by
+
+    Mc[k] = (alpha_r * Mc[k] - M[r][k] * A) // D,   A = alpha - D * 2^(r*mw),
+
+one big-integer update per column.  Lane i of the numerator is
+alpha_r * M[i][k] - alpha_i * M[r][k], which is D times the new entry by
+Sylvester's identity, and lane r is D * M[r][k], which keeps row r; so the
+whole numerator is D times the new packed column and the division is
+exact, whatever the lanes hold in between.  Then D becomes alpha_r, which
+the ratio test keeps positive; the one pivot on a negative entry (driving
+a phase-1 artificial out at zero) negates M, beta, y and D together.
+
+Row r of M is read with one shift and mask per column, through a bias of
+2^(mw-1) in every lane.  By Hadamard's inequality the entries of M, of
+alpha and of the M after the pivot are at most P * |a_q|, where P is the
+product of the basic columns' 2-norms (every basic column is a nonzero
+integer vector, of norm at least 1).  mw is the least multiple of 64 bits
+whose signed lanes hold that bound: _column re-lays M at a wider mw before
+a column that would exceed it enters, so the width only ever grows.
+beta and y stay lists.  The pivot updates y with the entering reduced
+cost, so y is set from the costs only where c_B changes: at the start and
+at the end of phase 1.
 
 Columns can be appended and the LP re-optimised from the current basis,
 which is how column generation warm-starts.  Rows with b_i < 0 are
@@ -106,7 +126,13 @@ class IntegerLP:
         self.packed = [0] * m
         self.npacked = 0
         self.D = 1
-        self.M = [[int(i == j) for j in range(m)] for i in range(m)]
+        # Mc[k] = sum of M[i][k] << (i * mw): column k of M, one signed lane
+        # per row; alpha holds the last entering column in the same form
+        self.mw = WORD
+        self.det2 = 1  # the product of the basic columns' squared 2-norms
+        self.bias = _bias(WORD, m)
+        self.Mc = [1 << (k * WORD) for k in range(m)]
+        self.alpha = 0
         self.beta = [abs(bi) for bi in b]
         self.y = [0] * m
 
@@ -121,13 +147,17 @@ class IntegerLP:
         """Optimise from the current basis.  Raises LPInfeasible when phase 1
         leaves an artificial positive, LPUnbounded when no row limits the
         entering column."""
+        costs = [cost for _, _, cost in self.cols]
         if self.artificials:
             self._phase1()
-        self._run([cost for _, _, cost in self.cols])
+            self.y = self._duals_for(costs)
+        self._run(costs)
 
     def _phase1(self) -> None:
         arts = set(self.artificials)
-        self._run([-1 if j in arts else 0 for j in range(len(self.cols))])
+        costs = [-1 if j in arts else 0 for j in range(len(self.cols))]
+        self.y = self._duals_for(costs)
+        self._run(costs)
         if any(self.beta[r] for r in range(self.m) if self.basis[r] in arts):
             raise LPInfeasible("no feasible point")
         # drive the artificials left at zero out of the basis, each on the
@@ -135,7 +165,7 @@ class IntegerLP:
         # one exists); beta[r] = 0 keeps every basic value nonnegative
         for r in range(self.m):
             if self.basis[r] in arts:
-                j = next(i for i in range(self.m) if self.M[r][i])
+                j = next(i for i, v in enumerate(self._row(r)) if v)
                 self._pivot(r, j, self._column(j), self.sign[j] * self.y[j])
         # empty the artificial columns: their reduced cost is 0 from now on,
         # so none can enter again
@@ -145,10 +175,36 @@ class IntegerLP:
             self.cols[j] = ((), (), 0)
         self.artificials = []
 
+    def _lanes(self, c: int) -> list[int]:
+        """The m signed lanes of a packed column, lowest row first."""
+        half = 1 << (self.mw - 1)
+        return [v - half for v in _unpack(c + self.bias, self.mw, self.m)]
+
+    def _row(self, r: int) -> list[int]:
+        """Row r of M: lane r of every packed column."""
+        shift, mask, half = r * self.mw, (1 << self.mw) - 1, 1 << (self.mw - 1)
+        bias = self.bias
+        return [((c + bias) >> shift & mask) - half for c in self.Mc]
+
     def _column(self, j: int) -> list[int]:
-        """D * B^-1 a_j."""
+        """D * B^-1 a_j, lane by lane; it stays packed in alpha for the pivot.
+        First widens the lanes, if need be, to hold alpha and the M that
+        pivoting a_j in gives."""
         rows, vals, _ = self.cols[j]
-        return [sum([Mi[i] * a for i, a in zip(rows, vals)]) for Mi in self.M]
+        bits = (self.det2 * sum(a * a for a in vals)).bit_length()
+        if bits > 2 * self.mw - 2:  # re-lay M at the least width with bits <= 2 mw - 2
+            cols = [self._lanes(c) for c in self.Mc]
+            self.mw = WORD * ((bits + 1) // (2 * WORD) + 1)
+            self.bias = _bias(self.mw, self.m)
+            self.Mc = [_pack_lanes(col, self.mw) for col in cols]
+        Mc = self.Mc
+        self.alpha = sum([a * Mc[i] for i, a in zip(rows, vals)])
+        return self._lanes(self.alpha)
+
+    def _duals_for(self, costs: list[int]) -> list[int]:
+        """y = c_B M for these costs, one decoded column of M at a time."""
+        c_B = [costs[j] for j in self.basis]
+        return [sum([c * v for c, v in zip(c_B, self._lanes(col))]) for col in self.Mc]
 
     def _pack(self, width: int) -> None:
         """Pack the columns added since the last call into the rows, or
@@ -165,8 +221,6 @@ class IntegerLP:
         self.npacked = len(self.cols)
 
     def _run(self, costs: list[int]) -> None:
-        self.y = [sum(costs[self.basis[i]] * self.M[i][k] for i in range(self.m))
-                  for k in range(self.m)]
         max_cost = max(map(abs, costs), default=0)
         self._pack(self.width)
         lanes_for = 0  # the width that C and high were packed at
@@ -178,9 +232,9 @@ class IntegerLP:
                 self._pack(WORD * (bound.bit_length() // WORD + 1))
             width = self.width
             if lanes_for != width:
-                nbytes, bias = width // 8, 1 << (width - 1)
+                bias = 1 << (width - 1)
                 C = _pack_lanes(costs, width)
-                high = int.from_bytes((bytes(nbytes - 1) + b"\x80") * len(costs), "little")
+                high = _bias(width, len(costs))
                 lanes_for = width
             T = sum([yi * p for yi, p in zip(y, self.packed) if yi]) - D * C + high
             negative = high & ~T  # the top bit of each lane with a negative reduced cost
@@ -190,14 +244,7 @@ class IntegerLP:
                 q = ((negative & -negative).bit_length() - 1) // width
                 dq = ((T >> (q * width)) & ((1 << width) - 1)) - bias
             else:
-                raw = T.to_bytes(nbytes * len(costs), "little")
-                if width == WORD:
-                    lanes = array("Q", raw)
-                    if sys.byteorder == "big":
-                        lanes.byteswap()
-                else:
-                    lanes = [int.from_bytes(raw[k:k + nbytes], "little")
-                             for k in range(0, len(raw), nbytes)]
+                lanes = _unpack(T, width, len(costs))
                 least = min(lanes)
                 q, dq = lanes.index(least), least - bias
             alpha = self._column(q)
@@ -217,21 +264,23 @@ class IntegerLP:
             self._pivot(r, q, alpha, dq)
 
     def _pivot(self, r: int, q: int, alpha: list[int], dq: int) -> None:
-        """Column q enters at row r; alpha = D * B^-1 a_q, dq its scaled
-        reduced cost."""
+        """Column q enters at row r; alpha = D * B^-1 a_q as _column left it
+        (and packed in self.alpha), dq its scaled reduced cost."""
         D, ar = self.D, alpha[r]
-        M, beta = self.M, self.beta
-        Mr, br = M[r], beta[r]
+        A = self.alpha - (D << (r * self.mw))  # lane r at alpha_r - D keeps row r
+        Mr = self._row(r)
+        self.Mc = [(ar * c - w * A) // D for c, w in zip(self.Mc, Mr)]
+        beta, br = self.beta, self.beta[r]
         for i in range(self.m):
             if i != r:
-                ai = alpha[i]
-                M[i] = [(ar * v - ai * w) // D for v, w in zip(M[i], Mr)]
-                beta[i] = (ar * beta[i] - ai * br) // D
+                beta[i] = (ar * beta[i] - alpha[i] * br) // D
         self.y = [(ar * v - dq * w) // D for v, w in zip(self.y, Mr)]
+        self.det2 = (self.det2 // sum(a * a for a in self.cols[self.basis[r]][1])
+                     * sum(a * a for a in self.cols[q][1]))
         self.basis[r] = q
         self.D = ar
         if ar < 0:  # only when phase 1 drives out an artificial at zero
-            self.M = [[-v for v in row] for row in M]
+            self.Mc = [-c for c in self.Mc]
             self.beta = [-v for v in beta]
             self.y = [-v for v in self.y]
             self.D = -ar
@@ -263,6 +312,24 @@ def _pack_lanes(values: list[int], width: int) -> int:
         return sum([v << (j * width) for j, v in enumerate(values) if v])
     h = len(values) // 2
     return _pack_lanes(values[:h], width) + (_pack_lanes(values[h:], width) << (h * width))
+
+
+def _bias(width: int, count: int) -> int:
+    """2^(width-1) in each of count lanes: it lifts signed lanes of width
+    bits into [0, 2^width), where no lane borrows from the next."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+
+
+def _unpack(T: int, width: int, count: int) -> Sequence[int]:
+    """The count unsigned lanes of width bits of T >= 0, lowest first."""
+    nbytes = width // 8
+    raw = T.to_bytes(nbytes * count, "little")
+    if width == WORD:
+        lanes = array("Q", raw)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
 
 
 def simplex_exact(c: Sequence[Fraction | int], rows: Sequence[Sequence[Fraction | int]],

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -181,6 +182,19 @@ def test_verify_colouring_rejects_too_many_entries(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "invalid: colouring has 4 entries for n=3"
     phi.write_text(json.dumps({"p": 3, "q": 1, "phi": [[1], [2], [3]]}))
     assert main(["verify", "--in", path, "--colouring", str(phi)]) == 0
+
+
+def test_verify_colouring_with_a_huge_palette_checks_without_building_it(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"p": 10 ** 9, "q": 1, "phi": [[1], [2], [3]]}))
+    start = time.perf_counter()
+    assert main(["verify", "--in", path, "--colouring", str(phi)]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.strip() == "invalid: neighbourhoods missing colours at [0, 1, 2]"
+    phi.write_text(json.dumps({"p": 10 ** 9, "q": 1, "phi": [[1], [2], [10 ** 9 + 1]]}))
+    assert main(["verify", "--in", path, "--colouring", str(phi)]) == 2
+    assert capsys.readouterr().err.strip() == "error: each vertex needs exactly q colours from [p]"
 
 
 def test_gamma_domatic_chi(tmp_path, capsys):

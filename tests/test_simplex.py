@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fdomlab import simplex
+from fdomlab import fdom, simplex
+from fdomlab.generators import coxeter
 from fdomlab.simplex import IntegerLP, LPInfeasible, LPUnbounded, simplex_exact
 
 
@@ -110,35 +111,73 @@ def _inverse(B):
     return [row[m:] for row in aug]
 
 
-def _checked_solve(b, columns):
-    """Solve, asserting M == D * B^-1 and the integer basic values and
-    duals after every pivot; returns the alpha_r of each pivot."""
-    lp = IntegerLP(b)
-    for entries, cost in columns:
-        lp.add_column(entries, cost)
-    pivots = []
+def _unpacked(lp):
+    """M row by row, read off the packed columns one lane at a time: lane i
+    of Mc[k] is M[i][k] in mw-bit two's complement, and nothing lies above
+    lane m - 1."""
+    word = 1 << lp.mw
+    cols = []
+    for c in lp.Mc:
+        col = []
+        for _ in range(lp.m):
+            v = c % word
+            v -= word if 2 * v >= word else 0
+            col.append(v)
+            c = (c - v) // word
+        assert c == 0
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
-    def pivot(r, q, alpha, dq):
-        IntegerLP._pivot(lp, r, q, alpha, dq)
-        pivots.append(alpha[r])
-        m = lp.m
+
+class InverseChecked(IntegerLP):
+    """After every `every`-th pivot, checks M == D * B^-1 against a Fraction
+    inverse, beta == M |b| and y == c_B M for the costs of the current run;
+    records alpha_r and the lane width of every pivot."""
+
+    def __init__(self, b, every=1):
+        super().__init__(b)
+        self.rhs = [abs(v) for v in b]
+        self.every, self.pivots, self.widths = every, [], []
+
+    def _run(self, costs):
+        self.costs = costs
+        super()._run(costs)
+
+    def _pivot(self, r, q, alpha, dq):
+        super()._pivot(r, q, alpha, dq)
+        self.pivots.append(alpha[r])
+        self.widths.append(self.mw)
+        if len(self.pivots) % self.every == 0:
+            self.check()
+
+    def check(self):
+        m = self.m
         B = [[0] * m for _ in range(m)]
-        for k, j in enumerate(lp.basis):
-            rows, vals, _ = lp.cols[j]
+        for k, j in enumerate(self.basis):
+            rows, vals, _ = self.cols[j]
             for i, a in zip(rows, vals):
                 B[i][k] = a
         inv = _inverse(B)
-        assert lp.D > 0
-        assert lp.M == [[lp.D * v for v in row] for row in inv]
-        rhs = [abs(v) for v in b]
-        assert lp.beta == [sum(Mi[k] * rhs[k] for k in range(m)) for Mi in lp.M]
+        M = _unpacked(self)
+        assert self.D > 0
+        assert M == [[self.D * v for v in row] for row in inv]
+        assert self.beta == [sum(Mi[k] * self.rhs[k] for k in range(m)) for Mi in M]
+        assert self.y == [sum(self.costs[j] * M[i][k] for i, j in enumerate(self.basis))
+                          for k in range(m)]
 
-    lp._pivot = pivot
+
+def _checked_solve(b, columns):
+    """Solve, asserting M == D * B^-1 and the integer basic values and
+    duals after every pivot; returns the alpha_r of each pivot."""
+    lp = InverseChecked(b)
+    for entries, cost in columns:
+        lp.add_column(entries, cost)
     lp.reoptimize()
     costs = [cost for _, _, cost in lp.cols]
-    assert lp.y == [sum(costs[j] * lp.M[i][k] for i, j in enumerate(lp.basis))
+    M = _unpacked(lp)
+    assert lp.y == [sum(costs[j] * M[i][k] for i, j in enumerate(lp.basis))
                     for k in range(lp.m)]
-    return lp, pivots
+    return lp, lp.pivots
 
 
 def test_integer_inverse_after_every_pivot():
@@ -156,6 +195,53 @@ def test_integer_inverse_after_every_pivot():
                                            ([(0, -1), (1, -2)], -1)])
     assert lp.value() == -1
     assert all(j < lp.m or j >= lp.first for j in lp.basis)
+
+
+def test_packed_inverse_at_lanes_wider_than_a_word():
+    # a warm-started sequence: solve on small entries (64-bit lanes), then
+    # add columns with entries times 2^30, re-optimising after each; when
+    # they enter, the Hadamard bound widens the lanes and M is re-laid
+    rng = random.Random(14)
+    wide_pivots = grown = 0
+    for _ in range(200):
+        m = rng.randint(2, 5)
+        b, columns = _random_columns(rng, m, 1)
+        lp = InverseChecked(b)
+        for entries, cost in columns:
+            lp.add_column(entries, cost)
+        try:
+            lp.reoptimize()
+            assert lp.mw == simplex.WORD
+            for _ in range(rng.randint(2, 6)):
+                # one positive entry keeps the new column from being a ray
+                top = rng.randrange(m)
+                lp.add_column([(i, rng.randint(1 if i == top else -3, 4) << 30)
+                               for i in range(m)], rng.randint(-3, 4))
+                lp.check()
+                lp.reoptimize()
+        except (LPInfeasible, LPUnbounded):
+            continue
+        wide = sum(w > simplex.WORD for w in lp.widths)
+        wide_pivots += wide
+        grown += wide > 0 and lp.widths[0] == simplex.WORD
+    assert grown > 25 and wide_pivots > 60
+
+
+def test_packed_inverse_on_the_coxeter_master(monkeypatch):
+    # m = 28: every lane and the row shifts past the fourth are read, over
+    # the warm starts of column generation
+    lps = []
+
+    def checked(b):
+        lps.append(InverseChecked(b, every=50))
+        return lps[-1]
+
+    monkeypatch.setattr(fdom, "IntegerLP", checked)
+    assert fdom.fdom_colgen(coxeter()).value == 4
+    (lp,) = lps
+    assert lp.m == 28 and len(lp.pivots) >= 500
+    assert len(lp.cols) - lp.first > 40  # columns added by pricing, then re-optimised
+    lp.check()
 
 
 class PricingChecked(IntegerLP):
