@@ -137,10 +137,29 @@ def _cmd_planar(args) -> int:
     return EXIT_OK
 
 
+def _set_out_of_range(obj, key: str, n: int) -> list[int] | None:
+    """The sorted ids of the first of obj[key]'s sets that holds an id >= n,
+    read from the raw JSON before any set becomes a bitmask (a bitmask
+    takes memory in proportion to its highest id).  Malformed parts are
+    skipped here and rejected by the loader."""
+    items = obj.get(key) if isinstance(obj, dict) else None
+    for item in items if isinstance(items, list) else ():
+        ids = item.get("set") if isinstance(item, dict) else None
+        ids = sorted(v for v in ids if type(v) is int) if isinstance(ids, list) else []
+        if ids and ids[-1] >= n:
+            return ids
+    return None
+
+
 def _cmd_verify(args) -> int:
     g = _load_graph(args.input)
     if args.primal:
-        cert = certificate_from_json(json.loads(Path(args.primal).read_text()))
+        obj = json.loads(Path(args.primal).read_text())
+        high = _set_out_of_range(obj, "columns", g.n)
+        if high:
+            print(f"invalid: column {high} has a vertex out of range for n={g.n}")
+            return EXIT_VERIFY
+        cert = certificate_from_json(obj)
         if not isinstance(cert, PrimalCertificate):
             print("not a primal certificate", file=sys.stderr)
             return EXIT_USAGE
@@ -159,7 +178,13 @@ def _cmd_verify(args) -> int:
             bad = [v for v in range(g.n) if phi.spans(g, v) != phi.p]
             ok, why = not bad, f"neighbourhoods missing colours at {bad}"
     elif args.distribution:
-        d, r = DominatingDistribution.from_json(json.loads(Path(args.distribution).read_text()))
+        obj = json.loads(Path(args.distribution).read_text())
+        high = _set_out_of_range(obj, "atoms", g.n)
+        if high:
+            v = next(v for v in high if v >= g.n)
+            print(f"invalid: vertex {v} out of range for n={g.n}")
+            return EXIT_VERIFY
+        d, r = DominatingDistribution.from_json(obj)
         demand = standard_demand(g) if args.demand == "standard" else constant_demand(Fraction(1))
         ok, why = verify_f_dominating(g, d, demand, r)
     else:

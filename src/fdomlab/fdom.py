@@ -180,10 +180,17 @@ def _greedy_domatic_columns(g: Graph) -> list[int]:
 
 def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
     """fdom by column generation: restricted master over a growing pool of
-    dominating sets, priced by a minimum-weight dominating set under the
-    master's dual weights.  Pricing runs on the integer dual numerators y
-    over the common denominator D: weight >= D proves dual feasibility,
-    hence optimality."""
+    dominating sets, priced by a minimum-weight dominating set.  Pricing
+    runs on integer weights: the master's duals are y / D.
+
+    Duals are smoothed (Wentges 1997, alpha = 1/2).  Any priced point pts
+    with minimum dominating-set weight w > 0 gives the valid bound
+    sum(pts) / w; the stability centre is the point with the least bound so
+    far.  Each round first prices halfway between the centre, rescaled to
+    D, and y.  Its set enters if it prices out at y (weight below D).
+    Otherwise the round is mispriced and falls back to exact pricing at y,
+    where weight >= D proves y / D dual feasible, hence optimality, as it
+    does without smoothing.  Each round adds one column."""
     if g.n == 0:
         raise ValueError("empty graph")
     if max_iter < 1:
@@ -197,22 +204,42 @@ def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
             seen.add(col)
             columns.append(col)
             _add_set(master, col)
+    centre: Optional[tuple[list[int], int]] = None  # (pts, w) of the least bound
+
+    def price(pts: list[int]) -> tuple[int, int]:
+        nonlocal centre
+        col, w = min_weight_dominating_set(g, pts)
+        if w > 0 and (centre is None or sum(pts) * centre[1] < sum(centre[0]) * w):
+            centre = pts, w
+        return col, w
+
     for _ in range(max_iter):
         master.reoptimize()
-        y = master.scaled_duals()
-        new_col, w = min_weight_dominating_set(g, y)
-        if w >= master.D:
-            # the master duals are feasible for the full LP: optimal
-            return _result_from_master(g, master, columns)
-        if new_col in seen:
-            raise RuntimeError("priced a column already in the pool")
+        y, D = master.scaled_duals(), master.D
+        new_col = None
+        if centre is not None:
+            yc, wc = centre
+            pts = [(a * D // wc + b) // 2 for a, b in zip(yc, y)]
+            k = math.gcd(*pts) or 1
+            col, _ = price([p // k for p in pts])
+            if sum(y[v] for v in iter_mask(col)) < D and col not in seen:
+                new_col = col
+        if new_col is None:
+            new_col, w = price(y)
+            if w >= D:
+                # the master duals are feasible for the full LP: optimal
+                return _result_from_master(g, master, columns)
+            if new_col in seen:
+                raise RuntimeError("priced a column already in the pool")
         seen.add(new_col)
         columns.append(new_col)
         _add_set(master, new_col)
-    # the restricted master bounds below; duals scaled by the pricing weight
-    # form a valid bottleneck bounding above (delta+1 when the weight is 0)
+    # the restricted master bounds below; the stability centre and a closed
+    # neighbourhood (delta+1) bound above
     lower = master.value()
-    upper = Fraction(sum(y), w) if w > 0 else Fraction(g.min_degree() + 1)
+    upper = Fraction(g.min_degree() + 1)
+    if centre is not None:
+        upper = min(upper, Fraction(sum(centre[0]), centre[1]))
     raise CapExceeded(
         f"column generation did not converge in {max_iter} iterations; "
         f"fdom in [{lower}, {upper}]")

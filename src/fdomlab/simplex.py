@@ -321,15 +321,18 @@ def _bias(width: int, count: int) -> int:
 
 
 def _unpack(T: int, width: int, count: int) -> Sequence[int]:
-    """The count unsigned lanes of width bits of T >= 0, lowest first."""
-    nbytes = width // 8
-    raw = T.to_bytes(nbytes * count, "little")
-    if width == WORD:
-        lanes = array("Q", raw)
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return lanes
-    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+    """The count unsigned lanes of width bits of T >= 0, lowest first.
+    A lane of k words joins its k 64-bit words, highest first."""
+    words = array("Q", T.to_bytes(width // 8 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    k = width // WORD
+    if k == 1:
+        return words
+    lanes = words[k - 1::k].tolist()
+    for i in range(k - 2, -1, -1):
+        lanes = [hi << WORD | lo for hi, lo in zip(lanes, words[i::k])]
+    return lanes
 
 
 def simplex_exact(c: Sequence[Fraction | int], rows: Sequence[Sequence[Fraction | int]],

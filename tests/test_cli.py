@@ -125,6 +125,29 @@ def test_verify_primal_rejects_out_of_range_vertex(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("invalid: column [0, 7]")
 
 
+@pytest.mark.parametrize("flag, blob, message", [
+    ("--primal", {"type": "primal", "value": ["1", "1"],
+                  "columns": [{"set": [0, 10 ** 8], "x": ["1", "1"]}]},
+     "invalid: column [0, 100000000] has a vertex out of range for n=3"),
+    ("--distribution", {"r": ["1", "1"], "atoms": [{"set": [0, 10 ** 8], "p": ["1", "1"]}]},
+     "invalid: vertex 100000000 out of range for n=3"),
+])
+def test_verify_rejects_a_huge_vertex_id_before_building_its_set(tmp_path, capsys, flag,
+                                                                  blob, message):
+    import tracemalloc
+    path = triangle_path(tmp_path)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(blob))
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--in", path, flag, str(cert)]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the bitmask 1 << 10^8 alone takes 12.5 MB
+    assert capsys.readouterr().out.strip() == message
+
+
 def test_verify_dual_rejects_zero_denominator(tmp_path, capsys):
     path = triangle_path(tmp_path)
     cert = tmp_path / "dual.json"

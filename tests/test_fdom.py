@@ -285,11 +285,31 @@ def test_colgen_rejects_zero_iterations():
         fdom_colgen(cycle(5), max_iter=0)
 
 
-def test_colgen_cap_reports_bounds():
+@pytest.mark.parametrize("g, value", [(cycle(12), 3), (coxeter(), 4),
+                                      (girth6_family(3), F(13, 5))])
+@pytest.mark.parametrize("max_iter", range(1, 6))
+def test_colgen_cap_reports_bounds(g, value, max_iter):
     from fdomlab.domset import CapExceeded
     with pytest.raises(CapExceeded) as e:
-        fdom_colgen(cycle(12), max_iter=1)
-    assert "fdom in [" in str(e.value)
+        fdom_colgen(g, max_iter=max_iter)
+    text = str(e.value)
+    assert "fdom in [" in text
+    lower, upper = (F(b) for b in text[text.index("[") + 1:-1].split(", "))
+    assert lower <= value <= upper
+
+
+def test_colgen_smoothing_cuts_pricing_calls_on_coxeter(monkeypatch):
+    from fdomlab import fdom
+    calls = []
+    price = fdom.min_weight_dominating_set
+
+    def counted(g, weights):
+        calls.append(len(weights))
+        return price(g, weights)
+
+    monkeypatch.setattr(fdom, "min_weight_dominating_set", counted)
+    assert fdom_colgen(coxeter()).value == 4
+    assert 0 < len(calls) <= 30  # 91 calls without smoothing
 
 
 def test_weight_vector_json_roundtrip():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from fdomlab import fdom, simplex
+from fdomlab.domset import complete_to_dominating, min_weight_dominating_set
 from fdomlab.generators import coxeter
 from fdomlab.simplex import IntegerLP, LPInfeasible, LPUnbounded, simplex_exact
 
@@ -227,18 +228,41 @@ def test_packed_inverse_at_lanes_wider_than_a_word():
     assert grown > 25 and wide_pivots > 60
 
 
-def test_packed_inverse_on_the_coxeter_master(monkeypatch):
+@pytest.mark.parametrize("width", [128, 192])
+def test_unpack_joins_the_words_of_wide_lanes(width):
+    rng = random.Random(width)
+    nbytes = width // 8
+    for count in (1, 2, 3, 40):
+        lanes = [rng.choice([0, 1, (1 << width) - 1, 1 << (width - 1), 1 << 64,
+                             rng.getrandbits(width)]) for _ in range(count)]
+        T = sum(v << (j * width) for j, v in enumerate(lanes))
+        raw = T.to_bytes(nbytes * count, "little")
+        per_lane = [int.from_bytes(raw[k:k + nbytes], "little")
+                    for k in range(0, len(raw), nbytes)]
+        assert list(simplex._unpack(T, width, count)) == per_lane == lanes
+
+
+def test_packed_inverse_on_the_coxeter_master():
     # m = 28: every lane and the row shifts past the fourth are read, over
-    # the warm starts of column generation
-    lps = []
-
-    def checked(b):
-        lps.append(InverseChecked(b, every=50))
-        return lps[-1]
-
-    monkeypatch.setattr(fdom, "IntegerLP", checked)
-    assert fdom.fdom_colgen(coxeter()).value == 4
-    (lp,) = lps
+    # the warm starts of column generation priced at the master's own duals
+    # (fdom_colgen prices at smoothed duals first and takes fewer pivots)
+    g = coxeter()
+    lp = InverseChecked([1] * g.n, every=50)
+    pool = []
+    for col in fdom._greedy_domatic_columns(g) + list(g.closed_mask):
+        col = complete_to_dominating(g, col)
+        if col not in pool:
+            pool.append(col)
+            fdom._add_set(lp, col)
+    while True:
+        lp.reoptimize()
+        col, w = min_weight_dominating_set(g, lp.scaled_duals())
+        if w >= lp.D:
+            break
+        assert col not in pool
+        pool.append(col)
+        fdom._add_set(lp, col)
+    assert lp.value() == 4
     assert lp.m == 28 and len(lp.pivots) >= 500
     assert len(lp.cols) - lp.first > 40  # columns added by pricing, then re-optimised
     lp.check()
