@@ -1,8 +1,9 @@
 """Chromatic machinery and the hardness-reduction checks.
 
 fractional_chromatic solves the covering LP over maximal independent sets
-(full enumeration up to a size cap, column generation beyond), with the
-dual verified by an independent max-weight-independent-set search.
+(full enumeration up to a size cap, column generation beyond).  Pricing and
+the dual check find maximum-weight independent sets as the complements of
+minimum-weight vertex covers, through domset's hitting-set search.
 chromatic_number is an exact DSATUR-ordered branch-and-bound with a clique
 lower bound and an optional time budget; when the budget runs out it
 reports bounds instead of guessing.
@@ -17,7 +18,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .distributions import FractionalColouring
-from .domset import CapExceeded, scale_to_integers
+from .domset import CapExceeded, min_weight_hitting_set, scale_to_integers
 from .fdom import fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
 from .graphs import Graph, mask_to_list
@@ -77,32 +78,17 @@ def maximal_independent_sets(g: Graph) -> list[int]:
 
 def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
                                ) -> tuple[int, int | Fraction]:
-    """Exact branch-and-bound over int or Fraction weights; weight-0
-    vertices are never needed."""
-    order = [v for v in sorted(range(g.n), key=lambda v: -weights[v]) if weights[v] > 0]
-    closed = g.closed_mask
-    best_mask, best_w = 0, 0
-
-    def search(i: int, avail: int, mask: int, w, rest) -> None:
-        nonlocal best_mask, best_w
-        if w > best_w:
-            best_mask, best_w = mask, w
-        if w + rest <= best_w:
-            return
-        for j in range(i, len(order)):
-            v = order[j]
-            if not (avail >> v) & 1:
-                continue
-            rest_after = rest - weights[v]
-            search(j + 1, avail & ~closed[v], mask | (1 << v), w + weights[v], rest_after)
-            rest = rest_after
-            avail &= ~(1 << v)
-            if w + rest <= best_w:
-                return
-
-    total = sum(w for w in weights if w > 0)
-    search(0, (1 << g.n) - 1, 0, 0, total)
-    return best_mask, best_w
+    """A maximum-weight independent set: the complement of a minimum-weight
+    vertex cover, the hitting set of the edges, under the weights clamped
+    at 0.  Vertices of weight <= 0 are never in it."""
+    edges = g.edges()
+    hits = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        hits[u] |= 1 << i
+        hits[v] |= 1 << i
+    clamped = [max(w, 0) for w in weights]
+    cover, w = min_weight_hitting_set([1 << u | 1 << v for u, v in edges], hits, clamped)
+    return ((1 << g.n) - 1) & ~cover, sum(clamped) - w
 
 
 def _greedy_colouring_classes(g: Graph) -> list[int]:
@@ -127,8 +113,8 @@ CHI_F_ROUNDS = 10_000  # column-generation rounds fractional_chromatic may run
 def fractional_chromatic(g: Graph, enum_cap: int = 25) -> FractionalChromaticResult:
     """Exact chi_f via the covering LP over independent sets.
 
-    The dual clique weights are certified by an independent branch-and-bound:
-    no independent set may carry weight above 1.
+    The dual clique weights are certified by a maximum-weight independent
+    set search: no independent set may carry weight above 1.
     """
     if g.n == 0:
         raise ValueError("empty graph")

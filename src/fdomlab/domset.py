@@ -1,13 +1,16 @@
 """Dominating-set engines over bitmask vertex sets: verification, greedy
 completion, minimal dominating set enumeration, exact domination number,
-minimum-weight dominating sets (the LP pricing routine), dominating
-(p:q)-colourings, and fractional bottleneck verification.
+minimum-weight hitting sets, dominating (p:q)-colourings, and fractional
+bottleneck verification.
 
 Vertex sets are Python-int bitmasks throughout.  Weights are exact: ints or
-Fractions.  The weighted searches run on ints: pricing passes integer dual
-numerators, and verify_bottleneck scales its weights (scale_to_integers).
-domination_number and min_weight_dominating_set share one packing bound.
-One backtracking search, dominating_colouring, finds dominating
+Fractions.  One weighted branch-and-bound, min_weight_hitting_set, prices
+and checks both LPs: over closed neighbourhoods it is
+min_weight_dominating_set (fdom), over edges a vertex cover, whose
+complement is chi_f's maximum-weight independent set.  It runs on ints:
+pricing passes integer dual numerators, and the dual checks scale theirs
+(scale_to_integers).  domination_number shares its packing bound.  One
+backtracking search, dominating_colouring, finds dominating
 (p:q)-colourings; the domatic number is its q = 1 case.
 """
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, iter_mask, mask_to_list
@@ -32,9 +35,15 @@ def is_dominating(g: Graph, s: int) -> bool:
 
 
 def coverage(g: Graph, s: int) -> int:
+    return _hit_by(g.closed_mask, s)
+
+
+def _hit_by(hits: Sequence[int], s: int) -> int:
+    """The mask of the sets met by the elements of s, where hits[u] is the
+    mask of the sets holding u."""
     cov = 0
-    for v in iter_mask(s):
-        cov |= g.closed_mask[v]
+    for u in iter_mask(s):
+        cov |= hits[u]
     return cov
 
 
@@ -93,56 +102,57 @@ def complete_to_dominating(g: Graph, s: int) -> int:
     return s
 
 
-def _packing_tables(g: Graph, weights: Sequence[int | Fraction]) -> tuple[list, list]:
-    """n2[v], the vertices within distance 2 of v, and doms[v], the
-    dominators of v as (bit, weight) in (weight, index) order."""
-    n2, doms = [], []
-    for v in range(g.n):
-        n2.append(coverage(g, g.closed_mask[v]))
-        doms.append(sorted(((1 << u, weights[u]) for u in (v, *g.adj[v])),
+def _packing_tables(sets: Sequence[int], hits: Sequence[int],
+                    weights: Sequence[int | Fraction]) -> tuple[list, list]:
+    """near[j], the sets sharing an element with set j, and doms[j], the
+    elements of set j as (bit, weight) in (weight, index) order."""
+    near, doms = [], []
+    for s in sets:
+        near.append(_hit_by(hits, s))
+        doms.append(sorted(((1 << u, weights[u]) for u in iter_mask(s)),
                            key=lambda bw: (bw[1], bw[0])))
-    return n2, doms
+    return near, doms
 
 
-def _packing_bound(uncovered: int, excluded: int, n2: list, doms: list
+def _packing_bound(uncovered: int, excluded: int, near: list, doms: list
                    ) -> Optional[int | Fraction]:
-    """Weight still needed to dominate `uncovered` without `excluded`
-    vertices, or None when a vertex has no dominator left.
+    """Weight still needed to hit the `uncovered` sets without `excluded`
+    elements, or None when such a set has no element left.
 
-    Packs the lowest uncovered vertex and drops n2 of it, so packed vertices
-    lie at distance >= 3: their closed neighbourhoods are disjoint and each
-    needs its own dominator, charged at its cheapest weight.  Under any
-    valid bound no node above an optimal (for domination_number, improving)
-    leaf is pruned, so the bound changes the node count, not the result.
+    Packs the lowest uncovered set and drops every set sharing an element
+    with it, so the packed sets are disjoint and each needs its own
+    element, charged at its cheapest weight.  Under any valid bound no node
+    above an optimal (for domination_number, improving) leaf is pruned, so
+    the bound changes the node count, not the result.
     """
     bound = 0
     while uncovered:
-        v = (uncovered & -uncovered).bit_length() - 1
-        for bit, w in doms[v]:
+        j = (uncovered & -uncovered).bit_length() - 1
+        for bit, w in doms[j]:
             if not excluded & bit:
                 bound += w
                 break
         else:
             return None
-        uncovered &= ~n2[v]
+        uncovered &= ~near[j]
     return bound
 
 
-def _most_constrained(uncovered: int, excluded: int, closed: Sequence[int]) -> int:
-    """The branching vertex of both searches: the lowest uncovered vertex
-    with the fewest dominators outside `excluded`, or the first with at
-    most one."""
-    v_best, count_best = -1, len(closed) + 1
+def _most_constrained(uncovered: int, excluded: int, sets: Sequence[int]) -> int:
+    """The branching set of both searches: the lowest uncovered set with
+    the fewest elements outside `excluded`, or the first with at most
+    one."""
+    j_best, count_best = -1, inf
     while uncovered:
         low = uncovered & -uncovered
-        v = low.bit_length() - 1
-        k = (closed[v] & ~excluded).bit_count()
+        j = low.bit_length() - 1
+        k = (sets[j] & ~excluded).bit_count()
         if k < count_best:
-            v_best, count_best = v, k
+            j_best, count_best = j, k
             if k <= 1:
                 break
         uncovered ^= low
-    return v_best
+    return j_best
 
 
 def domination_number(g: Graph) -> tuple[int, int]:
@@ -152,7 +162,7 @@ def domination_number(g: Graph) -> tuple[int, int]:
         return 0, 0
     full = (1 << g.n) - 1
     closed = g.closed_mask
-    n2, doms = _packing_tables(g, [1] * g.n)
+    near, doms = _packing_tables(closed, closed, [1] * g.n)
     best_set = complete_to_dominating(g, 0)
     best = best_set.bit_count()
 
@@ -164,7 +174,7 @@ def domination_number(g: Graph) -> tuple[int, int]:
                 best, best_set = size, chosen
             return
         uncovered = full & ~covered
-        lb = _packing_bound(uncovered, excluded, n2, doms)
+        lb = _packing_bound(uncovered, excluded, near, doms)
         if lb is None or size + lb >= best:
             return
         v = _most_constrained(uncovered, excluded, closed)
@@ -178,25 +188,24 @@ def domination_number(g: Graph) -> tuple[int, int]:
     return best, best_set
 
 
-def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
-                              ) -> tuple[int, int | Fraction]:
-    """A dominating set of minimum total weight (exact branch-and-bound).
+def min_weight_hitting_set(sets: Sequence[int], hits: Sequence[int],
+                           weights: Sequence[int | Fraction]
+                           ) -> tuple[int, int | Fraction]:
+    """An element set meeting every mask in `sets`, of minimum total weight
+    (exact branch-and-bound).
 
-    Weight-0 vertices are free and included up front; ties among optimal
-    sets are broken toward the lexicographically smallest bitmask.  The
-    returned set need not be inclusion-minimal.
+    Element u has weight weights[u] >= 0, and hits[u] is the mask of the
+    indices of the sets holding u; an empty set raises ValueError.  Weight-0
+    elements are free and included up front; ties among optimal sets are
+    broken toward the smallest bitmask.  The returned set need not be
+    inclusion-minimal.
     """
-    if len(weights) != g.n:
-        raise ValueError("weight vector length mismatch")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    if g.n == 0:
-        return 0, 0
-    full = (1 << g.n) - 1
-    closed = g.closed_mask
-    n2, doms = _packing_tables(g, weights)
-    free = sum(1 << v for v in range(g.n) if weights[v] == 0)
-    best_set = full
+    if 0 in sets:
+        raise ValueError("an empty set cannot be hit")
+    full = (1 << len(sets)) - 1
+    near, doms = _packing_tables(sets, hits, weights)
+    free = sum(1 << u for u, w in enumerate(weights) if w == 0)
+    best_set = (1 << len(weights)) - 1
     best_w = sum(weights)
 
     def search(chosen: int, covered: int, excluded: int, w: int | Fraction) -> None:
@@ -206,21 +215,33 @@ def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
                 best_set, best_w = chosen, w
             return
         uncovered = full & ~covered
-        lb = _packing_bound(uncovered, excluded, n2, doms)
+        lb = _packing_bound(uncovered, excluded, near, doms)
         if lb is None or w + lb > best_w:
             return
-        v = _most_constrained(uncovered, excluded, closed)
+        j = _most_constrained(uncovered, excluded, sets)
         # the candidates in (weight, index) order
         banned = excluded
-        for bit, wu in doms[v]:
+        for bit, wu in doms[j]:
             if excluded & bit:
                 continue
             u = bit.bit_length() - 1
-            search(chosen | bit, covered | closed[u], banned, w + wu)
+            search(chosen | bit, covered | hits[u], banned, w + wu)
             banned |= bit
 
-    search(free, coverage(g, free), free, 0)
+    search(free, _hit_by(hits, free), free, 0)
     return best_set, best_w
+
+
+def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
+                              ) -> tuple[int, int | Fraction]:
+    """A dominating set of minimum total weight: the hitting set of the
+    closed neighbourhoods, which are their own transpose (u is in N[v]
+    iff v is in N[u]).  Ties go to the smallest bitmask."""
+    if len(weights) != g.n:
+        raise ValueError("weight vector length mismatch")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    return min_weight_hitting_set(g.closed_mask, g.closed_mask, weights)
 
 
 def domatic_number(g: Graph, cap: int = 30) -> tuple[int, list[int]]:

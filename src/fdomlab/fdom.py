@@ -468,7 +468,8 @@ def pq_colouring_exists(g: Graph, p: int, q: int) -> Optional[list[frozenset[int
 
 def verify_pq_colouring(g: Graph, p: int, q: int,
                         phi: Sequence[frozenset[int]]) -> bool:
-    if len(phi) != g.n or any(len(s) != q or not s <= set(range(1, p + 1)) for s in phi):
+    if len(phi) != g.n or any(len(s) != q or not all(isinstance(c, int) and 1 <= c <= p for c in s)
+                              for s in phi):
         return False
     for v in range(g.n):
         seen: set[int] = set()

@@ -159,9 +159,9 @@ def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
         raise DistributionError("d1 must keep the endpoints identified")
     # the memberships at u and v make P(both out) = 1 - 2r + P(both in) > 0,
     # so beta > 0
-    stats = corner_stats(d_host, u, v, r)
-    switch = stats.alpha / stats.beta
     neither = host[0, 0]
+    alpha, beta = host[1, 1].prob / r, neither.prob / (1 - r)
+    switch = alpha / beta
     plan = [(host[1, 1].prob, host[1, 1], piece1[1, 1]),
             (host[1, 0].prob, host[1, 0], piece0[1, 0]),
             (host[0, 1].prob, host[0, 1], piece0[0, 1]),

@@ -1,17 +1,19 @@
-"""Differential tests of the two exact weighted branch-and-bounds and the
-certificate checks built on them, against brute force over all subsets in
-Fraction arithmetic."""
+"""Differential tests of the exact weighted branch-and-bound
+(min_weight_hitting_set, and the dominating-set and independent-set searches
+built on it) and the certificate checks built on them, against brute force
+over all subsets in Fraction arithmetic."""
 
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdomlab.chromatic import (_check_chi_f, fractional_chromatic,
                                max_weight_independent_set)
 from fdomlab.domset import (is_dominating, min_weight_dominating_set,
-                            verify_bottleneck)
+                            min_weight_hitting_set, verify_bottleneck)
 from fdomlab.graphs import Graph, mask_to_list
 
 
@@ -102,3 +104,52 @@ def test_check_chi_f_dual_matches_brute_force(g, data):
     assert accepted == accept
     if e == 0:
         assert accepted and brute_max_independent(g, ys) == 1
+
+
+@st.composite
+def families(draw, max_n=9):
+    """Nonempty masks over n <= max_n elements: singletons, repeated sets,
+    elements in no set and the empty family all occur."""
+    n = draw(st.integers(1, max_n))
+    masks = st.one_of(st.integers(1, (1 << n) - 1),
+                      st.integers(0, n - 1).map(lambda u: 1 << u))
+    sets = draw(st.lists(masks, max_size=8))
+    if sets and draw(st.booleans()):
+        sets.append(draw(st.sampled_from(sets)))
+    return n, sets
+
+
+def transpose(n, sets):
+    return [sum(1 << j for j, s in enumerate(sets) if s >> u & 1) for u in range(n)]
+
+
+@given(families(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_min_weight_hitting_set_matches_brute_force(family, data):
+    n, sets = family
+    ws = data.draw(weight_vectors(n))
+    s, w = min_weight_hitting_set(sets, transpose(n, sets), ws)
+    zeros = sum(1 << u for u in range(n) if ws[u] == 0)
+    hitting = [t for t in range(1 << n) if all(t & m for m in sets)]
+    low = min(weight(ws, t) for t in hitting)
+    assert all(s & m for m in sets) and s & zeros == zeros
+    assert w == weight(ws, s) == low
+    assert s == min(t for t in hitting if t & zeros == zeros and weight(ws, t) == low)
+
+
+def test_min_weight_hitting_set_branches_on_sets_larger_than_the_family():
+    # set 0 has more elements than there are sets
+    sets = [0b11110, 0b1]
+    ws = [3, 2, 1, 1, 1, F(4, 3), F(3, 4)]
+    assert min_weight_hitting_set(sets, transpose(7, sets), ws) == (0b101, 4)
+    with pytest.raises(ValueError, match="empty set"):
+        min_weight_hitting_set([0b1, 0], [0b1], [1])
+
+
+def test_max_weight_independent_set_edge_cases():
+    # negative weights are never taken
+    assert max_weight_independent_set(Graph(3, [(0, 1), (1, 2)]), [-1, 2, -3]) == (0b010, 2)
+    s, w = max_weight_independent_set(Graph(3, [(0, 1)]), [F(-1, 2), F(1, 3), F(-1, 5)])
+    assert (s, w) == (0b010, F(1, 3))
+    assert max_weight_independent_set(Graph(4, []), [1, 0, 2, -1]) == (0b0101, 3)
+    assert max_weight_independent_set(Graph(0, []), []) == (0, 0)

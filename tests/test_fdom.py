@@ -263,6 +263,14 @@ def test_pq_colouring_search():
     assert phi is not None and verify_pq_colouring(cycle(6), 3, 1, phi)
 
 
+def test_verify_pq_colouring_checks_colours_without_a_palette_set():
+    # a palette of 10^9 colours is never built: the triangle spans only 3
+    assert not verify_pq_colouring(complete(3), 10**9, 1, [{1}, {2}, {3}])
+    assert verify_pq_colouring(complete(3), 3, 1, [{1}, {2}, {3}])
+    for bad in ({0}, {4}, {2.5}):
+        assert not verify_pq_colouring(complete(3), 3, 1, [{1}, {2}, bad])
+
+
 def test_pq_colouring_h42_refutation():
     assert pq_colouring_exists(incidence_graph(4, 2), 3, 1) is None
 
