@@ -4,19 +4,24 @@ minimum-weight hitting sets, dominating (p:q)-colourings, and fractional
 bottleneck verification.
 
 Vertex sets are Python-int bitmasks throughout.  Weights are exact: ints or
-Fractions.  One weighted branch-and-bound, min_weight_hitting_set, prices
+Fractions.  One minimum-weight hitting set, min_weight_hitting_set, prices
 and checks both LPs: over closed neighbourhoods it is
 min_weight_dominating_set (fdom), over edges a vertex cover, whose
-complement is chi_f's maximum-weight independent set.  It runs on ints:
-pricing passes integer dual numerators, and the dual checks scale theirs
-(scale_to_integers).  domination_number shares its packing bound.  One
-backtracking search, dominating_colouring, finds dominating
-(p:q)-colourings; the domatic number is its q = 1 case.
+complement is chi_f's maximum-weight independent set.  Two exact engines
+give the same answer: a packing-bound branch-and-bound, and a frontier DP
+(Telle & Proskurowski, SIAM J. Discrete Math. 1997, in hitting-set form).
+Each family is prepared once and races them: a call that overflows the
+branch-and-bound's node budget probes the DP's state count under a cap
+proportional to the budget, and the family moves to the DP for good if
+the probe finishes, else the budget doubles.  domination_number keeps its
+own unit-weight search.  One backtracking search, dominating_colouring,
+finds dominating (p:q)-colourings; the domatic number is its q = 1 case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import inf, lcm
 from typing import Iterator, Optional, Sequence
@@ -102,16 +107,11 @@ def complete_to_dominating(g: Graph, s: int) -> int:
     return s
 
 
-def _packing_tables(sets: Sequence[int], hits: Sequence[int],
-                    weights: Sequence[int | Fraction]) -> tuple[list, list]:
-    """near[j], the sets sharing an element with set j, and doms[j], the
-    elements of set j as (bit, weight) in (weight, index) order."""
-    near, doms = [], []
-    for s in sets:
-        near.append(_hit_by(hits, s))
-        doms.append(sorted(((1 << u, weights[u]) for u in iter_mask(s)),
-                           key=lambda bw: (bw[1], bw[0])))
-    return near, doms
+def _doms(sets: Sequence[int], weights: Sequence[int | Fraction]) -> list:
+    """doms[j], the elements of set j as (bit, weight) in (weight, index)
+    order."""
+    return [sorted(((1 << u, weights[u]) for u in iter_mask(s)),
+                   key=lambda bw: (bw[1], bw[0])) for s in sets]
 
 
 def _packing_bound(uncovered: int, excluded: int, near: list, doms: list
@@ -162,7 +162,7 @@ def domination_number(g: Graph) -> tuple[int, int]:
         return 0, 0
     full = (1 << g.n) - 1
     closed = g.closed_mask
-    near, doms = _packing_tables(closed, closed, [1] * g.n)
+    near, doms = _family(closed, closed).near, _doms(closed, [1] * g.n)
     best_set = complete_to_dominating(g, 0)
     best = best_set.bit_count()
 
@@ -188,28 +188,122 @@ def domination_number(g: Graph) -> tuple[int, int]:
     return best, best_set
 
 
-def min_weight_hitting_set(sets: Sequence[int], hits: Sequence[int],
-                           weights: Sequence[int | Fraction]
-                           ) -> tuple[int, int | Fraction]:
-    """An element set meeting every mask in `sets`, of minimum total weight
-    (exact branch-and-bound).
+#: the branch-and-bound's node budget on a family's first call; it doubles
+#: whenever a call overflows it and the DP probe fails
+BB_NODES = 64
+#: a family moves to the DP once a call overflows the node budget b and the
+#: DP's state count, summed over its order, is at most DP_STATES_PER_NODE * b
+DP_STATES_PER_NODE = 16
+#: the largest probe cap, which bounds a probe's memory (a layer holds at
+#: most twice the cap); G6's closed-form check needs 452135 states
+DP_MAX_STATES = 1 << 19
 
-    Element u has weight weights[u] >= 0, and hits[u] is the mask of the
-    indices of the sets holding u; an empty set raises ValueError.  Weight-0
-    elements are free and included up front; ties among optimal sets are
-    broken toward the smallest bitmask.  The returned set need not be
-    inclusion-minimal.
+
+class _Overflow(Exception):
+    """The branch-and-bound passed its node budget."""
+
+
+class _Family:
+    """A hitting-set family prepared once: the branch-and-bound's `near`
+    table (near[j], the sets sharing an element with set j), the DP's
+    element order and closing masks (built at the first overflow), and the
+    engine: a node budget, or None once the DP has won the race."""
+
+    def __init__(self, sets: tuple[int, ...], hits: tuple[int, ...]) -> None:
+        if 0 in sets:
+            raise ValueError("an empty set cannot be hit")
+        if any(s >> len(hits) for s in sets):
+            raise ValueError(f"a set names an element outside 0..{len(hits) - 1}")
+        self.sets, self.hits = sets, hits
+        self.near = [_hit_by(hits, s) for s in sets]
+        self.budget: Optional[int] = BB_NODES
+        self.order: list[tuple[int, int]] = []
+
+    def solve(self, weights: Sequence[int | Fraction]) -> tuple[int, int | Fraction]:
+        """The answer of min_weight_hitting_set, by the race's engine."""
+        free = sum(1 << u for u, w in enumerate(weights) if w == 0)
+        if self.budget is not None:
+            doms = _doms(self.sets, weights)
+        while self.budget is not None:
+            try:
+                return _branch_and_bound(self, weights, doms, free, self.budget)
+            except _Overflow:
+                cap = DP_STATES_PER_NODE * self.budget
+                if cap <= DP_MAX_STATES and self._dp_fits(cap):
+                    self.budget = None
+                else:
+                    self.budget *= 2
+        return _frontier_dp(self, weights, free)
+
+    def _dp_fits(self, cap: int) -> bool:
+        """Whether the DP's layers, summed over the order, hold at most cap
+        states; no layer grows past twice the cap."""
+        if not self.order:
+            self.order = _frontier_order(self.sets, self.hits)
+        layer, total = {0}, 1
+        for u, close in self.order:
+            hu = self.hits[u]
+            layer = {k ^ close for hm in layer for k in (hm, hm | hu)
+                     if k & close == close}
+            total += len(layer)
+            if total > cap:
+                return False
+        return True
+
+
+#: the prepared family of (sets, hits), kept while it is among the last
+#: few used: pricing and the dual checks of one LP share theirs
+_family = lru_cache(maxsize=8)(_Family)
+
+
+def _frontier_order(sets: Sequence[int], hits: Sequence[int]) -> list[tuple[int, int]]:
+    """The elements as (u, the mask of the sets whose last element is u).
+
+    A set is open while it has elements on both sides, and the frontier is
+    the processed elements in an open set.  Each next element leaves the
+    smallest frontier, then closes the most sets, then leaves the fewest
+    open sets; ties go to the lowest index.
     """
-    if 0 in sets:
-        raise ValueError("an empty set cannot be hit")
+    rem = [s.bit_count() for s in sets]
+    last = sum((k == 1) << j for j, k in enumerate(rem))  # one element left
+    open_ = front = 0
+
+    def step(x: int) -> tuple:
+        close = hits[x] & last
+        op = (open_ | hits[x]) & ~close
+        fr = front | 1 << x
+        for v in iter_mask(fr & (_hit_by(sets, close) | 1 << x)):
+            if not hits[v] & op:
+                fr ^= 1 << v
+        return (fr.bit_count(), -close.bit_count(), op.bit_count(), x), close, op, fr
+
+    left, order = set(range(len(hits))), []
+    while left:
+        key, close, open_, front = min(map(step, left))
+        u = key[-1]
+        left.discard(u)
+        order.append((u, close))
+        for j in iter_mask(hits[u]):
+            rem[j] -= 1
+            last |= (rem[j] == 1) << j
+    return order
+
+
+def _branch_and_bound(fam: _Family, weights: Sequence[int | Fraction], doms: list,
+                      free: int, budget: int) -> tuple[int, int | Fraction]:
+    """The packing-bound search, branching on a most constrained set;
+    raises _Overflow past `budget` nodes."""
+    sets, hits, near = fam.sets, fam.hits, fam.near
     full = (1 << len(sets)) - 1
-    near, doms = _packing_tables(sets, hits, weights)
-    free = sum(1 << u for u, w in enumerate(weights) if w == 0)
     best_set = (1 << len(weights)) - 1
     best_w = sum(weights)
+    nodes = 0
 
     def search(chosen: int, covered: int, excluded: int, w: int | Fraction) -> None:
-        nonlocal best_set, best_w
+        nonlocal best_set, best_w, nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Overflow
         if covered == full:
             if w < best_w or (w == best_w and chosen < best_set):
                 best_set, best_w = chosen, w
@@ -228,8 +322,60 @@ def min_weight_hitting_set(sets: Sequence[int], hits: Sequence[int],
             search(chosen | bit, covered | hits[u], banned, w + wu)
             banned |= bit
 
-    search(free, _hit_by(hits, free), free, 0)
+    try:
+        search(free, _hit_by(hits, free), free, 0)
+    finally:
+        search = None  # breaks the closure's reference cycle, freeing doms now
     return best_set, best_w
+
+
+def _frontier_dp(fam: _Family, weights: Sequence[int | Fraction], free: int
+                 ) -> tuple[int, int | Fraction]:
+    """The DP over the frontier order.  A state is the mask of the open sets
+    already hit, and keeps the least (weight, chosen mask) reaching it,
+    packed as weight << n | mask on the integer-scaled weights; a set is
+    dropped at its last element, and a state that left it unhit dies.
+    Extensions of a state are disjoint from its chosen mask, so the least
+    pair composes: the result is the branch-and-bound's."""
+    n, ints = len(weights), scale_to_integers(weights)[0]
+    states = {0: 0}
+    for u, close in fam.order:
+        hu, bit = fam.hits[u], 1 << u
+        if free & bit:  # forced in at no weight
+            nxt, inc = {}, bit
+        else:
+            nxt, inc = {hm ^ close: v for hm, v in states.items()
+                        if hm & close == close}, ints[u] << n | bit
+        for hm, v in states.items():
+            k = hm | hu
+            if k & close == close:
+                k ^= close
+                v += inc
+                old = nxt.get(k)
+                if old is None or v < old:
+                    nxt[k] = v
+        states = nxt
+    s = states[0] & (1 << n) - 1
+    return s, sum(weights[u] for u in iter_mask(s & ~free))
+
+
+def min_weight_hitting_set(sets: Sequence[int], hits: Sequence[int],
+                           weights: Sequence[int | Fraction]
+                           ) -> tuple[int, int | Fraction]:
+    """An element set meeting every mask in `sets`, of minimum total weight.
+
+    Element u has weight weights[u] >= 0, and hits[u] is the mask of the
+    indices of the sets holding u; an empty set, a set naming an element
+    past len(hits), a length mismatch or a negative weight raises
+    ValueError.  The result is the least (weight, bitmask) over the
+    hitting sets holding every weight-0 element, whichever engine finds
+    it; it need not be inclusion-minimal.
+    """
+    if len(weights) != len(hits):
+        raise ValueError(f"{len(weights)} weights for {len(hits)} elements")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    return _family(tuple(sets), tuple(hits)).solve(weights)
 
 
 def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
@@ -237,10 +383,6 @@ def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
     """A dominating set of minimum total weight: the hitting set of the
     closed neighbourhoods, which are their own transpose (u is in N[v]
     iff v is in N[u]).  Ties go to the smallest bitmask."""
-    if len(weights) != g.n:
-        raise ValueError("weight vector length mismatch")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
     return min_weight_hitting_set(g.closed_mask, g.closed_mask, weights)
 
 

@@ -8,9 +8,9 @@ from fdomlab.domset import domination_number, is_dominating
 from fdomlab.enumerate_graphs import all_graphs
 from fdomlab.fdom import (CertificateError, DualCertificate, PrimalCertificate,
                           SampleReport, certificate_from_json, closed_form_certificate,
-                          fdom_colgen, fdom_exact, pq_colouring_exists,
-                          sample_lnbound, symmetric_certificate, verify_dual,
-                          verify_primal, verify_pq_colouring)
+                          fdom_colgen, fdom_exact, girth6_certificate,
+                          pq_colouring_exists, sample_lnbound, symmetric_certificate,
+                          verify_dual, verify_primal, verify_pq_colouring)
 from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 girth6_family, hypercube, incidence_graph,
                                 join_with_clique, kneser, theta_graph,
@@ -122,6 +122,17 @@ def test_girth6_certificate():
         cert = closed_form_certificate("girth6", n=n)
         assert cert.total == F(5 * n - 2, 2 * n - 1)
         assert verify_dual(girth6_family(n), cert)[0]
+
+
+def test_girth6_certificate_checked_on_g4_and_g5():
+    for n in (4, 5):
+        g, cert = girth6_family(n), girth6_certificate(n)
+        assert verify_dual(g, cert) == (True, "ok")
+        # hub 0 lowered: some minimum dominating set through it drops below 1
+        low = list(cert.weights)
+        low[0] -= F(1, 4 * n)
+        ok, why = verify_dual(g, DualCertificate(low))
+        assert not ok and why.startswith("a dominating set has weight")
 
 
 def test_hnd_certificate_reverified_not_trusted():
