@@ -42,7 +42,7 @@ _MEMBERS: dict[int, Graph] = {
 
 
 def _key(g: Graph) -> tuple:
-    return (g.n, g.m, tuple(sorted(vertex_signature(g.adj))))
+    return (g.n, g.m, tuple(sorted(vertex_signature(g.nbr_mask))))
 
 
 _SIZES = {(ref.n, ref.m) for ref in _MEMBERS.values()}

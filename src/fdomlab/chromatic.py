@@ -21,7 +21,7 @@ from .distributions import FractionalColouring
 from .domset import CapExceeded, min_weight_hitting_set, scale_to_integers
 from .fdom import fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
-from .graphs import Graph, mask_to_list
+from .graphs import Graph, iter_mask, mask_to_list
 from .simplex import IntegerLP, simplex_exact
 
 
@@ -206,7 +206,7 @@ def _greedy_clique(g: Graph) -> int:
     best = 0
     for v in range(g.n):
         clique = 1 << v
-        for u in sorted(g.adj[v], key=lambda w: -g.degree(w)):
+        for u in sorted(iter_mask(g.nbr_mask[v]), key=lambda w: -g.degree(w)):
             if (g.nbr_mask[u] & clique) == clique:
                 clique |= 1 << u
         best = max(best, clique.bit_count())
@@ -243,7 +243,7 @@ def chromatic_number(g: Graph, cap: int = 40,
 def _greedy_colour_list(g: Graph) -> list[int]:
     col = [-1] * g.n
     for v in sorted(range(g.n), key=lambda u: -g.degree(u)):
-        used = {col[w] for w in g.adj[v] if col[w] >= 0}
+        used = {col[w] for w in iter_mask(g.nbr_mask[v]) if col[w] >= 0}
         c = 0
         while c in used:
             c += 1
@@ -254,6 +254,7 @@ def _greedy_colour_list(g: Graph) -> list[int]:
 def _k_colouring(g: Graph, k: int, deadline: Optional[float]):
     """A proper k-colouring or None; 'timeout' when the deadline passes."""
     col = [-1] * g.n
+    nbrs = [mask_to_list(m) for m in g.nbr_mask]
     nbr_cols = [set() for _ in range(g.n)]
     ticks = 0
 
@@ -283,7 +284,7 @@ def _k_colouring(g: Graph, k: int, deadline: Optional[float]):
                 continue
             col[v] = c
             touched = []
-            for w in g.adj[v]:
+            for w in nbrs[v]:
                 if col[w] < 0 and c not in nbr_cols[w]:
                     nbr_cols[w].add(c)
                     touched.append(w)

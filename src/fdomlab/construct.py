@@ -44,10 +44,10 @@ from .distributions import (DistributionError, DominatingDistribution,
                             colouring_to_distribution, complete_to_r,
                             constant_demand, cycle_distribution, relabel,
                             standard_demand, verify_f_dominating)
-from .domset import CapExceeded, is_dominating
+from .domset import CapExceeded, coverage, is_dominating
 from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
-from .graphs import Graph
+from .graphs import Graph, iter_mask, mask_to_list
 from .iso import spanning_subgraph_embedding
 from .structure import (SuspendedPath, cut_vertices_and_blocks,
                         find_long_suspended_path, hammocks,
@@ -145,12 +145,9 @@ def _edge_case(r: Fraction) -> DominatingDistribution:
 
 
 def _cycle_case(g: Graph, r: Fraction) -> DominatingDistribution:
-    order = [0]
-    prev = -1
-    while len(order) < g.n:
-        nxt = [w for w in sorted(g.adj[order[-1]]) if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
+    order = [0, mask_to_list(g.nbr_mask[0])[0]]
+    while len(order) < g.n:  # step to the neighbour we did not come from
+        order.append((g.nbr_mask[order[-1]] & ~(1 << order[-2])).bit_length() - 1)
     return complete_to_r(relabel(cycle_distribution(g.n), order), r, g.n)
 
 
@@ -160,17 +157,12 @@ def _cut_vertex_case(g: Graph, v0: int, r: Fraction,
     """Split at v0 into the component of g - v0 holding the lowest other
     vertex, plus v0, and the rest; glue side(part, local id of v0) of the
     two parts at v0."""
-    start = 1 if v0 == 0 else 0
-    comp = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w != v0 and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    g0, map0 = g.induced(comp | {v0})
-    g1, map1 = g.induced(set(range(g.n)) - comp)
+    comp = level = 1 << (1 if v0 == 0 else 0)
+    while level:
+        level = coverage(g, level) & ~comp & ~(1 << v0)
+        comp |= level
+    g0, map0 = g.induced(iter_mask(comp | 1 << v0))
+    g1, map1 = g.induced(iter_mask((1 << g.n) - 1 & ~comp))
     d0 = side(g0, map0.index(v0))
     d1 = side(g1, map1.index(v0))
     return glue_at_cutvertex(d0, g0, map0, d1, g1, map1, v0, r)
@@ -258,7 +250,7 @@ def _contract_3path_case(g: Graph, p: SuspendedPath) -> DominatingDistribution:
     # contract the path into u: u inherits v's other neighbours
     edges = [(a, b) for a, b in g.edges()
              if a not in (x, y, v) and b not in (x, y, v)]
-    edges += [(u, t) for t in g.adj[v] if t != y]
+    edges += [(u, t) for t in iter_mask(g.nbr_mask[v]) if t != y]
     contracted = Graph(g.n, edges)
     reduced, keep = contracted.remove_vertices([x, y, v])
     if bad_family_check(reduced) is not None:
@@ -403,7 +395,7 @@ def base_case_hammock(g: Graph, ann: HammockAnnotations) -> DominatingDistributi
             choice_sets: list[list[int]] = []
             for b in ann.b0:
                 if not ((b0set >> b) & 1) and not (g.nbr_mask[b] & a0set):
-                    choice_sets.append(sorted(g.adj[b]))
+                    choice_sets.append(mask_to_list(g.nbr_mask[b]))
             # 3-path rules
             base_mask = hubset | a0set
             for p in ann.three_paths:

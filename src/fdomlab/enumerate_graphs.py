@@ -10,8 +10,9 @@ of a base B:
 - a canonical-deletion filter: keep the candidate only if the new vertex
   maximises (degree, `vertex_signature`) among its vertices, checked on
   the degrees before any graph is built;
-- the survivors are bucketed by (edges, sorted signatures), and an
-  explicit isomorphism test inside the bucket decides the rare ties.
+- the survivors are bucketed by a hash of (edges, sorted signatures),
+  and an explicit isomorphism test inside the bucket decides the rare
+  ties (a hash collision only merges two buckets).
 
 The filter loses no graph: every G has a vertex c where (degree,
 signature) is maximal, because the pair is an isomorphism invariant with
@@ -20,8 +21,8 @@ orbit representative of the image of N(c) in B is tried, and it yields a
 graph isomorphic to G whose new vertex takes c's place, so it has the
 maximal pair too and passes.  Signature collisions only add ties, and
 the isomorphism test makes the final decision.  Pure Python: the 12346
-graphs on 8 vertices take about 2.5 s and the 274668 on 9 about a minute
-(Python 3.11, one core); n = 10 is out of reach.
+graphs on 8 vertices take about 2 s and the 274668 on 9 about 35 s and
+260 MB (Python 3.11, one core); n = 10 is out of reach.
 """
 
 from __future__ import annotations
@@ -54,21 +55,21 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         return (Graph(1, []),)
     k = n - 1  # the new vertex
     out: list[Graph] = []
-    buckets: dict[tuple, list[Graph]] = {}
+    buckets: dict[int, list[Graph]] = {}
     for base in all_graphs(k):
         top = base.max_degree()
         top_mask = sum(1 << v for v in range(k) if base.degree(v) == top)
+        base_edges = base.edges()
         for s in _subset_orbit_representatives(base):
             d = s.bit_count()
             if d < top or (d == top and s & top_mask):
                 continue  # some base vertex would outrank the new one in degree
-            adj = [a | {k} if s >> v & 1 else a for v, a in enumerate(base.adj)]
-            adj.append(frozenset(iter_mask(s)))
-            sig = vertex_signature(adj)
-            if max((len(a), c) for a, c in zip(adj, sig)) != (d, sig[k]):
+            nbr = [m | (s >> v & 1) << k for v, m in enumerate(base.nbr_mask)] + [s]
+            sig = vertex_signature(nbr)
+            if max((m.bit_count(), c) for m, c in zip(nbr, sig)) != (d, sig[k]):
                 continue
-            cand = Graph(n, base.edges() + tuple((v, k) for v in iter_mask(s)))
-            bucket = buckets.setdefault((cand.m, tuple(sorted(sig))), [])
+            cand = Graph(n, base_edges + tuple((v, k) for v in iter_mask(s)))
+            bucket = buckets.setdefault(hash((cand.m, *sorted(sig))), [])
             if not any(is_isomorphic(cand, other) for other in bucket):
                 bucket.append(cand)
                 out.append(cand)

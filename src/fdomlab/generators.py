@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from importlib import resources
 
-from .graphs import Graph, GraphError, MultiGraph
+from .graphs import Graph, GraphError, MultiGraph, mask_to_list
 
 
 def cycle(n: int) -> Graph:
@@ -214,7 +214,7 @@ def graph_square(g: Graph) -> Graph:
     """G^2: join vertices at distance 1 or 2."""
     edges = set(g.edges())
     for v in range(g.n):
-        nbrs = sorted(g.adj[v])
+        nbrs = mask_to_list(g.nbr_mask[v])
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 edges.add((nbrs[i], nbrs[j]))

@@ -28,7 +28,7 @@ from typing import Callable, Hashable
 
 from .distributions import (DistributionError, DominatingDistribution,
                             colouring_to_distribution, complete_to_r, relabel)
-from .graphs import Graph, mask_of
+from .graphs import Graph, iter_mask, mask_of
 from .pathtables import path_tables
 from .structure import SuspendedPath
 
@@ -98,7 +98,7 @@ def glue_at_cutvertex(d0: DominatingDistribution, g0: Graph, map0: list[int],
     min(1, f0(v) + f1(v) - r).
     """
     def at_v(g: Graph, mapping: list[int]) -> Callable[[int], str]:
-        nbrs = mask_of(mapping[u] for u in g.adj[mapping.index(v)])
+        nbrs = mask_of(mapping[u] for u in iter_mask(g.nbr_mask[mapping.index(v)]))
         return lambda s: "in" if (s >> v) & 1 else "seen" if s & nbrs else "missed"
 
     side0 = _by_event(relabel(d0, map0), at_v(g0, map0))

@@ -1,13 +1,13 @@
 """Immutable simple graphs and loopless multigraphs on vertices 0..n-1.
 
-Adjacency is stored both as frozensets (for membership tests) and as
-closed-neighbourhood bitmasks (for the dominating-set engines, which work
-on Python-int bitsets throughout).
+A simple graph stores its adjacency once, as open and closed
+neighbourhood bitmasks (Python ints; the dominating-set engines work on
+these bitsets throughout).  The edge list, the degrees and the traversals
+are derived from the masks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -23,127 +23,127 @@ class RationalError(ValueError):
 class Graph:
     """Simple undirected graph.  Vertices are 0..n-1; no loops, no parallel edges."""
 
-    __slots__ = ("n", "adj", "nbr_mask", "closed_mask", "_edges")
+    __slots__ = ("n", "nbr_mask", "closed_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("negative vertex count")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        nbr = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
         self.n = n
-        self.adj = tuple(frozenset(s) for s in adj)
-        self.nbr_mask = tuple(sum(1 << w for w in s) for s in adj)
-        self.closed_mask = tuple(m | (1 << v) for v, m in enumerate(self.nbr_mask))
-        self._edges = tuple(sorted((min(u, v), max(u, v))
-                                   for u in range(n) for v in adj[u] if u < v))
+        self.nbr_mask = tuple(nbr)
+        self.closed_mask = tuple(m | (1 << v) for v, m in enumerate(nbr))
 
     # -- basic queries -------------------------------------------------
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """The edges (u, v) with u < v, in increasing order."""
+        out = []
+        for u, m in enumerate(self.nbr_mask):
+            m >>= u + 1  # the neighbours above u, as offsets from u + 1
+            while m:
+                low = m & -m
+                out.append((u, u + low.bit_length()))
+                m ^= low
+        return tuple(out)
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(map(int.bit_count, self.nbr_mask)) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_mask[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [len(s) for s in self.adj]
+        return [m.bit_count() for m in self.nbr_mask]
 
     def min_degree(self) -> int:
-        return min((len(s) for s in self.adj), default=0)
+        return min(self.degrees(), default=0)
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self.adj), default=0)
+        return max(self.degrees(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.nbr_mask[u] >> v & 1 == 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
-                and self._edges == other._edges)
+                and self.nbr_mask == other.nbr_mask)
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self.nbr_mask))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
     # -- traversal -----------------------------------------------------
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = self._component(0)
-        return len(seen) == self.n
+    def _levels(self, start: int) -> Iterator[int]:
+        """The BFS levels from start, as vertex masks."""
+        seen = level = 1 << start
+        while level:
+            yield level
+            reach = 0
+            for u in iter_mask(level):
+                reach |= self.nbr_mask[u]
+            level = reach & ~seen
+            seen |= level
 
-    def _component(self, start: int) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    def is_connected(self) -> bool:
+        return self.n == 0 or sum(level.bit_count() for level in self._levels(0)) == self.n
 
     def bfs_order(self) -> list[int]:
-        order, seen = [], set()
+        order, seen, i = [], 0, 0
         for root in range(self.n):
-            if root in seen:
-                continue
-            seen.add(root)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for w in sorted(self.adj[u]):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
+            if not seen >> root & 1:
+                seen |= 1 << root
+                order.append(root)
+            while i < len(order):  # order doubles as the queue
+                new = self.nbr_mask[order[i]] & ~seen
+                seen |= new
+                order.extend(iter_mask(new))
+                i += 1
         return order
 
     def distances_from(self, start: int) -> list[Optional[int]]:
         dist: list[Optional[int]] = [None] * self.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if dist[w] is None:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        for d, level in enumerate(self._levels(start)):
+            for w in iter_mask(level):
+                dist[w] = d
         return dist
 
     def girth(self) -> Optional[int]:
-        """Length of a shortest cycle, or None for a forest (BFS from every vertex)."""
+        """Length of a shortest cycle, or None for a forest.
+
+        A BFS from every vertex s, one level mask at a time: an edge inside
+        level d closes a cycle of length at most 2d+1, and a vertex of level
+        d+1 reached from two vertices of level d one of length at most 2d+2.
+        A shortest cycle through s is found this way at its own length.
+        """
         best: Optional[int] = None
         for s in range(self.n):
-            dist = {s: 0}
-            parent = {s: -1}
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                if best is not None and 2 * dist[u] >= best:
-                    continue
-                for w in self.adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        queue.append(w)
-                    elif parent[u] != w:
-                        cyc = dist[u] + dist[w] + 1
-                        if best is None or cyc < best:
-                            best = cyc
+            seen = level = 1 << s
+            d = 0
+            while level and (best is None or 2 * d + 1 < best):
+                reach = twice = inside = 0
+                for u in iter_mask(level):
+                    nb = self.nbr_mask[u]
+                    inside |= nb & level
+                    twice |= reach & nb
+                    reach |= nb
+                if inside:
+                    best = 2 * d + 1
+                elif twice & ~seen:
+                    best = 2 * d + 2
+                level = reach & ~seen
+                seen |= level
+                d += 1
         return best
 
     # -- derived graphs --------------------------------------------------
@@ -152,15 +152,14 @@ class Graph:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u},{v})")
         e = (min(u, v), max(u, v))
-        return Graph(self.n, [f for f in self._edges if f != e])
+        return Graph(self.n, [f for f in self.edges() if f != e])
 
     def remove_vertices(self, drop: Iterable[int]) -> tuple["Graph", list[int]]:
         """Delete vertices; returns (new graph, old-id of each new vertex)."""
         dropset = set(drop)
         keep = [v for v in range(self.n) if v not in dropset]
         new_id = {v: i for i, v in enumerate(keep)}
-        edges = [(new_id[u], new_id[v]) for u, v in self._edges
-                 if u not in dropset and v not in dropset]
+        edges = [(new_id[u], new_id[v]) for u, v in self.edges() if u in new_id and v in new_id]
         return Graph(len(keep), edges), keep
 
     def induced(self, verts: Iterable[int]) -> tuple["Graph", list[int]]:
@@ -312,4 +311,9 @@ def iter_mask(mask: int) -> Iterator[int]:
 
 
 def mask_to_list(mask: int) -> list[int]:
-    return list(iter_mask(mask))
+    out = []  # iter_mask's loop without the generator, which costs a resume per bit
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

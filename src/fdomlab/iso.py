@@ -11,16 +11,16 @@ the exhaustive test corpora).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, iter_mask, mask_to_list
 
 
-def vertex_signature(adj: Sequence[Collection[int]]) -> list[int]:
+def vertex_signature(nbr_mask: Sequence[int]) -> list[int]:
     """Colour refinement (1-WL) from the degrees, to a stable partition.
 
-    `adj[v]` holds the neighbours of v.  A colour is the hash of the
-    vertex's previous colour and the sorted colours of its neighbours, so
+    `nbr_mask[v]` is the neighbourhood mask of v.  A colour is the hash of
+    the vertex's previous colour and the sorted colours of its neighbours, so
     it is a function of the refinement history alone and means the same
     in every graph: an isomorphism maps each vertex to one of equal
     signature, and isomorphic graphs have equal signature multisets.
@@ -28,11 +28,12 @@ def vertex_signature(adj: Sequence[Collection[int]]) -> list[int]:
     collision can only merge classes, which weakens the signature as a
     pruning device but never makes it depend on the labelling.
     """
-    colours = [len(a) for a in adj]
+    colours = [m.bit_count() for m in nbr_mask]
+    nbrs = [mask_to_list(m) for m in nbr_mask]
     classes = len(set(colours))
     while True:
         new = [hash((c, tuple(sorted([colours[w] for w in a]))))
-               for c, a in zip(colours, adj)]
+               for c, a in zip(colours, nbrs)]
         k = len(set(new))
         if k <= classes:
             return new
@@ -53,7 +54,7 @@ def _search_order(g: Graph, colours: list[int]) -> list[int]:
             continue
         ordered.append(v)
         seen.add(v)
-        for w in sorted(g.adj[v], key=lambda x: (freq[colours[x]], x)):
+        for w in sorted(iter_mask(g.nbr_mask[v]), key=lambda x: (freq[colours[x]], x)):
             if w not in seen:
                 stack.append(w)
     return ordered
@@ -63,6 +64,7 @@ def _extensions(g: Graph, h: Graph, cg: list[int], ch: list[int], ordered: list[
                 fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
     """Yield isomorphisms g -> h that respect the colours and send each
     key of `fixed` to its value, mapping g's vertices in `ordered` order."""
+    nbrs = [mask_to_list(m) for m in g.nbr_mask]
     phi: dict[int, int] = {}
     used = [False] * h.n
 
@@ -71,7 +73,7 @@ def _extensions(g: Graph, h: Graph, cg: list[int], ch: list[int], ordered: list[
             yield tuple(phi[v] for v in range(g.n))
             return
         v = ordered[i]
-        mapped_nbrs = [phi[w] for w in g.adj[v] if w in phi]
+        mapped_nbrs = [phi[w] for w in nbrs[v] if w in phi]
         for t in ((fixed[v],) if v in fixed else range(h.n)):
             if used[t] or ch[t] != cg[v]:
                 continue
@@ -93,8 +95,8 @@ def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
     """Yield isomorphisms g -> h as tuples phi with phi[u] in V(h)."""
     if g.n != h.n or g.m != h.m:
         return
-    cg = vertex_signature(g.adj)
-    ch = cg if h is g else vertex_signature(h.adj)
+    cg = vertex_signature(g.nbr_mask)
+    ch = cg if h is g else vertex_signature(h.nbr_mask)
     if sorted(cg) != sorted(ch):
         return
     yield from _extensions(g, h, cg, ch, _search_order(g, cg), {})
@@ -127,7 +129,7 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     that is Aut(g).  A graph whose signature separates every vertex needs
     no search at all.
     """
-    cg = vertex_signature(g.adj)
+    cg = vertex_signature(g.nbr_mask)
     ordered = _search_order(g, cg)
     gens: list[tuple[int, ...]] = []
     for i in reversed(range(g.n)):
@@ -195,7 +197,7 @@ def canonical_form(g: Graph) -> tuple:
     n = g.n
     if n == 0:
         return (0, 0)
-    colours = vertex_signature(g.adj)
+    colours = vertex_signature(g.nbr_mask)
     best: Optional[int] = None
     order: list[int] = []
     pos = [0] * n
@@ -248,6 +250,7 @@ def spanning_subgraph_embedding(pattern: Graph, host: Graph,
         return None
     # one colour class: highest degree first, then depth-first
     ordered = _search_order(pattern, [0] * pattern.n)
+    nbrs = [mask_to_list(m) for m in pattern.nbr_mask]
     phi: dict[int, int] = {}
     used = [False] * host.n
 
@@ -255,7 +258,7 @@ def spanning_subgraph_embedding(pattern: Graph, host: Graph,
         if i == len(ordered):
             return tuple(phi[v] for v in range(pattern.n))
         v = ordered[i]
-        mapped_nbrs = [phi[w] for w in pattern.adj[v] if w in phi]
+        mapped_nbrs = [phi[w] for w in nbrs[v] if w in phi]
         for t in ((fixed[v],) if v in fixed else range(host.n)):
             if used[t] or host.degree(t) < pattern.degree(v):
                 continue

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, iter_mask
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def cut_vertices_and_blocks(g: Graph) -> tuple[list[int], list[list[int]]]:
     for root in range(g.n):
         if visited[root]:
             continue
-        stack = [(root, iter(sorted(g.adj[root])))]
+        stack = [(root, iter_mask(g.nbr_mask[root]))]
         visited[root] = True
         root_children = 0
         while stack:
@@ -92,7 +92,7 @@ def cut_vertices_and_blocks(g: Graph) -> tuple[list[int], list[list[int]]]:
                     edge_stack.append((v, w))
                     if v == root:
                         root_children += 1
-                    stack.append((w, iter(sorted(g.adj[w]))))
+                    stack.append((w, iter_mask(g.nbr_mask[w])))
                     advanced = True
                     break
                 elif w != parent[v] and depth[w] < depth[v]:
@@ -129,11 +129,10 @@ def suspended_paths(g: Graph) -> list[SuspendedPath]:
     for u in range(g.n):
         if g.degree(u) < 3:
             continue
-        for first in sorted(g.adj[u]):
+        for first in iter_mask(g.nbr_mask[u]):
             walk = [u, first]
-            while g.degree(walk[-1]) == 2:
-                a, b = g.adj[walk[-1]]
-                walk.append(b if a == walk[-2] else a)
+            while g.degree(walk[-1]) == 2:  # step to the neighbour we did not come from
+                walk.append((g.nbr_mask[walk[-1]] & ~(1 << walk[-2])).bit_length() - 1)
             v = walk[-1]
             if g.degree(v) < 3 or v == u:
                 continue

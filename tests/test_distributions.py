@@ -208,7 +208,7 @@ def test_relabel():
 
 
 def closed_neighbourhood(g, v):
-    return {v} | set(g.adj[v])
+    return {v} | {u for u in range(g.n) if g.has_edge(v, u)}
 
 
 def ref_membership(d, v):

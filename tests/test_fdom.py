@@ -226,7 +226,7 @@ def reference_sample(g, p, trials, seed):
     all_dom = True
     for _ in range(trials):
         x = {v for v in range(g.n) if rng.randrange(p.denominator) < p.numerator}
-        covered = x | {u for v in x for u in g.adj[v]}
+        covered = x | {u for v in x for u in range(g.n) if g.has_edge(v, u)}
         d = x | (set(range(g.n)) - covered)
         all_dom &= is_dominating(g, mask_of(d))
         for v in d:

@@ -184,8 +184,8 @@ def _couple_into(out, mass, left, right):
 
 def reference_glue(d0, g0, map0, d1, g1, map1, v, r):
     lifted0, lifted1 = relabel(d0, map0), relabel(d1, map1)
-    n0 = mask_of(map0[u] for u in g0.adj[map0.index(v)])
-    n1 = mask_of(map1[u] for u in g1.adj[map1.index(v)])
+    n0 = mask_of(map0[u] for u in range(g0.n) if g0.has_edge(map0.index(v), u))
+    n1 = mask_of(map1[u] for u in range(g1.n) if g1.has_edge(map1.index(v), u))
     a0, b0, c0 = _split3(lifted0, v, n0)
     a1, b1, c1 = _split3(lifted1, v, n1)
     pb0, pc0, pb1, pc1 = b0[1], c0[1], b1[1], c1[1]

@@ -2,6 +2,8 @@ import ast
 import importlib
 from pathlib import Path
 
+from fdomlab.graphs import Graph
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fdomlab"
 
@@ -59,3 +61,9 @@ def test_every_bench_binding_resolves(monkeypatch):
     unbound = [f"{workload}: {span}" for workload, spans in layers.REQUIRED.items()
                for span in spans if span not in bound]
     assert unbound == []
+
+
+def test_graph_keeps_its_adjacency_once():
+    # edges, degrees and traversals derive from the masks; a second stored
+    # form of the adjacency would cost memory on every enumerated graph
+    assert Graph.__slots__ == ("n", "nbr_mask", "closed_mask")
