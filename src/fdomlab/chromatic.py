@@ -1,7 +1,9 @@
 """Chromatic machinery and the hardness-reduction checks.
 
-fractional_chromatic solves the covering LP over maximal independent sets
-(full enumeration up to a size cap, column generation beyond).  Pricing and
+fractional_chromatic solves the covering LP over independent sets: over
+every maximal one up to CHI_F_ENUM_CAP vertices, and beyond that by the
+column-generation driver fdom.colgen, which also serves the fdom packing LP
+(smoothed duals, and a bracket when it runs out of rounds).  Pricing and
 the dual check find maximum-weight independent sets as the complements of
 minimum-weight vertex covers, through domset's hitting-set search.
 chromatic_number is an exact DSATUR-ordered branch-and-bound with a clique
@@ -19,10 +21,10 @@ from typing import Optional, Sequence
 
 from .distributions import FractionalColouring
 from .domset import CapExceeded, min_weight_hitting_set, scale_to_integers
-from .fdom import fdom_colgen, fdom_exact
+from .fdom import colgen, fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
 from .graphs import Graph, iter_mask, mask_to_list
-from .simplex import IntegerLP, simplex_exact
+from .simplex import simplex_exact
 
 
 @dataclass
@@ -107,50 +109,32 @@ def _greedy_colouring_classes(g: Graph) -> list[int]:
     return out
 
 
-CHI_F_ROUNDS = 10_000  # column-generation rounds fractional_chromatic may run
+CHI_F_ENUM_CAP = 25  # above this many vertices chi_f runs column generation
 
 
-def fractional_chromatic(g: Graph, enum_cap: int = 25) -> FractionalChromaticResult:
-    """Exact chi_f via the covering LP over independent sets.
+def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
+    """Exact chi_f via the covering LP over independent sets: over every
+    maximal independent set up to CHI_F_ENUM_CAP vertices, by fdom.colgen
+    from the greedy colouring's classes beyond.
 
     The dual clique weights are certified by a maximum-weight independent
     set search: no independent set may carry weight above 1.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    if g.n <= enum_cap:
+    if g.n <= CHI_F_ENUM_CAP:
+        # min sum x, Ax >= 1, x >= 0  ==  max sum(-x), -Ax <= -1
         sets = maximal_independent_sets(g)
-        value, xs, ys = _solve_covering(g, sets)
-        _check_chi_f(g, sets, value, xs, ys)
-        return FractionalChromaticResult(
-            value, [(s, x) for s, x in zip(sets, xs) if x > 0], ys)
-    # column generation on one warm-started covering LP in <= form:
-    # max sum(-x), -Ax <= -1; pricing runs on the integer dual numerators
-    lp = IntegerLP([-1] * g.n)
-    pool: list[int] = []
-    for s in _greedy_colouring_classes(g):
-        pool.append(s)
-        lp.add_column([(v, -1) for v in mask_to_list(s)], -1)
-    for _ in range(CHI_F_ROUNDS):
-        lp.reoptimize()
-        best_mask, best_w = max_weight_independent_set(g, lp.scaled_duals())
-        if best_w <= lp.D:
-            value, xs, ys = -lp.value(), lp.primal(), lp.duals()
-            _check_chi_f(g, pool, value, xs, ys)
-            return FractionalChromaticResult(
-                value, [(s, x) for s, x in zip(pool, xs) if x > 0], ys)
-        pool.append(best_mask)
-        lp.add_column([(v, -1) for v in mask_to_list(best_mask)], -1)
-    raise CapExceeded(f"chi_f column generation did not converge in {CHI_F_ROUNDS} rounds")
-
-
-def _solve_covering(g: Graph, sets: list[int]):
-    # min sum x, Ax >= 1, x >= 0  ==  max sum(-x), -Ax <= -1
-    c = [-1] * len(sets)
-    rows = [[-1 if (s >> v) & 1 else 0 for s in sets] for v in range(g.n)]
-    b = [-1] * g.n
-    res = simplex_exact(c, rows, b)
-    return -res.value, res.x, res.y
+        res = simplex_exact([-1] * len(sets),
+                            [[-1 if (s >> v) & 1 else 0 for s in sets] for v in range(g.n)],
+                            [-1] * g.n)
+        value, xs, ys = -res.value, res.x, res.y
+    else:
+        master, sets = colgen(g.n, -1, _greedy_colouring_classes(g),
+                              lambda y: max_weight_independent_set(g, y), "chi_f", Fraction(1))
+        value, xs, ys = -master.value(), master.primal(), master.duals()
+    _check_chi_f(g, sets, value, xs, ys)
+    return FractionalChromaticResult(value, [(s, x) for s, x in zip(sets, xs) if x > 0], ys)
 
 
 def _check_chi_f(g: Graph, sets: list[int], value: Fraction,

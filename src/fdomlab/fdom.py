@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .domset import (CapExceeded, complete_to_dominating, coverage,
                      dominating_colouring, domination_number,
@@ -111,19 +111,13 @@ def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
 def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
     if len(cert.weights) != g.n:
         return False, f"certificate has {len(cert.weights)} weights for n={g.n}"
+    for v, w in enumerate(cert.weights):
+        if w < 0:
+            return False, f"negative weight {w} at vertex {v}"
     ok, total, minw = verify_bottleneck(g, cert.weights)
     if not ok:
         return False, f"a dominating set has weight {minw} < 1"
     return True, "ok"
-
-
-# The master is the dominating-set packing LP: maximise the total weight of
-# the columns, per-vertex load <= 1, i.e. IntegerLP([1] * n) with one 0/1
-# column of cost 1 per dominating set.  The all-slack basis is feasible, so
-# no phase 1 is ever needed.
-
-def _add_set(master: IntegerLP, mask: int) -> None:
-    master.add_column([(v, 1) for v in mask_to_list(mask)], 1)
 
 
 def _result_from_master(g: Graph, master: IntegerLP, columns: list[int]) -> FdomResult:
@@ -154,7 +148,7 @@ def fdom_exact(g: Graph, cap: int = 20) -> FdomResult:
     master = IntegerLP([1] * g.n)
     columns = list(enumerate_minimal_dominating_sets(g, cap=cap))
     for col in columns:
-        _add_set(master, col)
+        master.add_column([(v, 1) for v in mask_to_list(col)], 1)
     master.reoptimize()
     return _result_from_master(g, master, columns)
 
@@ -178,42 +172,48 @@ def _greedy_domatic_columns(g: Graph) -> list[int]:
     return cols
 
 
-def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
-    """fdom by column generation: restricted master over a growing pool of
-    dominating sets, priced by a minimum-weight dominating set.  Pricing
-    runs on integer weights: the master's duals are y / D.
+COLGEN_ROUNDS = 10_000  # rounds one colgen call may run
 
-    Duals are smoothed (Wentges 1997, alpha = 1/2).  Any priced point pts
-    with minimum dominating-set weight w > 0 gives the valid bound
-    sum(pts) / w; the stability centre is the point with the least bound so
-    far.  Each round first prices halfway between the centre, rescaled to
-    D, and y.  Its set enters if it prices out at y (weight below D).
-    Otherwise the round is mispriced and falls back to exact pricing at y,
-    where weight >= D proves y / D dual feasible, hence optimality, as it
-    does without smoothing.  Each round adds one column."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    master = IntegerLP([1] * g.n)
+
+def colgen(n: int, sense: int, pool: Sequence[int],
+           price: Callable[[list[int]], tuple[int, int]], name: str,
+           bound: Fraction) -> tuple[IntegerLP, list[int]]:
+    """Column generation over 0/1 vertex-set columns of cost 1: the packing
+    LP max sum(x), Ax <= 1 for sense = 1 (fdom, over dominating sets), the
+    covering LP min sum(x), Ax >= 1 for sense = -1 (chi_f, over independent
+    sets), held as max -sum(x), -Ax <= -1.  The master starts from the
+    distinct sets of pool (feasible for the covering LP); price(pts) returns
+    the lightest set (sense 1) or the heaviest (sense -1) and its weight
+    under integer weights pts.  With master duals y / D, a priced weight w
+    with sense * (w - D) >= 0 proves y / D dual feasible, hence optimality.
+
+    Duals are smoothed (Wentges 1997, alpha = 1/2).  A priced point pts with
+    weight w > 0 bounds the value by sum(pts) / w, from above for sense 1
+    and from below for sense -1; the stability centre is the point with the
+    tightest bound so far.  Each round first prices halfway between the
+    centre, rescaled to D, and y; that set enters if it prices out at y
+    (sense * (y(S) - D) < 0), else the round falls back to exact pricing at
+    y.  Each round adds one column.  Returns the optimal master and its
+    columns in order; after COLGEN_ROUNDS rounds raises CapExceeded with
+    "name in [lower, upper]", the master's value against the tighter of the
+    centre's bound and the prior bound."""
+    master = IntegerLP([sense] * n)
     columns: list[int] = []
-    seen: set[int] = set()
-    for col in _greedy_domatic_columns(g) + list(g.closed_mask):
-        col = complete_to_dominating(g, col)
-        if col not in seen:
-            seen.add(col)
+    for col in pool:
+        if col not in columns:
             columns.append(col)
-            _add_set(master, col)
-    centre: Optional[tuple[list[int], int]] = None  # (pts, w) of the least bound
+            master.add_column([(v, sense) for v in mask_to_list(col)], sense)
+    centre: Optional[tuple[list[int], int]] = None  # (pts, w) of the tightest bound
 
-    def price(pts: list[int]) -> tuple[int, int]:
+    def price_at(pts: list[int]) -> tuple[int, int]:
         nonlocal centre
-        col, w = min_weight_dominating_set(g, pts)
-        if w > 0 and (centre is None or sum(pts) * centre[1] < sum(centre[0]) * w):
+        col, w = price(pts)
+        if w > 0 and (centre is None
+                      or sense * (sum(pts) * centre[1] - sum(centre[0]) * w) < 0):
             centre = pts, w
         return col, w
 
-    for _ in range(max_iter):
+    for _ in range(COLGEN_ROUNDS):
         master.reoptimize()
         y, D = master.scaled_duals(), master.D
         new_col = None
@@ -221,28 +221,37 @@ def fdom_colgen(g: Graph, max_iter: int = 10000) -> FdomResult:
             yc, wc = centre
             pts = [(a * D // wc + b) // 2 for a, b in zip(yc, y)]
             k = math.gcd(*pts) or 1
-            col, _ = price([p // k for p in pts])
-            if sum(y[v] for v in iter_mask(col)) < D and col not in seen:
+            col, _ = price_at([p // k for p in pts])
+            if sense * (sum(y[v] for v in iter_mask(col)) - D) < 0 and col not in columns:
                 new_col = col
         if new_col is None:
-            new_col, w = price(y)
-            if w >= D:
-                # the master duals are feasible for the full LP: optimal
-                return _result_from_master(g, master, columns)
-            if new_col in seen:
+            new_col, w = price_at(y)
+            if sense * (w - D) >= 0:
+                return master, columns
+            if new_col in columns:
                 raise RuntimeError("priced a column already in the pool")
-        seen.add(new_col)
         columns.append(new_col)
-        _add_set(master, new_col)
-    # the restricted master bounds below; the stability centre and a closed
-    # neighbourhood (delta+1) bound above
-    lower = master.value()
-    upper = Fraction(g.min_degree() + 1)
+        master.add_column([(v, sense) for v in mask_to_list(new_col)], sense)
     if centre is not None:
-        upper = min(upper, Fraction(sum(centre[0]), centre[1]))
+        bound = min(bound, Fraction(sum(centre[0]), centre[1]), key=lambda b: sense * b)
+    value = sense * master.value()
+    lower, upper = (value, bound) if sense > 0 else (bound, value)
     raise CapExceeded(
-        f"column generation did not converge in {max_iter} iterations; "
-        f"fdom in [{lower}, {upper}]")
+        f"column generation did not converge in {COLGEN_ROUNDS} iterations; "
+        f"{name} in [{lower}, {upper}]")
+
+
+def fdom_colgen(g: Graph) -> FdomResult:
+    """fdom by colgen, seeded with a greedy domatic partition and the closed
+    neighbourhoods completed to dominating sets, priced by a minimum-weight
+    dominating set; a closed neighbourhood bounds fdom <= delta + 1."""
+    if g.n == 0:
+        raise ValueError("empty graph")
+    pool = [complete_to_dominating(g, col)
+            for col in _greedy_domatic_columns(g) + list(g.closed_mask)]
+    master, columns = colgen(g.n, 1, pool, lambda y: min_weight_dominating_set(g, y),
+                             "fdom", Fraction(g.min_degree() + 1))
+    return _result_from_master(g, master, columns)
 
 
 # -- closed-form certificates -----------------------------------------

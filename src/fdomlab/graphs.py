@@ -219,6 +219,11 @@ def write_graph_text(g: Graph | MultiGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The most vertices a graph file may declare: a Graph's masks take about
+# n^2 / 16 bytes (256 MiB here), so a larger header could exhaust memory.
+MAX_VERTICES = 1 << 16
+
+
 def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     n = None
     m = None
@@ -234,6 +239,8 @@ def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: malformed header {line!r}")
             n, m = int(parts[1]), int(parts[2])
+            if n > MAX_VERTICES:
+                raise GraphError(f"line {lineno}: {n} vertices exceed the cap {MAX_VERTICES}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before header")

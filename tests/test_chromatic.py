@@ -35,11 +35,14 @@ def test_chi_f_lower_bounds(corpus7):
         assert v >= F(g.n, alpha)
 
 
-def test_chi_f_colgen_path_agrees():
-    g = cycle(11)
-    full = fractional_chromatic(g, enum_cap=25).value
-    colgen = fractional_chromatic(g, enum_cap=5).value
-    assert full == colgen == F(11, 5)
+def test_chi_f_colgen_path_agrees(corpus7, monkeypatch):
+    # forced column generation against enumeration; both pass _check_chi_f
+    from fdomlab import chromatic
+    graphs = corpus7 + [cycle(11), cycle(21), kneser(5, 2)]
+    full = [fractional_chromatic(g).value for g in graphs]
+    assert full[-3:] == [F(11, 5), F(21, 10), F(5, 2)]
+    monkeypatch.setattr(chromatic, "CHI_F_ENUM_CAP", 0)
+    assert [fractional_chromatic(g).value for g in graphs] == full
 
 
 def test_chi_examples():

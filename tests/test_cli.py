@@ -64,6 +64,12 @@ def test_verify_rejects_bad_dual(tmp_path, capsys):
     bad.write_text(json.dumps({"type": "dual", "value": ["5", "3"],
                                "weights": [["1", "3"]] * 5}))
     assert main(["verify", "--in", path, "--dual", str(bad)]) == 1
+    capsys.readouterr()
+    # a negative weight is named with its vertex, not as a light dominating set
+    bad.write_text(json.dumps({"type": "dual", "value": ["2", "1"],
+                               "weights": [["1", "2"]] * 3 + [["-1", "2"], ["1", "2"]]}))
+    assert main(["verify", "--in", path, "--dual", str(bad)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid: negative weight -1/2 at vertex 3"
 
 
 def triangle_path(tmp_path):
@@ -245,6 +251,16 @@ def test_repeated_edge_in_a_graph_file_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "error: repeated edge (1,0)"
+
+
+def test_huge_vertex_count_in_a_graph_file_exits_2(tmp_path, capsys):
+    # rejected at the header: building the masks would exhaust memory
+    path = tmp_path / "huge.graph"
+    path.write_text("p 1000000000000000 0\n")
+    assert main(["gamma", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: 1000000000000000 vertices exceed the cap")
 
 
 def test_cap_exit(tmp_path, capsys):

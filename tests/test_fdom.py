@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fdomlab.chromatic import fractional_chromatic
 from fdomlab.domset import domination_number, is_dominating
 from fdomlab.enumerate_graphs import all_graphs
 from fdomlab.fdom import (CertificateError, DualCertificate, PrimalCertificate,
@@ -299,20 +300,22 @@ def test_colgen_matches_exact_on_random_graphs():
         assert fdom_colgen(g).value == fdom_exact(g).value
 
 
-def test_colgen_rejects_zero_iterations():
-    with pytest.raises(ValueError):
-        fdom_colgen(cycle(5), max_iter=0)
-
-
-@pytest.mark.parametrize("g, value", [(cycle(12), 3), (coxeter(), 4),
-                                      (girth6_family(3), F(13, 5))])
-@pytest.mark.parametrize("max_iter", range(1, 6))
-def test_colgen_cap_reports_bounds(g, value, max_iter):
+@pytest.mark.parametrize("solve, name, g, value", [
+    pytest.param(fdom_colgen, "fdom", cycle(12), 3, id="g0-3"),
+    pytest.param(fdom_colgen, "fdom", coxeter(), 4, id="g1-4"),
+    pytest.param(fdom_colgen, "fdom", girth6_family(3), F(13, 5), id="g2-value2"),
+    pytest.param(fractional_chromatic, "chi_f", cycle(27), F(27, 13), id="chi_f-C27"),
+    pytest.param(fractional_chromatic, "chi_f", kneser(7, 3), F(7, 3), id="chi_f-KG73"),
+])
+@pytest.mark.parametrize("rounds", range(1, 6))
+def test_colgen_cap_reports_bounds(monkeypatch, solve, name, g, value, rounds):
+    from fdomlab import fdom
     from fdomlab.domset import CapExceeded
+    monkeypatch.setattr(fdom, "COLGEN_ROUNDS", rounds)
     with pytest.raises(CapExceeded) as e:
-        fdom_colgen(g, max_iter=max_iter)
+        solve(g)
     text = str(e.value)
-    assert "fdom in [" in text
+    assert f"{name} in [" in text
     lower, upper = (F(b) for b in text[text.index("[") + 1:-1].split(", "))
     assert lower <= value <= upper
 

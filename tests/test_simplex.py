@@ -6,6 +6,7 @@ import pytest
 from fdomlab import fdom, simplex
 from fdomlab.domset import complete_to_dominating, min_weight_dominating_set
 from fdomlab.generators import coxeter
+from fdomlab.graphs import mask_to_list
 from fdomlab.simplex import IntegerLP, LPInfeasible, LPUnbounded, simplex_exact
 
 
@@ -249,19 +250,22 @@ def test_packed_inverse_on_the_coxeter_master():
     g = coxeter()
     lp = InverseChecked([1] * g.n, every=50)
     pool = []
+
+    def add(col):
+        pool.append(col)
+        lp.add_column([(v, 1) for v in mask_to_list(col)], 1)
+
     for col in fdom._greedy_domatic_columns(g) + list(g.closed_mask):
         col = complete_to_dominating(g, col)
         if col not in pool:
-            pool.append(col)
-            fdom._add_set(lp, col)
+            add(col)
     while True:
         lp.reoptimize()
         col, w = min_weight_dominating_set(g, lp.scaled_duals())
         if w >= lp.D:
             break
         assert col not in pool
-        pool.append(col)
-        fdom._add_set(lp, col)
+        add(col)
     assert lp.value() == 4
     assert lp.m == 28 and len(lp.pivots) >= 500
     assert len(lp.cols) - lp.first > 40  # columns added by pricing, then re-optimised

@@ -67,3 +67,16 @@ def test_graph_keeps_its_adjacency_once():
     # edges, degrees and traversals derive from the masks; a second stored
     # form of the adjacency would cost memory on every enumerated graph
     assert Graph.__slots__ == ("n", "nbr_mask", "closed_mask")
+
+
+def test_only_fdom_drives_the_warm_started_master():
+    # fdom.colgen is the one column-generation loop; another module that
+    # reaches for IntegerLP would be growing a second one
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id == "IntegerLP"
+                    or isinstance(node, ast.Attribute) and node.attr == "IntegerLP"
+                    or isinstance(node, ast.alias) and node.name == "IntegerLP"):
+                found.add(path.name)
+    assert found == {"fdom.py", "simplex.py"}
