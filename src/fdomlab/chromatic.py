@@ -20,10 +20,10 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .distributions import FractionalColouring
-from .domset import CapExceeded, min_weight_hitting_set, scale_to_integers
+from .domset import CapExceeded, min_weight_hitting_set
 from .fdom import colgen, fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
-from .graphs import Graph, iter_mask, mask_to_list
+from .graphs import Graph, iter_mask, mask_to_list, scale_to_integers
 from .simplex import simplex_exact
 
 
@@ -157,7 +157,7 @@ def _check_chi_f(g: Graph, sets: list[int], value: Fraction,
 
 
 def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
-                         ratio_p: int, ratio_q: int) -> tuple[int, int, list[frozenset[int]]]:
+                         ratio_p: int, ratio_q: int) -> FractionalColouring:
     """Turn an LP witness with value <= ratio into a proper (P:Q)-colouring
     with P/Q = ratio_p/ratio_q exactly, by replicating classes Q*x_S times,
     trimming over-covered vertices and padding with unused colours."""
@@ -180,7 +180,7 @@ def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
         if len(assignment[v]) < q:
             raise RuntimeError("covering witness misses a vertex")
         assignment[v] = set(sorted(assignment[v])[:q])
-    return p, q, [frozenset(a) for a in assignment]
+    return FractionalColouring(p, q, tuple(frozenset(a) for a in assignment))
 
 
 # -- exact integral chromatic number -------------------------------------
@@ -307,14 +307,13 @@ def check_reduction(g: Graph) -> ReductionReport:
     right = fr.value >= 3
     extension_checked = False
     if left:
-        p, q, phi = witness_pq_colouring(g, chi, 3, 1)
-        ext = list(phi) + [
-            frozenset(range(1, p + 1)) - (phi[u] | phi[v])
-            for u, v in g.edges()]
-        full = FractionalColouring(p, q, tuple(ext))
-        for v in range(s.n):
-            if full.spans(s, v) != p:
-                raise RuntimeError("extension recipe failed to dominate")
+        phi = witness_pq_colouring(g, chi, 3, 1)
+        palette = frozenset(range(1, phi.p + 1))
+        ext = phi.assignment + tuple(
+            palette - (phi.assignment[u] | phi.assignment[v]) for u, v in g.edges())
+        ok, why = FractionalColouring(phi.p, phi.q, ext).check(s)
+        if not ok:
+            raise RuntimeError(f"extension recipe failed to dominate: {why}")
         extension_checked = True
     return ReductionReport(chi.value, fr.value, left == right, extension_checked)
 

@@ -172,11 +172,7 @@ def _cmd_verify(args) -> int:
         ok, why = verify_dual(g, cert)
     elif args.colouring:
         phi = FractionalColouring.from_json(json.loads(Path(args.colouring).read_text()))
-        if len(phi.assignment) != g.n:
-            ok, why = False, f"colouring has {len(phi.assignment)} entries for n={g.n}"
-        else:
-            bad = [v for v in range(g.n) if phi.spans(g, v) != phi.p]
-            ok, why = not bad, f"neighbourhoods missing colours at {bad}"
+        ok, why = phi.check(g)
     elif args.distribution:
         obj = json.loads(Path(args.distribution).read_text())
         high = _set_out_of_range(obj, "atoms", g.n)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .graphs import (Graph, fraction_from_pair, json_list, mask_of,
-                     mask_to_list, vertex_list)
+from .graphs import (Graph, fraction_from_pair, fraction_to_pair, json_list,
+                     mask_of, mask_to_list, vertex_list)
 
 
 class DistributionError(ValueError):
@@ -56,10 +56,9 @@ class DominatingDistribution:
             den, ((s, p.numerator * (den // p.denominator)) for s, p in pairs))
 
     def to_json(self, r: Fraction) -> dict:
-        def pair(x: Fraction) -> list[str]:
-            return [str(x.numerator), str(x.denominator)]
-        return {"r": pair(r), "atoms": [{"set": mask_to_list(s), "p": pair(Fraction(a, self.den))}
-                                        for s, a in self.atoms]}
+        return {"r": fraction_to_pair(r),
+                "atoms": [{"set": mask_to_list(s), "p": fraction_to_pair(Fraction(a, self.den))}
+                          for s, a in self.atoms]}
 
     @staticmethod
     def from_json(obj: dict) -> tuple["DominatingDistribution", Fraction]:
@@ -152,7 +151,8 @@ def verify_f_dominating(g: Graph, d: DominatingDistribution, f: DemandFunction,
 
 @dataclass(frozen=True)
 class FractionalColouring:
-    """Assignment of a q-subset of [p] to every vertex (colours 1-based)."""
+    """Assignment of a q-subset of [p] to every vertex (colours are the
+    integers 1..p)."""
 
     p: int
     q: int
@@ -162,7 +162,7 @@ class FractionalColouring:
         if not (1 <= self.q <= self.p):
             raise DistributionError("needs 1 <= q <= p")
         for s in self.assignment:
-            if len(s) != self.q or not all(1 <= c <= self.p for c in s):
+            if len(s) != self.q or not all(type(c) is int and 1 <= c <= self.p for c in s):
                 raise DistributionError("each vertex needs exactly q colours from [p]")
 
     def colour_class(self, i: int) -> int:
@@ -173,6 +173,15 @@ class FractionalColouring:
         for u in mask_to_list(g.closed_mask[v]):
             seen |= self.assignment[u]
         return len(seen)
+
+    def check(self, g: Graph) -> tuple[bool, str]:
+        """Whether this is a dominating colouring of g: one colour set per
+        vertex, and every closed neighbourhood spans all p colours.
+        Returns (ok, reason)."""
+        if len(self.assignment) != g.n:
+            return False, f"colouring has {len(self.assignment)} entries for n={g.n}"
+        bad = [v for v in range(g.n) if self.spans(g, v) != self.p]
+        return not bad, f"neighbourhoods missing colours at {bad}" if bad else "ok"
 
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q,

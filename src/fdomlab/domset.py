@@ -23,10 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import inf, lcm
+from math import inf
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, iter_mask, mask_to_list
+from .graphs import Graph, iter_mask, mask_to_list, scale_to_integers
 
 
 class CapExceeded(RuntimeError):
@@ -477,13 +477,6 @@ def dominating_colouring(g: Graph, p: int, q: int) -> Optional[list[int]]:
         return False
 
     return colour if backtrack(0, 0) else None
-
-
-def scale_to_integers(weights: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """(numerators, den) with weights[i] == numerators[i] / den, where den
-    is the lcm of the denominators."""
-    den = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def verify_bottleneck(g: Graph, weights: list[Fraction]) -> tuple[bool, Fraction, Fraction]:

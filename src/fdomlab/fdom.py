@@ -20,8 +20,9 @@ from .domset import (CapExceeded, complete_to_dominating, coverage,
                      dominating_colouring, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
                      min_weight_dominating_set, verify_bottleneck)
-from .graphs import (Graph, fraction_from_pair, iter_mask, json_list, mask_of,
-                     mask_to_list, vertex_list)
+from .distributions import FractionalColouring
+from .graphs import (Graph, fraction_from_pair, fraction_to_pair, iter_mask, json_list,
+                     mask_of, mask_to_list, vertex_list)
 from .iso import orbits
 from .simplex import IntegerLP
 from .structure import Hammock
@@ -42,8 +43,8 @@ class PrimalCertificate:
     def to_json(self) -> dict:
         return {
             "type": "primal",
-            "value": [str(self.objective.numerator), str(self.objective.denominator)],
-            "columns": [{"set": mask_to_list(s), "x": [str(x.numerator), str(x.denominator)]}
+            "value": fraction_to_pair(self.objective),
+            "columns": [{"set": mask_to_list(s), "x": fraction_to_pair(x)}
                         for s, x in self.columns],
         }
 
@@ -62,8 +63,8 @@ class DualCertificate:
     def to_json(self) -> dict:
         return {
             "type": "dual",
-            "value": [str(self.total.numerator), str(self.total.denominator)],
-            "weights": [[str(w.numerator), str(w.denominator)] for w in self.weights],
+            "value": fraction_to_pair(self.total),
+            "weights": [fraction_to_pair(w) for w in self.weights],
         }
 
 
@@ -320,8 +321,8 @@ def hnd_certificate(n: int, d: int) -> DualCertificate:
     m = round((ln d - 2 ln ln d) * q) and q = n/d - 1, w_B = 1/C(n-m, d).
 
     The rounding is heuristic, so the certificate must be re-verified by
-    the caller (fdom-lp does so through verify_bottleneck); it is never
-    trusted as-is.
+    the caller (`family-cert --kind hnd` does so through verify_dual); it
+    is never trusted as-is.
     """
     if not (1 <= d < n) or n % d:
         raise CertificateError("requires d | n and 1 <= d < n")
@@ -465,25 +466,11 @@ def sample_lnbound(g: Graph, p: Fraction, trials: int, seed: int = 0) -> SampleR
 # -- dominating (p:q)-colouring search ---------------------------------
 
 
-def pq_colouring_exists(g: Graph, p: int, q: int) -> Optional[list[frozenset[int]]]:
-    """A dominating (p:q)-colouring as 1-based colour sets per vertex (every
-    closed neighbourhood spans all p colours), or None; the search is
-    domset.dominating_colouring."""
+def pq_colouring_exists(g: Graph, p: int, q: int) -> Optional[FractionalColouring]:
+    """A dominating (p:q)-colouring (every closed neighbourhood spans all p
+    colours), or None; the search is domset.dominating_colouring."""
     colour = dominating_colouring(g, p, q)
     if colour is None:
         return None
-    return [frozenset(c + 1 for c in iter_mask(m)) for m in colour]
-
-
-def verify_pq_colouring(g: Graph, p: int, q: int,
-                        phi: Sequence[frozenset[int]]) -> bool:
-    if len(phi) != g.n or any(len(s) != q or not all(isinstance(c, int) and 1 <= c <= p for c in s)
-                              for s in phi):
-        return False
-    for v in range(g.n):
-        seen: set[int] = set()
-        for u in mask_to_list(g.closed_mask[v]):
-            seen |= phi[u]
-        if len(seen) != p:
-            return False
-    return True
+    return FractionalColouring(
+        p, q, tuple(frozenset(c + 1 for c in iter_mask(m)) for m in colour))

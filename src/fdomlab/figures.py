@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .badfamily import bad_family_members
 from .distributions import FractionalColouring
 from .graphs import Graph
 
-_C7 = [(i, (i + 1) % 7) for i in range(7)]
-_TWO_C4 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 3), (3, 6)]
-_K23 = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 1)]
+_K23, _C7, _TWO_C4 = (list(bad_family_members()[i].edges()) for i in (2, 3, 4))
 
 
 def _phi(p: int, q: int, *sets) -> FractionalColouring:

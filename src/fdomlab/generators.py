@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from importlib import resources
 
-from .graphs import Graph, GraphError, MultiGraph, mask_to_list
+from .graphs import Graph, GraphError, MultiGraph, mask_to_list, read_graph_text
 
 
 def cycle(n: int) -> Graph:
@@ -89,59 +89,11 @@ def theta_graph(lengths: tuple[int, ...]) -> Graph:
 
 def coxeter() -> Graph:
     """The 28-vertex cubic Coxeter graph, from the shipped edge list."""
-    text = resources.files("fdomlab.data").joinpath("coxeter_edges.txt").read_text()
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        u, v = map(int, line.split())
-        edges.append((u, v))
-    g = Graph(28, edges)
-    if g.m != 42 or g.min_degree() != 3 or g.max_degree() != 3:
+    g = read_graph_text(
+        resources.files("fdomlab.data").joinpath("coxeter_edges.txt").read_text())
+    if g.n != 28 or g.m != 42 or g.min_degree() != 3 or g.max_degree() != 3:
         raise GraphError("corrupt Coxeter edge list")
     return g
-
-
-def coxeter_automorphism_generators() -> list[tuple[int, ...]]:
-    """Generators of a vertex-transitive automorphism group of the Coxeter
-    graph (one-line permutation format, validated against the edge list)."""
-    text = resources.files("fdomlab.data").joinpath("coxeter_autgens.txt").read_text()
-    gens = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        gens.append(tuple(int(x) for x in line.split()))
-    g = coxeter()
-    for perm in gens:
-        if sorted(perm) != list(range(28)):
-            raise GraphError("automorphism file line is not a permutation of 0..27")
-        for u, v in g.edges():
-            if not g.has_edge(perm[u], perm[v]):
-                raise GraphError("shipped permutation is not an automorphism")
-    return gens
-
-
-def kneser_automorphism_generators(a: int, b: int) -> list[tuple[int, ...]]:
-    """Vertex permutations of KG(a,b) induced by the coordinate permutations
-    (0 1) and (0 1 ... a-1)."""
-    subsets = [frozenset(c) for c in combinations(range(a), b)]
-    index = {s: i for i, s in enumerate(subsets)}
-    gens = []
-    for base in [_transposition(a), _rotation(a)]:
-        gens.append(tuple(index[frozenset(base[x] for x in s)] for s in subsets))
-    return gens
-
-
-def _transposition(a: int) -> list[int]:
-    p = list(range(a))
-    p[0], p[1] = p[1], p[0]
-    return p
-
-
-def _rotation(a: int) -> list[int]:
-    return [(i + 1) % a for i in range(a)]
 
 
 def incidence_graph(n: int, d: int) -> Graph:

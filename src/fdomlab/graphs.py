@@ -9,7 +9,8 @@ are derived from the masks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -283,6 +284,18 @@ def fraction_from_pair(pair) -> Fraction:
     if den == 0:
         raise RationalError(f"zero denominator in {pair!r}")
     return Fraction(num, den)
+
+
+def fraction_to_pair(x: Fraction) -> list[str]:
+    """The JSON ["num", "den"] pair of x, in lowest terms."""
+    return [str(x.numerator), str(x.denominator)]
+
+
+def scale_to_integers(weights: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """(numerators, den) with weights[i] == numerators[i] / den, where den
+    is the lcm of the denominators."""
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def json_list(obj, key: str) -> list:

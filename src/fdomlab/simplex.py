@@ -68,6 +68,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Literal, Sequence
 
+from .graphs import scale_to_integers
+
 
 BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule takes over
 WORD = 64  # lane widths are multiples of this many bits
@@ -371,18 +373,13 @@ def simplex_exact(c: Sequence[Fraction | int], rows: Sequence[Sequence[Fraction 
                          [yi * s / obj_scale for yi, s in zip(y, row_scale)])
 
 
-def _over_common_denominator(v: list[Fraction]) -> tuple[list[int], int]:
-    den = lcm(*(f.denominator for f in v))
-    return [f.numerator * (den // f.denominator) for f in v], den
-
-
 def _check_pair(c, A, cols, b, x, y, value) -> None:
     """Optimality of the primal x and dual y of max c.x s.t. Ax <= b, x >= 0
     on the integer data (rows times row_scale, costs times obj_scale), A
     given sparse by rows and by columns; x and y are checked as integer
     vectors over their own common denominators."""
-    X, dx = _over_common_denominator(x)
-    Y, dy = _over_common_denominator(y)
+    X, dx = scale_to_integers(x)
+    Y, dy = scale_to_integers(y)
     if any(xi < 0 for xi in X):
         raise LPError("internal: primal negativity")
     for row, bi in zip(A, b):

@@ -29,12 +29,11 @@ from fdomlab.enumerate_graphs import connected_graphs
 from fdomlab.fdom import (closed_form_certificate, fdom_colgen, fdom_exact,
                           pq_colouring_exists, sample_lnbound,
                           symmetric_certificate, verify_dual, verify_primal)
-from fdomlab.generators import (complete_bipartite, coxeter,
-                                coxeter_automorphism_generators, cycle,
+from fdomlab.generators import (complete_bipartite, coxeter, cycle,
                                 girth6_family, hypercube, incidence_graph,
-                                join_with_clique, kneser,
-                                kneser_automorphism_generators, theta_graph)
+                                join_with_clique, kneser, theta_graph)
 from fdomlab.graphs import Graph, mask_of
+from fdomlab.iso import automorphism_generators
 from fdomlab.structure import hammocks
 
 
@@ -193,7 +192,7 @@ def test_criterion_10_counterexamples(report):
     t0 = time.monotonic()
     g = coxeter()
     assert domination_number(g)[0] == 7
-    primal = symmetric_certificate(g, coxeter_automorphism_generators(),
+    primal = symmetric_certificate(g, automorphism_generators(g),
                                    mask_of([2, 10, 18, 24, 25, 26, 27]))
     dual = closed_form_certificate("neighbourhood", g=g)
     assert primal.objective == dual.total == 4
@@ -209,7 +208,7 @@ def test_criterion_10_counterexamples(report):
             {2, 3, 6}, {2, 4, 5}]
     from itertools import combinations
     idx = {frozenset(c): i for i, c in enumerate(combinations(range(7), 3))}
-    kprimal = symmetric_certificate(k, kneser_automorphism_generators(7, 3),
+    kprimal = symmetric_certificate(k, automorphism_generators(k),
                                     mask_of(idx[frozenset(l)] for l in fano))
     kdual = closed_form_certificate("neighbourhood", g=k)
     assert kprimal.objective == kdual.total == 5

@@ -85,12 +85,12 @@ def test_max_weight_independent_set(corpus7):
 
 def test_witness_pq_colouring_ratio():
     res = fractional_chromatic(cycle(5))
-    p, q, phi = witness_pq_colouring(cycle(5), res, 3, 1)
-    assert p == 3 * q
+    phi = witness_pq_colouring(cycle(5), res, 3, 1)
+    assert phi.p == 3 * phi.q
     g = cycle(5)
     for u, v in g.edges():
-        assert not (phi[u] & phi[v])
-    assert all(len(s) == q for s in phi)
+        assert not (phi.assignment[u] & phi.assignment[v])
+    assert all(len(s) == phi.q for s in phi.assignment)
 
 
 def test_check_reduction_examples():

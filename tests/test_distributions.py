@@ -115,6 +115,14 @@ def test_constant_colouring_gives_point_mass():
     assert fractions(d) == ((0b111, F(1)),)
 
 
+def test_colouring_colours_must_be_integers():
+    # 2.5 and True lie in [1, p]; on the triangle {1}, {2}, {2.5} would span
+    # p = 3 colours while colour 3's class is empty
+    for bad in (2.5, True):
+        with pytest.raises(DistributionError):
+            FractionalColouring(3, 1, (frozenset({1}), frozenset({2}), frozenset({bad})))
+
+
 def test_distribution_to_colouring_roundtrip():
     d = c5_pairs()
     phi = distribution_to_colouring(d, 5)

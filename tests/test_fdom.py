@@ -11,15 +11,14 @@ from fdomlab.fdom import (CertificateError, DualCertificate, PrimalCertificate,
                           SampleReport, certificate_from_json, closed_form_certificate,
                           fdom_colgen, fdom_exact, girth6_certificate,
                           pq_colouring_exists, sample_lnbound, symmetric_certificate,
-                          verify_dual, verify_primal, verify_pq_colouring)
+                          verify_dual, verify_primal)
 from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 girth6_family, hypercube, incidence_graph,
-                                join_with_clique, kneser, theta_graph,
-                                coxeter_automorphism_generators,
-                                kneser_automorphism_generators)
+                                join_with_clique, kneser, theta_graph)
+from fdomlab.distributions import DistributionError, FractionalColouring
 from fdomlab.graphs import Graph, mask_of
 from fdomlab.structure import hammocks
-from fdomlab.iso import orbits
+from fdomlab.iso import automorphism_generators, orbits
 
 
 def test_fdom_cycles_formula():
@@ -165,7 +164,7 @@ def test_symmetric_certificate_rejects_bad_inputs():
 
 def test_symmetric_certificate_coxeter():
     g = coxeter()
-    gens = coxeter_automorphism_generators()
+    gens = automorphism_generators(g)
     assert orbits(28, gens) == [list(range(28))]
     cert = symmetric_certificate(g, gens, mask_of([2, 10, 18, 24, 25, 26, 27]))
     assert cert.objective == 4
@@ -185,7 +184,7 @@ def fano_mask():
 
 def test_symmetric_certificate_kneser73():
     g = kneser(7, 3)
-    cert = symmetric_certificate(g, kneser_automorphism_generators(7, 3), fano_mask())
+    cert = symmetric_certificate(g, automorphism_generators(g), fano_mask())
     assert cert.objective == 5
     assert verify_primal(g, cert)[0]
     dual = closed_form_certificate("neighbourhood", g=g)
@@ -269,18 +268,19 @@ def test_sampler_frequencies_pinned():
 
 def test_pq_colouring_search():
     phi = pq_colouring_exists(cycle(7), 7, 3)
-    assert phi is not None and verify_pq_colouring(cycle(7), 7, 3, phi)
+    assert (phi.p, phi.q) == (7, 3) and phi.check(cycle(7)) == (True, "ok")
     assert pq_colouring_exists(cycle(4), 3, 1) is None
     phi = pq_colouring_exists(cycle(6), 3, 1)
-    assert phi is not None and verify_pq_colouring(cycle(6), 3, 1, phi)
+    assert (phi.p, phi.q) == (3, 1) and phi.check(cycle(6)) == (True, "ok")
 
 
-def test_verify_pq_colouring_checks_colours_without_a_palette_set():
+def test_colouring_check_builds_no_palette_set():
     # a palette of 10^9 colours is never built: the triangle spans only 3
-    assert not verify_pq_colouring(complete(3), 10**9, 1, [{1}, {2}, {3}])
-    assert verify_pq_colouring(complete(3), 3, 1, [{1}, {2}, {3}])
+    assert not FractionalColouring(10**9, 1, ({1}, {2}, {3})).check(complete(3))[0]
+    assert FractionalColouring(3, 1, ({1}, {2}, {3})).check(complete(3))[0]
     for bad in ({0}, {4}, {2.5}):
-        assert not verify_pq_colouring(complete(3), 3, 1, [{1}, {2}, bad])
+        with pytest.raises(DistributionError):
+            FractionalColouring(3, 1, ({1}, {2}, bad))
 
 
 def test_pq_colouring_h42_refutation():
@@ -347,7 +347,7 @@ def test_pq_colouring_exists_iff_fdom_allows():
             phi = pq_colouring_exists(g, p, q)
             # a colouring found means p/q <= fdom; so p/q > fdom gives None
             if phi is not None:
-                assert verify_pq_colouring(g, p, q, phi) and F(p, q) <= value
+                assert phi.check(g)[0] and F(p, q) <= value
 
 
 def test_pq_colouring_refuted_below_a_fractional_ratio():
@@ -356,4 +356,4 @@ def test_pq_colouring_refuted_below_a_fractional_ratio():
     assert fdom_exact(g).value == F(5, 2)
     assert pq_colouring_exists(g, 8, 3) is None
     phi = pq_colouring_exists(g, 5, 2)
-    assert phi is not None and verify_pq_colouring(g, 5, 2, phi)
+    assert phi is not None and phi.check(g)[0]

@@ -80,3 +80,11 @@ def test_only_fdom_drives_the_warm_started_master():
                     or isinstance(node, ast.alias) and node.name == "IntegerLP"):
                 found.add(path.name)
     assert found == {"fdom.py", "simplex.py"}
+
+
+def test_every_data_file_is_named_by_a_module():
+    # a shipped data file that no module reads would linger unchecked
+    sources = "".join(path.read_text() for path in SRC.glob("*.py"))
+    unnamed = [f.name for f in sorted((SRC / "data").iterdir())
+               if f.is_file() and f.name not in sources]
+    assert unnamed == []
