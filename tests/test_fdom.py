@@ -347,7 +347,7 @@ def test_pq_colouring_exists_iff_fdom_allows():
             phi = pq_colouring_exists(g, p, q)
             # a colouring found means p/q <= fdom; so p/q > fdom gives None
             if phi is not None:
-                assert phi.check(g)[0] and F(p, q) <= value
+                assert (phi.p, phi.q) == (p, q) and phi.check(g)[0] and F(p, q) <= value
 
 
 def test_pq_colouring_refuted_below_a_fractional_ratio():
@@ -356,4 +356,4 @@ def test_pq_colouring_refuted_below_a_fractional_ratio():
     assert fdom_exact(g).value == F(5, 2)
     assert pq_colouring_exists(g, 8, 3) is None
     phi = pq_colouring_exists(g, 5, 2)
-    assert phi is not None and phi.check(g)[0]
+    assert phi is not None and (phi.p, phi.q) == (5, 2) and phi.check(g)[0]
