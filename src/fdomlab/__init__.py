@@ -14,7 +14,7 @@ from .structure import structure_report, find_long_suspended_path, SuspendedPath
 from .badfamily import bad_family_check, bad_family_members
 from .domset import (is_dominating, enumerate_minimal_dominating_sets,
                      domination_number, min_weight_dominating_set,
-                     domatic_number, verify_bottleneck, CapExceeded)
+                     domatic_number, CapExceeded)
 from .fdom import (fdom_exact, fdom_colgen, verify_primal, verify_dual,
                    closed_form_certificate, symmetric_certificate,
                    sample_lnbound, pq_colouring_exists, PrimalCertificate,

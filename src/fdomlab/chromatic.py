@@ -169,7 +169,7 @@ def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
         copies = x * q
         if copies.denominator != 1:
             raise RuntimeError(f"class weight {x} is not a multiple of 1/{q}")
-        for _ in range(int(copies)):
+        for _ in range(copies.numerator):
             colour += 1
             for v in mask_to_list(s):
                 assignment[v].add(colour)

@@ -31,20 +31,13 @@ from .fdom import (DualCertificate, PrimalCertificate, certificate_from_json,
                    sample_lnbound, verify_dual, verify_primal)
 from .generators import generate_named
 from .graphs import (Graph, GraphError, RationalError, mask_to_list,
-                     read_graph_text, write_graph_text)
+                     read_graph_text, read_int, write_graph_text)
 from .structure import hammocks
 
 BAD_FAMILY_NAMES = {1: "C4", 2: "K2,3", 3: "C7", 4: "2C4", 5: "C7-chord",
                     6: "2C4-edge", 7: "C7-cross", 8: "C7-cross-chord"}
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
-
-
-def _frac(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise RationalError(f"zero denominator in {text!r}") from None
 
 
 def _rat(x: Fraction) -> str:
@@ -65,7 +58,7 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def _budget_ms() -> int | None:
     raw = os.environ.get("FDOMLAB_TIME_BUDGET_MS")
-    return int(raw) if raw else None
+    return read_int(raw) if raw else None
 
 
 #: default size caps, overridable with --caps key=value
@@ -76,9 +69,9 @@ def _caps(args) -> dict[str, int]:
     caps = dict(DEFAULT_CAPS)
     for item in args.caps or []:
         key, _, value = item.partition("=")
-        if key not in caps or not value.lstrip("-").isdigit() or int(value) <= 0:
+        if key not in caps or (cap := read_int(value)) <= 0:
             raise GraphError(f"bad cap override {item!r}")
-        caps[key] = int(value)
+        caps[key] = cap
     return caps
 
 
@@ -231,7 +224,11 @@ def _cmd_fullness(args) -> int:
 
 def _cmd_sample(args) -> int:
     g = _load_graph(args.input)
-    rep = sample_lnbound(g, _frac(args.p), args.trials, args.seed)
+    num, slash, den = args.p.partition("/")
+    den = read_int(den) if slash else 1
+    if den == 0:
+        raise RationalError(f"zero denominator in {args.p!r}")
+    rep = sample_lnbound(g, Fraction(read_int(num), den), args.trials, args.seed)
     print(f"all_dominating {rep.all_dominating}")
     print(f"max_frequency {_rat(rep.max_frequency)}")
     print(f"analytic_bound {_rat(rep.analytic_bound)}")
@@ -287,8 +284,8 @@ def _cmd_intersecting(args) -> int:
     rep = intersecting_family(args.a, args.b)
     print(f"t {rep.ground_size}")
     print(f"set_size {rep.set_size}")
-    print(f"a_pair_intersection {rep.a_pair_intersection}")
-    print(f"b_cross_intersection {rep.b_cross_intersection}")
+    for key in ("a_pair_intersection", "b_cross_intersection"):
+        print(key, "none" if getattr(rep, key) is None else getattr(rep, key))
     return EXIT_OK
 
 
@@ -334,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a named graph")
     p.add_argument("family")
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("params", nargs="*", type=read_int)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_gen)
 
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("planar-construct", help="large-girth pipeline")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=read_int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_planar)
 
@@ -391,23 +388,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-lnbound", help="random dominating-set sampler")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--p", required=True, help="inclusion probability num/den")
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=read_int, default=100000)
+    p.add_argument("--seed", type=read_int, default=0)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("family-cert", help="closed-form certificate")
     p.add_argument("--kind", required=True,
                    choices=["neighbourhood", "uniform", "hammock", "girth6",
                             "kmn_dual", "kmn_primal", "hnd"])
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("params", nargs="*", type=read_int)
     p.add_argument("--in", dest="input")
-    p.add_argument("--vertex", type=int)
+    p.add_argument("--vertex", type=read_int)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_family_cert)
 
     p = sub.add_parser("intersecting-family", help="the 2/5-intersecting family")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--a", type=read_int, required=True)
+    p.add_argument("--b", type=read_int, required=True)
     p.set_defaults(fn=_cmd_intersecting)
 
     p = sub.add_parser("corpus", help="run a check over a directory of graphs")

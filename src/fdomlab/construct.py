@@ -471,8 +471,8 @@ class IntersectingFamilyReport:
     ground_size: int
     sets: dict[str, frozenset]
     set_size: int
-    a_pair_intersection: int
-    b_cross_intersection: int
+    a_pair_intersection: Optional[int]  # None when no such pair was checked
+    b_cross_intersection: Optional[int]
 
 
 def intersecting_family(a_size: int, b_size: int) -> IntersectingFamilyReport:
@@ -494,23 +494,22 @@ def intersecting_family(a_size: int, b_size: int) -> IntersectingFamilyReport:
     for j, b in enumerate(b_names):
         sets[b] = frozenset(w for w in omega if w[a_size + j] <= 2)
 
-    expect_size = Fraction(2 * t, 5)
-    expect_aa = Fraction(t, 5)
+    expect_size, expect_aa = 2 * t // 5, t // 5  # t is a multiple of 5
     expect_bx = Fraction(4 * t, 25)
+    aa = bx = None
     for name, s in sets.items():
         if len(s) != expect_size:
             raise ConstructionError(f"|phi({name})| = {len(s)} != {expect_size}")
     for i in range(a_size):
         for j in range(i + 1, a_size):
-            inter = len(sets[a_names[i]] & sets[a_names[j]])
-            if inter != expect_aa:
+            aa = len(sets[a_names[i]] & sets[a_names[j]])
+            if aa != expect_aa:
                 raise ConstructionError("A-pair intersection mismatch")
     for b in b_names:
         for other in a_names + b_names:
             if other == b:
                 continue
-            inter = len(sets[b] & sets[other])
-            if inter != expect_bx:
+            bx = len(sets[b] & sets[other])
+            if bx != expect_bx:
                 raise ConstructionError("B-cross intersection mismatch")
-    return IntersectingFamilyReport(t, sets, int(expect_size),
-                                    int(expect_aa), int(expect_bx))
+    return IntersectingFamilyReport(t, sets, expect_size, aa, bx)

@@ -1,7 +1,6 @@
 """Dominating-set engines over bitmask vertex sets: verification, greedy
 completion, minimal dominating set enumeration, exact domination number,
-minimum-weight hitting sets, dominating (p:q)-colourings, and fractional
-bottleneck verification.
+minimum-weight hitting sets and dominating (p:q)-colourings.
 
 Vertex sets are Python-int bitmasks throughout.  Weights are exact: ints or
 Fractions.  One minimum-weight hitting set, min_weight_hitting_set, prices
@@ -56,9 +55,9 @@ def enumerate_minimal_dominating_sets(g: Graph, cap: int = 20) -> Iterator[int]:
     """All inclusion-minimal dominating sets, each exactly once.
 
     Recursive cover search over the closed-neighbourhood hypergraph: branch
-    on the dominators of the lowest uncovered vertex, excluding previously
-    tried dominators on each branch; a final minimality filter removes the
-    non-minimal covers the search can still produce.
+    on the dominators u of the lowest uncovered vertex, banning those tried
+    before u on u's branch (so no cover comes out twice); a final minimality
+    filter removes the non-minimal covers the search can still produce.
     """
     if g.n > cap:
         raise CapExceeded(f"minimal dominating set enumeration capped at {cap} vertices")
@@ -66,7 +65,6 @@ def enumerate_minimal_dominating_sets(g: Graph, cap: int = 20) -> Iterator[int]:
     if g.n == 0:
         yield 0
         return
-    seen: set[int] = set()
 
     def minimal(s: int) -> bool:
         for v in iter_mask(s):
@@ -77,8 +75,7 @@ def enumerate_minimal_dominating_sets(g: Graph, cap: int = 20) -> Iterator[int]:
 
     def search(chosen: int, covered: int, banned: int) -> Iterator[int]:
         if covered == full:
-            if chosen not in seen and minimal(chosen):
-                seen.add(chosen)
+            if minimal(chosen):
                 yield chosen
             return
         uncovered = full & ~covered
@@ -478,16 +475,3 @@ def dominating_colouring(g: Graph, p: int, q: int) -> Optional[list[int]]:
 
     return colour if backtrack(0, 0) else None
 
-
-def verify_bottleneck(g: Graph, weights: list[Fraction]) -> tuple[bool, Fraction, Fraction]:
-    """(valid, total weight, minimum dominating-set weight).
-
-    Valid iff every dominating set has weight >= 1; a valid assignment
-    certifies fdom(g) <= total.  The search runs on the integer numerators
-    over the common denominator den: weight >= den is weight >= 1.
-    """
-    if any(w < 0 for w in weights):
-        return False, sum(weights, Fraction(0)), Fraction(0)
-    ints, den = scale_to_integers(weights)
-    _, w = min_weight_dominating_set(g, ints)
-    return w >= den, sum(weights, Fraction(0)), Fraction(w, den)

@@ -19,10 +19,10 @@ from typing import Callable, Optional, Sequence
 from .domset import (CapExceeded, complete_to_dominating, coverage,
                      dominating_colouring, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
-                     min_weight_dominating_set, verify_bottleneck)
+                     min_weight_dominating_set, min_weight_hitting_set)
 from .distributions import FractionalColouring
 from .graphs import (Graph, fraction_from_pair, fraction_to_pair, iter_mask, json_list,
-                     mask_of, mask_to_list, vertex_list)
+                     mask_of, mask_to_list, scale_to_integers, vertex_list)
 from .iso import orbits
 from .simplex import IntegerLP
 from .structure import Hammock
@@ -51,10 +51,16 @@ class PrimalCertificate:
 
 @dataclass
 class DualCertificate:
-    """Nonnegative vertex weights; valid iff every dominating set has
-    weight >= 1, certifying fdom <= total."""
+    """Nonnegative vertex weights and their stated total (by default their
+    total); valid iff the value is the total and every dominating set has
+    weight >= 1, certifying fdom <= value."""
 
     weights: list[Fraction]
+    value: Optional[Fraction] = None
+
+    def __post_init__(self):
+        if self.value is None:
+            self.value = self.total
 
     @property
     def total(self) -> Fraction:
@@ -63,7 +69,7 @@ class DualCertificate:
     def to_json(self) -> dict:
         return {
             "type": "dual",
-            "value": fraction_to_pair(self.total),
+            "value": fraction_to_pair(self.value),
             "weights": [fraction_to_pair(w) for w in self.weights],
         }
 
@@ -82,7 +88,8 @@ def certificate_from_json(obj: dict) -> PrimalCertificate | DualCertificate:
                 for c in json_list(obj, "columns")]
         return PrimalCertificate(cols, fraction_from_pair(obj["value"]))
     if kind == "dual":
-        return DualCertificate([fraction_from_pair(w) for w in json_list(obj, "weights")])
+        return DualCertificate([fraction_from_pair(w) for w in json_list(obj, "weights")],
+                               fraction_from_pair(obj["value"]))
     raise CertificateError("unknown certificate type")
 
 
@@ -110,14 +117,19 @@ def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
 
 
 def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
+    """(ok, reason).  The lightest dominating set is searched for on the
+    weights' numerators over their common denominator den: >= den is >= 1."""
     if len(cert.weights) != g.n:
         return False, f"certificate has {len(cert.weights)} weights for n={g.n}"
     for v, w in enumerate(cert.weights):
         if w < 0:
             return False, f"negative weight {w} at vertex {v}"
-    ok, total, minw = verify_bottleneck(g, cert.weights)
-    if not ok:
-        return False, f"a dominating set has weight {minw} < 1"
+    if cert.total != cert.value:
+        return False, f"value mismatch: {cert.total} != {cert.value}"
+    ints, den = scale_to_integers(cert.weights)
+    _, low = min_weight_hitting_set(g.closed_mask, g.closed_mask, ints)
+    if low < den:
+        return False, f"a dominating set has weight {Fraction(low, den)} < 1"
     return True, "ok"
 
 
@@ -125,15 +137,13 @@ def _result_from_master(g: Graph, master: IntegerLP, columns: list[int]) -> Fdom
     value = master.value()
     primal = PrimalCertificate(
         [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value)
-    dual = DualCertificate(master.duals())
+    dual = DualCertificate(master.duals(), value)  # verify_dual checks the duality
     ok, why = verify_primal(g, primal)
     if not ok:
         raise RuntimeError(f"primal verification failed: {why}")
     ok, why = verify_dual(g, dual)
     if not ok:
         raise RuntimeError(f"dual verification failed: {why}")
-    if dual.total != value:
-        raise RuntimeError("strong duality not witnessed")
     return FdomResult(value, primal, dual)
 
 

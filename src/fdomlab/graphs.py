@@ -8,6 +8,7 @@ are derived from the masks.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -239,7 +240,7 @@ def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
                 raise GraphError(f"line {lineno}: duplicate header")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: malformed header {line!r}")
-            n, m = int(parts[1]), int(parts[2])
+            n, m = read_int(parts[1]), read_int(parts[2])
             if n > MAX_VERTICES:
                 raise GraphError(f"line {lineno}: {n} vertices exceed the cap {MAX_VERTICES}")
         elif parts[0] == "e":
@@ -247,7 +248,7 @@ def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
                 raise GraphError(f"line {lineno}: edge before header")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: malformed edge {line!r}")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((read_int(parts[1]), read_int(parts[2])))
         else:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
@@ -275,12 +276,21 @@ def read_multigraph_text(text: str) -> MultiGraph:
     return MultiGraph(n, edges)
 
 
+def read_int(x) -> int:
+    """The one reader of outside integers: a JSON int (not a bool) or a
+    string matching -?[0-9]+; ' 1', '1_0', '+1' and non-ASCII digits are not."""
+    if type(x) is int:
+        return x
+    if type(x) is str and re.fullmatch("-?[0-9]+", x):
+        return int(x)
+    raise RationalError(f"expected an integer, got {x!r}")
+
+
 def fraction_from_pair(pair) -> Fraction:
     """The rational of a JSON ["num", "den"] pair; den must be nonzero."""
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(type(x) in (str, int) for x in pair)):
+    if not (isinstance(pair, list) and len(pair) == 2):
         raise RationalError(f"expected a [num, den] pair, got {pair!r}")
-    num, den = int(pair[0]), int(pair[1])
+    num, den = read_int(pair[0]), read_int(pair[1])
     if den == 0:
         raise RationalError(f"zero denominator in {pair!r}")
     return Fraction(num, den)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from fdomlab.chromatic import (_check_chi_f, fractional_chromatic,
                                max_weight_independent_set)
 from fdomlab.domset import (is_dominating, min_weight_dominating_set,
-                            min_weight_hitting_set, verify_bottleneck)
+                            min_weight_hitting_set)
+from fdomlab.fdom import DualCertificate, verify_dual
 from fdomlab.graphs import Graph, mask_to_list
 
 
@@ -79,7 +80,9 @@ def test_verify_bottleneck_matches_brute_force(g, data):
         cases.append([x / low for x in ws])  # minimum exactly 1: valid
     for case in cases:
         low = brute_min_dominating(g, case)
-        assert verify_bottleneck(g, case) == (low >= 1, sum(case, F(0)), low)
+        ok, why = verify_dual(g, DualCertificate(case))
+        assert (ok, why) == ((True, "ok") if low >= 1
+                             else (False, f"a dominating set has weight {low} < 1"))
 
 
 @given(graphs(max_n=8), st.data())

@@ -1,14 +1,23 @@
+import copy
+import io
 import json
+import re
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdomlab import cli
 from fdomlab.cli import main
-from fdomlab.construct import ConstructionError
+from fdomlab.construct import ConstructionError, construct52
 from fdomlab.distributions import DistributionError, DominatingDistribution
-from fdomlab.fdom import certificate_from_json
+from fdomlab.fdom import certificate_from_json, fdom_exact
 from fdomlab.generators import coxeter, cycle, theta_graph
 from fdomlab.graphs import read_graph_text, write_graph_text
 
@@ -277,6 +286,16 @@ def test_intersecting_family_cli(capsys):
     assert "t 20" in out and "set_size 8" in out
 
 
+def test_intersecting_family_reports_only_checked_intersections(capsys):
+    # with no B-set (or no A-pair) there is no such intersection to report
+    assert main(["intersecting-family", "--a", "2", "--b", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "a_pair_intersection 4", "b_cross_intersection none"]
+    assert main(["intersecting-family", "--a", "0", "--b", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "a_pair_intersection none", "b_cross_intersection none"]
+
+
 def test_sample_cli(tmp_path, capsys):
     path = write_graph(tmp_path, cycle(6))
     assert main(["sample-lnbound", "--in", path, "--p", "1/3",
@@ -450,3 +469,111 @@ def test_failed_chi_f_self_check_exits_internal(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, code, message", [
+    (["5", "2"], 0, "valid"),
+    (["1", "1"], 1, "invalid: value mismatch: 5/2 != 1"),
+    (["1", "0"], 2, "error: zero denominator in ['1', '0']"),
+    ("junk", 2, "error: expected a [num, den] pair, got 'junk'"),
+    (None, 2, "error: "),
+])
+def test_verify_dual_checks_its_stated_value(tmp_path, capsys, value, code, message):
+    # weights 1/2 on C5 certify fdom <= 5/2 and nothing less
+    path = write_graph(tmp_path, cycle(5))
+    blob = {"type": "dual", "weights": [["1", "2"]] * 5}
+    if value is not None:
+        blob["value"] = value
+    cert = tmp_path / "dual.json"
+    cert.write_text(json.dumps(blob))
+    assert main(["verify", "--in", path, "--dual", str(cert)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code < 2 else captured.err).strip().startswith(message)
+
+
+def digits_from(base: int):
+    """Rewrite the ASCII digits as the ten code points from base on."""
+    return lambda s: s.translate({ord("0") + d: base + d for d in range(10)})
+
+
+NON_CANONICAL = {
+    "arabic-indic": digits_from(0x660),
+    "full-width": digits_from(0xFF10),
+    "underscore": lambda s: "0_" + s,
+    "spaces": lambda s: f" {s} ",
+    "plus": lambda s: "+" + s,
+    "decimal": lambda s: s + ".0",
+    "true": lambda s: "true",
+}
+
+
+@cache
+def c5_inputs() -> dict:
+    g = cycle(5)
+    res = fdom_exact(g)
+    return {"graph": write_graph_text(g), "primal": res.primal.to_json(),
+            "dual": res.dual.to_json(), "distribution": construct52(g).to_json(F(2, 5))}
+
+
+def rewrite_tokens(tokens: list[str], k: int, form: str) -> list[str]:
+    """tokens with their k-th run of ASCII digits (counted cyclically) in a
+    non-canonical form"""
+    runs = [(i, m.span()) for i, t in enumerate(tokens) for m in re.finditer("[0-9]+", t)]
+    i, (a, b) = runs[k % len(runs)]
+    return tokens[:i] + [tokens[i][:a] + NON_CANONICAL[form](tokens[i][a:b])
+                         + tokens[i][b:]] + tokens[i + 1:]
+
+
+def rewrite_json(obj, k: int, form: str):
+    """A copy of obj with its k-th integer (counted cyclically), a JSON int
+    or a string of ASCII digits, in a non-canonical form"""
+    obj = copy.deepcopy(obj)
+    leaves = []
+
+    def walk(node):
+        for key, x in (node.items() if isinstance(node, dict) else enumerate(node)):
+            if type(x) is int or isinstance(x, str) and re.fullmatch("[0-9]+", x):
+                leaves.append((node, key))
+            elif isinstance(x, (dict, list)):
+                walk(x)
+    walk(obj)
+    node, key = leaves[k % len(leaves)]
+    if form == "true":
+        node[key] = True
+    elif form == "decimal" and type(node[key]) is int:
+        node[key] = float(node[key])
+    else:
+        node[key] = NON_CANONICAL[form](str(node[key]))
+    return obj
+
+
+@given(st.sampled_from(["graph", "primal", "dual", "distribution", "gen", "sample"]),
+       st.integers(0, 200), st.sampled_from(sorted(NON_CANONICAL)))
+@settings(max_examples=200, deadline=None)
+def test_non_canonical_integers_exit_2(target, k, form):
+    # one integer in a valid input, written in any form but -?[0-9]+ (or a
+    # JSON int), is a usage error wherever it appears
+    if target == "graph" and form == "spaces":
+        form = "plus"  # whitespace separates the fields of a graph file
+    inputs = c5_inputs()
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "c5.graph"
+        lines = inputs["graph"].splitlines()
+        graph.write_text("\n".join(rewrite_tokens(lines, k, form) if target == "graph"
+                                    else lines) + "\n")
+        if target == "gen":
+            argv = ["gen", *rewrite_tokens(["cycle", "5"], k, form)]
+        elif target == "sample":
+            argv = ["sample-lnbound", "--in", str(graph),
+                    *rewrite_tokens(["--p", "1/3", "--trials", "10", "--seed", "7"], k, form)]
+        else:
+            kind = "dual" if target == "graph" else target
+            blob = inputs[kind] if target == "graph" else rewrite_json(inputs[kind], k, form)
+            cert = Path(tmp) / "cert.json"
+            cert.write_text(json.dumps(blob))
+            argv = ["verify", "--in", str(graph), f"--{kind}", str(cert)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code == 2, (argv, err.getvalue())
+    assert "error:" in err.getvalue()

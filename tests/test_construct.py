@@ -256,6 +256,14 @@ def test_intersecting_family_identities():
     assert rep.b_cross_intersection == rep.ground_size * 4 // 25
 
 
+def test_intersecting_family_reports_only_checked_intersections():
+    # one A-set and one B-set: the B-cross pair exists, an A-pair does not
+    rep = intersecting_family(1, 1)
+    assert rep.a_pair_intersection is None and rep.b_cross_intersection == 8
+    rep = intersecting_family(0, 0)
+    assert rep.a_pair_intersection is None and rep.b_cross_intersection is None
+
+
 def test_random_corpus_up_to_14(corpus7):
     rng = random.Random(31337)
     checked = 0

@@ -7,10 +7,9 @@ import pytest
 from fdomlab import domset
 from fdomlab.domset import (CapExceeded, domatic_number, dominating_colouring,
                             domination_number, enumerate_minimal_dominating_sets,
-                            is_dominating, min_weight_dominating_set,
-                            verify_bottleneck)
+                            is_dominating, min_weight_dominating_set)
 from fdomlab.enumerate_graphs import all_graphs
-from fdomlab.fdom import pq_colouring_exists
+from fdomlab.fdom import DualCertificate, pq_colouring_exists, verify_dual
 from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 kneser, theta_graph)
 from fdomlab.graphs import Graph, mask_of, mask_to_list
@@ -142,10 +141,10 @@ def test_domatic_at_most_min_degree_plus_one(corpus7):
 
 def test_verify_bottleneck():
     c5 = cycle(5)
-    ok, total, minw = verify_bottleneck(c5, [F(1, 2)] * 5)
-    assert ok and total == F(5, 2) and minw == 1
-    ok, total, minw = verify_bottleneck(c5, [F(1, 3)] * 5)
-    assert not ok and minw == F(2, 3)
+    cert = DualCertificate([F(1, 2)] * 5)
+    assert verify_dual(c5, cert) == (True, "ok") and cert.total == F(5, 2)
+    assert verify_dual(c5, DualCertificate([F(1, 3)] * 5)) == (
+        False, "a dominating set has weight 2/3 < 1")
 
 
 def test_neighbourhood_bottleneck_always_valid(corpus7):
@@ -156,8 +155,8 @@ def test_neighbourhood_bottleneck_always_valid(corpus7):
         w = [F(0)] * g.n
         for u in mask_to_list(g.closed_mask[v]):
             w[u] = F(1)
-        ok, total, _ = verify_bottleneck(g, w)
-        assert ok and total == g.degree(v) + 1
+        cert = DualCertificate(w)
+        assert verify_dual(g, cert) == (True, "ok") and cert.total == g.degree(v) + 1
 
 
 def spans_palette(g: Graph, colour, p: int) -> bool:

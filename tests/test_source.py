@@ -88,3 +88,21 @@ def test_every_data_file_is_named_by_a_module():
     unnamed = [f.name for f in sorted((SRC / "data").iterdir())
                if f.is_file() and f.name not in sources]
     assert unnamed == []
+
+
+def test_outside_integers_have_one_reader():
+    # graphs.read_int is the one place text becomes an int; int() elsewhere,
+    # or argparse's type=int, would also take ' 1', '1_0', '+1' or '\u0661'
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reader = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and (path.name, f.name) == ("graphs.py", "read_int")
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "int" and id(node) not in reader
+                    or isinstance(node, ast.keyword) and node.arg == "type"
+                    and isinstance(node.value, ast.Name) and node.value.id == "int"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
