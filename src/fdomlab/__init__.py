@@ -16,9 +16,8 @@ from .domset import (is_dominating, enumerate_minimal_dominating_sets,
                      domination_number, min_weight_dominating_set,
                      domatic_number, CapExceeded)
 from .fdom import (fdom_exact, fdom_colgen, verify_primal, verify_dual,
-                   closed_form_certificate, symmetric_certificate,
-                   sample_lnbound, pq_colouring_exists, PrimalCertificate,
-                   DualCertificate, FdomResult)
+                   closed_form_certificate, sample_lnbound, pq_colouring_exists,
+                   PrimalCertificate, DualCertificate, FdomResult)
 from .distributions import (DominatingDistribution, FractionalColouring,
                             verify_f_dominating, colouring_to_distribution,
                             distribution_to_colouring, complete_to_r,

@@ -130,7 +130,7 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
                             [-1] * g.n)
         value, xs, ys = -res.value, res.x, res.y
     else:
-        master, sets = colgen(g.n, -1, _greedy_colouring_classes(g),
+        master, sets = colgen(range(g.n), -1, _greedy_colouring_classes(g),
                               lambda y: max_weight_independent_set(g, y), "chi_f", Fraction(1))
         value, xs, ys = -master.value(), master.primal(), master.duals()
     _check_chi_f(g, sets, value, xs, ys)
@@ -206,7 +206,7 @@ def chromatic_number(g: Graph, cap: int = 40,
         raise CapExceeded(f"chromatic search capped at {cap} vertices")
     if g.n == 0:
         return ChromaticResult(0, 0, [])
-    deadline = time.monotonic() + time_budget_ms / 1000 if time_budget_ms else None
+    deadline = time.monotonic() + time_budget_ms / 1000 if time_budget_ms is not None else None
     lower = max(_greedy_clique(g), 1)
     colouring = _greedy_colour_list(g)
     upper = max(colouring) + 1

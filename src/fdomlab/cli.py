@@ -58,7 +58,11 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def _budget_ms() -> int | None:
     raw = os.environ.get("FDOMLAB_TIME_BUDGET_MS")
-    return read_int(raw) if raw else None
+    if not raw:
+        return None
+    if (ms := read_int(raw)) <= 0:
+        raise GraphError(f"FDOMLAB_TIME_BUDGET_MS must be positive, got {ms}")
+    return ms
 
 
 #: default size caps, overridable with --caps key=value
@@ -157,15 +161,18 @@ def _cmd_verify(args) -> int:
             print("not a primal certificate", file=sys.stderr)
             return EXIT_USAGE
         ok, why = verify_primal(g, cert)
+        claim = f"fdom >= {_rat(cert.objective)}"
     elif args.dual:
         cert = certificate_from_json(json.loads(Path(args.dual).read_text()))
         if not isinstance(cert, DualCertificate):
             print("not a dual certificate", file=sys.stderr)
             return EXIT_USAGE
         ok, why = verify_dual(g, cert)
+        claim = f"fdom <= {_rat(cert.value)}"
     elif args.colouring:
         phi = FractionalColouring.from_json(json.loads(Path(args.colouring).read_text()))
         ok, why = phi.check(g)
+        claim = f"({phi.p}:{phi.q})-colouring, fdom >= {_rat(Fraction(phi.p, phi.q))}"
     elif args.distribution:
         obj = json.loads(Path(args.distribution).read_text())
         high = _set_out_of_range(obj, "atoms", g.n)
@@ -176,10 +183,11 @@ def _cmd_verify(args) -> int:
         d, r = DominatingDistribution.from_json(obj)
         demand = standard_demand(g) if args.demand == "standard" else constant_demand(Fraction(1))
         ok, why = verify_f_dominating(g, d, demand, r)
+        claim = f"{_rat(r)}-dominating"
     else:
         print("nothing to verify", file=sys.stderr)
         return EXIT_USAGE
-    print("valid" if ok else f"invalid: {why}")
+    print(f"valid: {claim}" if ok else f"invalid: {why}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 

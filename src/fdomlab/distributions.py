@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .graphs import (Graph, fraction_from_pair, fraction_to_pair, json_list,
-                     mask_of, mask_to_list, vertex_list)
+from .graphs import (Graph, fraction_from_pair, fraction_to_pair, json_field,
+                     json_list, mask_of, mask_to_list, vertex_list)
 
 
 class DistributionError(ValueError):
@@ -63,9 +63,9 @@ class DominatingDistribution:
     @staticmethod
     def from_json(obj: dict) -> tuple["DominatingDistribution", Fraction]:
         atoms = json_list(obj, "atoms")
-        r = fraction_from_pair(obj["r"])
+        r = fraction_from_pair(json_field(obj, "r"))
         return DominatingDistribution.from_pairs(
-            (mask_of(vertex_list(json_list(a, "set"))), fraction_from_pair(a["p"]))
+            (mask_of(vertex_list(json_list(a, "set"))), fraction_from_pair(json_field(a, "p")))
             for a in atoms), r
 
 
@@ -190,9 +190,10 @@ class FractionalColouring:
     @staticmethod
     def from_json(obj: dict) -> "FractionalColouring":
         phi = json_list(obj, "phi")
-        if type(obj["p"]) is not int or type(obj["q"]) is not int:
+        p, q = json_field(obj, "p"), json_field(obj, "q")
+        if type(p) is not int or type(q) is not int:
             raise DistributionError("colouring needs integer p and q")
-        return FractionalColouring(obj["p"], obj["q"],
+        return FractionalColouring(p, q,
                                    tuple(frozenset(vertex_list(s)) for s in phi))
 
 

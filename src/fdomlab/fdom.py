@@ -2,17 +2,21 @@
 
 The primal LP packs dominating sets with per-vertex load at most 1; its
 dual asks for nonnegative vertex weights giving every dominating set
-weight at least 1 (a fractional bottleneck).  Every result carries both
-certificates and they are verified, in exact rationals, before being
-returned: the primal by direct constraint checking, the dual by an
-independent branch-and-bound over dominating sets.
+weight at least 1 (a fractional bottleneck).  Column generation solves it
+with one row per orbit of Aut(G), which is exact: averaging a packing over
+the group keeps it feasible (Boedi, Herr & Joswig, Math. Program. 2013).
+Every result carries both certificates and they are verified, in exact
+rationals, before being returned: the primal (columns and group
+generators) by direct constraint checking, the dual by an independent
+branch-and-bound over dominating sets.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -21,9 +25,9 @@ from .domset import (CapExceeded, complete_to_dominating, coverage,
                      enumerate_minimal_dominating_sets, is_dominating,
                      min_weight_dominating_set, min_weight_hitting_set)
 from .distributions import FractionalColouring
-from .graphs import (Graph, fraction_from_pair, fraction_to_pair, iter_mask, json_list,
-                     mask_of, mask_to_list, scale_to_integers, vertex_list)
-from .iso import orbits
+from .graphs import (Graph, fraction_from_pair, fraction_to_pair, iter_mask, json_field,
+                     json_list, mask_of, mask_to_list, scale_to_integers, vertex_list)
+from .iso import automorphism_generators, orbits
 from .simplex import IntegerLP
 from .structure import Hammock
 
@@ -34,19 +38,25 @@ class CertificateError(ValueError):
 
 @dataclass
 class PrimalCertificate:
-    """Columns (dominating-set bitmask, weight) with per-vertex load <= 1;
-    the objective is the total weight."""
+    """Columns (dominating-set bitmask, weight) and automorphisms generating
+    a group Gamma (none for the trivial group).  Each orbit O of Gamma
+    carries load sum_j x_j |S_j & O| <= |O|, so averaging every column over
+    Gamma gives per-vertex load <= 1; the objective is the total weight."""
 
     columns: list[tuple[int, Fraction]]
     objective: Fraction
+    generators: list[tuple[int, ...]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "type": "primal",
+        out = {
+            "type": "orbit-primal" if self.generators else "primal",
             "value": fraction_to_pair(self.objective),
             "columns": [{"set": mask_to_list(s), "x": fraction_to_pair(x)}
                         for s, x in self.columns],
         }
+        if self.generators:
+            out["generators"] = [list(p) for p in self.generators]
+        return out
 
 
 @dataclass
@@ -83,19 +93,40 @@ class FdomResult:
 
 def certificate_from_json(obj: dict) -> PrimalCertificate | DualCertificate:
     kind = obj.get("type") if isinstance(obj, dict) else None
-    if kind == "primal":
-        cols = [(mask_of(vertex_list(json_list(c, "set"))), fraction_from_pair(c["x"]))
-                for c in json_list(obj, "columns")]
-        return PrimalCertificate(cols, fraction_from_pair(obj["value"]))
+    if kind in ("primal", "orbit-primal"):
+        cols = [(mask_of(vertex_list(json_list(c, "set"))),
+                 fraction_from_pair(json_field(c, "x"))) for c in json_list(obj, "columns")]
+        gens = ([tuple(vertex_list(p)) for p in json_list(obj, "generators")]
+                if kind == "orbit-primal" else [])
+        return PrimalCertificate(cols, fraction_from_pair(json_field(obj, "value")), gens)
     if kind == "dual":
         return DualCertificate([fraction_from_pair(w) for w in json_list(obj, "weights")],
-                               fraction_from_pair(obj["value"]))
+                               fraction_from_pair(json_field(obj, "value")))
     raise CertificateError("unknown certificate type")
 
 
 def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
-    """Check domination of every column, nonnegativity, per-vertex loads
-    <= 1 and the objective arithmetic.  Returns (ok, reason)."""
+    """Check that every generator is a permutation of 0..n-1 and an
+    automorphism, domination of every column, nonnegativity, each orbit's
+    load <= its size (per-vertex loads <= 1 with no generators) and the
+    objective arithmetic.  The orbits come from a union-find of its own.
+    Returns (ok, reason)."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for p in cert.generators:
+        if sorted(p) != list(range(g.n)):
+            return False, f"generator {list(p)} is not a permutation of 0..{g.n - 1}"
+        if any(not g.has_edge(p[u], p[v]) for u, v in g.edges()):
+            return False, f"generator {list(p)} is not an automorphism"
+        for v in range(g.n):
+            root[find(v)] = find(p[v])
+    orbit = [find(v) for v in range(g.n)]
+    size = Counter(orbit)
     total = Fraction(0)
     loads = [Fraction(0)] * g.n
     for s, x in cert.columns:
@@ -107,10 +138,11 @@ def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
             return False, f"column {mask_to_list(s)} is not dominating"
         total += x
         for v in mask_to_list(s):
-            loads[v] += x
+            loads[orbit[v]] += x
     for v, load in enumerate(loads):
-        if load > 1:
-            return False, f"load {load} > 1 at vertex {v}"
+        if load > size[v]:
+            where = "vertex" if size[v] == 1 else "the orbit of vertex"
+            return False, f"load {load} > {size[v]} at {where} {v}"
     if total != cert.objective:
         return False, f"objective mismatch: {total} != {cert.objective}"
     return True, "ok"
@@ -133,11 +165,19 @@ def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _result_from_master(g: Graph, master: IntegerLP, columns: list[int]) -> FdomResult:
+def _orbit_rows(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
+    """The master row of each vertex: the index of its orbit."""
+    row = {v: i for i, orbit in enumerate(orbits(n, gens)) for v in orbit}
+    return [row[v] for v in range(n)]
+
+
+def _result_from_master(g: Graph, master: IntegerLP, columns: list[int],
+                        gens: Sequence[tuple[int, ...]] = ()) -> FdomResult:
     value = master.value()
     primal = PrimalCertificate(
-        [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value)
-    dual = DualCertificate(master.duals(), value)  # verify_dual checks the duality
+        [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value, list(gens))
+    ys = master.duals()  # per vertex y_{O(v)}; verify_dual checks the duality
+    dual = DualCertificate([ys[i] for i in _orbit_rows(g.n, gens)], value)
     ok, why = verify_primal(g, primal)
     if not ok:
         raise RuntimeError(f"primal verification failed: {why}")
@@ -186,34 +226,44 @@ def _greedy_domatic_columns(g: Graph) -> list[int]:
 COLGEN_ROUNDS = 10_000  # rounds one colgen call may run
 
 
-def colgen(n: int, sense: int, pool: Sequence[int],
+def colgen(row: Sequence[int], sense: int, pool: Sequence[int],
            price: Callable[[list[int]], tuple[int, int]], name: str,
            bound: Fraction) -> tuple[IntegerLP, list[int]]:
-    """Column generation over 0/1 vertex-set columns of cost 1: the packing
-    LP max sum(x), Ax <= 1 for sense = 1 (fdom, over dominating sets), the
-    covering LP min sum(x), Ax >= 1 for sense = -1 (chi_f, over independent
-    sets), held as max -sum(x), -Ax <= -1.  The master starts from the
-    distinct sets of pool (feasible for the covering LP); price(pts) returns
-    the lightest set (sense 1) or the heaviest (sense -1) and its weight
-    under integer weights pts.  With master duals y / D, a priced weight w
-    with sense * (w - D) >= 0 proves y / D dual feasible, hence optimality.
+    """Column generation over vertex-set columns of cost 1: the packing LP
+    max sum(x), Ax <= b for sense = 1 (fdom, over dominating sets), the
+    covering LP min sum(x), Ax >= b for sense = -1 (chi_f, over independent
+    sets), held as max -sum(x), -Ax <= -b.  Vertex v lies in row row[v],
+    whose b is its number of vertices; a set S has coefficient |S & row|
+    (chi_f has one row per vertex, fdom one per orbit).  The master starts
+    from the distinct sets of pool (feasible for the covering LP);
+    price(pts) returns the lightest set (sense 1) or the heaviest (sense
+    -1) and its weight under integer vertex weights pts.  With master duals
+    y / D, vertex v weighs y_{row[v]}, and a priced weight w with
+    sense * (w - D) >= 0 proves y / D dual feasible, hence optimality.
 
     Duals are smoothed (Wentges 1997, alpha = 1/2).  A priced point pts with
     weight w > 0 bounds the value by sum(pts) / w, from above for sense 1
     and from below for sense -1; the stability centre is the point with the
-    tightest bound so far.  Each round first prices halfway between the
+    tightest bound so far (pts is per vertex: sum(pts) is sum_i b_i y_i, not
+    the row sum).  Each round first prices halfway between the
     centre, rescaled to D, and y; that set enters if it prices out at y
     (sense * (y(S) - D) < 0), else the round falls back to exact pricing at
     y.  Each round adds one column.  Returns the optimal master and its
     columns in order; after COLGEN_ROUNDS rounds raises CapExceeded with
     "name in [lower, upper]", the master's value against the tighter of the
     centre's bound and the prior bound."""
-    master = IntegerLP([sense] * n)
+    sizes = Counter(row)
+    master = IntegerLP([sense * sizes[i] for i in range(len(sizes))])
     columns: list[int] = []
+
+    def add(col: int) -> None:
+        columns.append(col)
+        counts = Counter(row[v] for v in iter_mask(col))
+        master.add_column([(i, sense * k) for i, k in counts.items()], sense)
+
     for col in pool:
         if col not in columns:
-            columns.append(col)
-            master.add_column([(v, sense) for v in mask_to_list(col)], sense)
+            add(col)
     centre: Optional[tuple[list[int], int]] = None  # (pts, w) of the tightest bound
 
     def price_at(pts: list[int]) -> tuple[int, int]:
@@ -226,7 +276,8 @@ def colgen(n: int, sense: int, pool: Sequence[int],
 
     for _ in range(COLGEN_ROUNDS):
         master.reoptimize()
-        y, D = master.scaled_duals(), master.D
+        ys, D = master.scaled_duals(), master.D
+        y = [ys[i] for i in row]
         new_col = None
         if centre is not None:
             yc, wc = centre
@@ -241,8 +292,7 @@ def colgen(n: int, sense: int, pool: Sequence[int],
                 return master, columns
             if new_col in columns:
                 raise RuntimeError("priced a column already in the pool")
-        columns.append(new_col)
-        master.add_column([(v, sense) for v in mask_to_list(new_col)], sense)
+        add(new_col)
     if centre is not None:
         bound = min(bound, Fraction(sum(centre[0]), centre[1]), key=lambda b: sense * b)
     value = sense * master.value()
@@ -253,16 +303,20 @@ def colgen(n: int, sense: int, pool: Sequence[int],
 
 
 def fdom_colgen(g: Graph) -> FdomResult:
-    """fdom by colgen, seeded with a greedy domatic partition and the closed
-    neighbourhoods completed to dominating sets, priced by a minimum-weight
-    dominating set; a closed neighbourhood bounds fdom <= delta + 1."""
+    """fdom by colgen over the orbits of automorphism_generators(g), seeded
+    with a greedy domatic partition and the closed neighbourhoods completed
+    to dominating sets, priced by a minimum-weight dominating set under the
+    orbit-constant weights; a closed neighbourhood bounds fdom <= delta + 1.
+    The primal certificate carries the generators, the dual is per vertex."""
     if g.n == 0:
         raise ValueError("empty graph")
+    gens = automorphism_generators(g)
     pool = [complete_to_dominating(g, col)
             for col in _greedy_domatic_columns(g) + list(g.closed_mask)]
-    master, columns = colgen(g.n, 1, pool, lambda y: min_weight_dominating_set(g, y),
+    master, columns = colgen(_orbit_rows(g.n, gens), 1, pool,
+                             lambda y: min_weight_dominating_set(g, y),
                              "fdom", Fraction(g.min_degree() + 1))
-    return _result_from_master(g, master, columns)
+    return _result_from_master(g, master, columns, gens)
 
 
 # -- closed-form certificates -----------------------------------------
@@ -363,55 +417,6 @@ def closed_form_certificate(kind: str, **kw):
     if kind not in table:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     return table[kind](**kw)
-
-
-# -- symmetry-based primal certificates --------------------------------
-
-
-ORBIT_CAP = 100_000  # sets symmetric_certificate may list in one orbit
-
-
-def symmetric_certificate(g: Graph, generators: list[tuple[int, ...]],
-                          d_min: int) -> PrimalCertificate:
-    """Uniform weights over the orbit of a minimum dominating set under the
-    group generated by validated automorphisms acting transitively on the
-    vertices; objective n/|d_min|, per-vertex load exactly 1."""
-    for perm in generators:
-        if sorted(perm) != list(range(g.n)):
-            raise CertificateError("generator is not a permutation of the vertices")
-        for u, v in g.edges():
-            if not g.has_edge(perm[u], perm[v]):
-                raise CertificateError("generator is not an automorphism")
-    if len(orbits(g.n, generators)) != 1:
-        raise CertificateError("generated group is not vertex-transitive")
-    if not is_dominating(g, d_min):
-        raise CertificateError("seed set is not dominating")
-    gamma = d_min.bit_count()
-    seen = {d_min}
-    frontier = [d_min]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            verts = mask_to_list(s)
-            for perm in generators:
-                t = mask_of(perm[v] for v in verts)
-                if t not in seen:
-                    if len(seen) >= ORBIT_CAP:
-                        raise CapExceeded("orbit size exceeds cap")
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    orbit = sorted(seen)
-    # group-averaging gives load gamma/n per vertex; scale to load 1
-    x = Fraction(g.n, gamma * len(orbit))
-    cert = PrimalCertificate([(s, x) for s in orbit], Fraction(g.n, gamma))
-    loads = [Fraction(0)] * g.n
-    for s, xs in cert.columns:
-        for v in mask_to_list(s):
-            loads[v] += xs
-    if any(load != 1 for load in loads):
-        raise CertificateError("orbit loads are not uniform; group action too small")
-    return cert
 
 
 # -- the probabilistic lower-bound sampler -----------------------------

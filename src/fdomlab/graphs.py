@@ -308,9 +308,16 @@ def scale_to_integers(weights: Sequence[int | Fraction]) -> tuple[list[int], int
     return [w.numerator * (den // w.denominator) for w in weights], den
 
 
+def json_field(obj, key: str):
+    """obj[key], where obj must be a JSON object holding key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise GraphError(f"missing key {key!r}")
+    return obj[key]
+
+
 def json_list(obj, key: str) -> list:
     """obj[key], where obj must be a JSON object and obj[key] a list."""
-    if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
+    if not isinstance(json_field(obj, key), list):
         raise GraphError(f"expected a JSON object whose {key!r} is a list")
     return obj[key]
 

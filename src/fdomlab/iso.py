@@ -1,11 +1,13 @@
-"""Small-graph isomorphism machinery: one isomorphism-invariant vertex
-signature (colour refinement), backtracking isomorphism with colour
-pruning, automorphism groups (in full, or by a generating set), canonical
+"""Isomorphism machinery: one isomorphism-invariant vertex signature
+(colour refinement, from the degrees or a given colouring), backtracking
+isomorphism with colour pruning, automorphism groups (in full, or by a
+generating set from an individualise-and-refine search), canonical
 forms, and spanning-subgraph embeddings.
 
-Everything here is exponential in the worst case and intended for the
-small references it is used against (bad-family members, figure graphs,
-the exhaustive test corpora).
+Everything here is exponential in the worst case.  The generator search
+refines after each individualisation, so it also serves column
+generation's large graphs; the rest is meant for the small references
+it is checked against (bad-family members, figures, the test corpora).
 """
 
 from __future__ import annotations
@@ -13,22 +15,26 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, iter_mask, mask_to_list
+from .graphs import Graph, iter_mask, mask_of, mask_to_list
 
 
-def vertex_signature(nbr_mask: Sequence[int]) -> list[int]:
-    """Colour refinement (1-WL) from the degrees, to a stable partition.
+def vertex_signature(nbr_mask: Sequence[int],
+                     colours: Optional[Sequence[int]] = None) -> list[int]:
+    """Colour refinement (1-WL) from the degrees, or from the given starting
+    colouring, to a stable partition.
 
     `nbr_mask[v]` is the neighbourhood mask of v.  A colour is the hash of
     the vertex's previous colour and the sorted colours of its neighbours, so
     it is a function of the refinement history alone and means the same
-    in every graph: an isomorphism maps each vertex to one of equal
-    signature, and isomorphic graphs have equal signature multisets.
-    Refinement stops at the first round that splits no class.  A hash
-    collision can only merge classes, which weakens the signature as a
-    pruning device but never makes it depend on the labelling.
+    in every graph: an isomorphism that maps the starting colours onto each
+    other maps each vertex to one of equal signature, and isomorphic graphs
+    have equal signature multisets.  Refinement stops at the first round
+    that splits no class.  A hash collision can only merge classes, which
+    weakens the signature as a pruning device but never makes it depend on
+    the labelling.
     """
-    colours = [m.bit_count() for m in nbr_mask]
+    if colours is None:
+        colours = [m.bit_count() for m in nbr_mask]
     nbrs = [mask_to_list(m) for m in nbr_mask]
     classes = len(set(colours))
     while True:
@@ -60,10 +66,10 @@ def _search_order(g: Graph, colours: list[int]) -> list[int]:
     return ordered
 
 
-def _extensions(g: Graph, h: Graph, cg: list[int], ch: list[int], ordered: list[int],
-                fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
-    """Yield isomorphisms g -> h that respect the colours and send each
-    key of `fixed` to its value, mapping g's vertices in `ordered` order."""
+def _extensions(g: Graph, h: Graph, cg: list[int], ch: list[int],
+                ordered: list[int]) -> Iterator[tuple[int, ...]]:
+    """Yield isomorphisms g -> h that respect the colours, mapping g's
+    vertices in `ordered` order."""
     nbrs = [mask_to_list(m) for m in g.nbr_mask]
     phi: dict[int, int] = {}
     used = [False] * h.n
@@ -74,7 +80,7 @@ def _extensions(g: Graph, h: Graph, cg: list[int], ch: list[int], ordered: list[
             return
         v = ordered[i]
         mapped_nbrs = [phi[w] for w in nbrs[v] if w in phi]
-        for t in ((fixed[v],) if v in fixed else range(h.n)):
+        for t in range(h.n):
             if used[t] or ch[t] != cg[v]:
                 continue
             if any(not h.has_edge(t, x) for x in mapped_nbrs):
@@ -99,7 +105,7 @@ def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
     ch = cg if h is g else vertex_signature(h.nbr_mask)
     if sorted(cg) != sorted(ch):
         return
-    yield from _extensions(g, h, cg, ch, _search_order(g, cg), {})
+    yield from _extensions(g, h, cg, ch, _search_order(g, cg))
 
 
 def isomorphism(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
@@ -116,32 +122,64 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return list(_iso_search(g, g))
 
 
+def _individualised(g: Graph, colours: list[int], v: int) -> list[int]:
+    """colours with v alone in a new cell, refined to a stable partition."""
+    start = list(colours)
+    start[v] = hash((colours[v], -1))
+    return vertex_signature(g.nbr_mask, start)
+
+
+def _target_cell(colours: list[int]) -> Optional[int]:
+    """The colour of the smallest non-singleton cell (the least colour among
+    equal sizes), or None when the colouring is discrete."""
+    cells = ((k, c) for c, k in Counter(colours).items() if k > 1)
+    return min(cells, default=(0, None))[1]
+
+
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """A generating set of Aut(g); empty when g has no other automorphism.
 
-    Along the search order v_0, v_1, ..., level i (taken from the last
-    level up) adds, for each vertex t of v_i's signature outside the orbit
-    of v_i under the generators found so far, one automorphism that fixes
-    v_0..v_{i-1} and sends v_i to t, if there is one.  The generators
-    found at levels i..n-1 then reach the whole orbit of v_i under the
-    stabiliser of v_0..v_{i-1} and contain generators of the stabiliser of
-    v_0..v_i, so they generate the stabiliser of v_0..v_{i-1}; at level 0
-    that is Aut(g).  A graph whose signature separates every vertex needs
-    no search at all.
+    Individualise and refine (McKay & Piperno, J. Symb. Comput. 2014): the
+    first path individualises the lowest vertex v_i of the smallest
+    non-singleton cell of its colouring pi_i and refines, until the leaf
+    is discrete.  Level i (from the last up) adds, for each t of v_i's cell
+    outside v_i's orbit under the generators so far, one automorphism
+    fixing v_0..v_{i-1} with v_i -> t, if any: t is individualised in pi_i
+    instead, and the search below follows the path's cells, keeping a
+    child only if its colour multiset equals the path's.  A matching leaf
+    maps colour to vertex and is kept only after an edge-by-edge check, so
+    a hash collision can only lose a generator.  The generators of levels
+    i..k-1 reach v_i's orbit under the stabiliser of v_0..v_{i-1} and
+    generate the stabiliser of v_0..v_i, so they generate the former; at
+    level 0 that is Aut(g).
     """
-    cg = vertex_signature(g.nbr_mask)
-    ordered = _search_order(g, cg)
+    path = [vertex_signature(g.nbr_mask)]
+    cells = [_target_cell(path[0])]
+    while cells[-1] is not None:
+        path.append(_individualised(g, path[-1], path[-1].index(cells[-1])))
+        cells.append(_target_cell(path[-1]))
+    depth, shapes = len(path) - 1, [sorted(p) for p in path]
+
+    def below(colours: list[int], i: int, u: int) -> Optional[tuple[int, ...]]:
+        """An automorphism taking the leaf to a leaf below the child of
+        `colours` (at depth i) that individualises u, or None."""
+        nxt = _individualised(g, colours, u)
+        if sorted(nxt) != shapes[i + 1]:
+            return None
+        if i + 1 < depth:
+            return next((phi for w, c in enumerate(nxt)
+                         if c == cells[i + 1] and (phi := below(nxt, i + 1, w))), None)
+        at = {c: w for w, c in enumerate(nxt)}
+        phi = tuple(at[c] for c in path[-1])
+        return phi if all(mask_of(phi[w] for w in iter_mask(m)) == g.nbr_mask[phi[v]]
+                          for v, m in enumerate(g.nbr_mask)) else None
+
     gens: list[tuple[int, ...]] = []
-    for i in reversed(range(g.n)):
-        v = ordered[i]
-        fixed = {u: u for u in ordered[:i]}
+    for i in reversed(range(depth)):
+        v = path[i].index(cells[i])
         orbit = {v}
-        for t in ordered[i + 1:]:
-            if t in orbit or cg[t] != cg[v]:
-                continue
-            fixed[v] = t
-            phi = next(_extensions(g, g, cg, cg, ordered, fixed), None)
-            if phi is not None:
+        for t, c in enumerate(path[i]):
+            if c == cells[i] and t not in orbit and (phi := below(path[i], i, t)):
                 gens.append(phi)
                 orbit = next(o for o in orbits(g.n, gens) if v in o)
     return gens

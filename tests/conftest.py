@@ -45,3 +45,18 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int,
         edges.add((min(u, v), max(u, v)))
         g = Graph(n, edges)
     return g
+
+
+def random_cubic(n: int, seed: int) -> Graph:
+    """A connected simple cubic graph on n vertices from the pairing model,
+    retrying until the pairing is simple and connected (the recipe of
+    perfbench/sweep.py)."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            g = Graph(n, edges)
+            if g.is_connected():
+                return g

@@ -27,13 +27,12 @@ from fdomlab.distributions import constant_demand, verify_f_dominating
 from fdomlab.domset import domatic_number, domination_number, _domatic_partition
 from fdomlab.enumerate_graphs import connected_graphs
 from fdomlab.fdom import (closed_form_certificate, fdom_colgen, fdom_exact,
-                          pq_colouring_exists, sample_lnbound,
-                          symmetric_certificate, verify_dual, verify_primal)
+                          pq_colouring_exists, sample_lnbound, verify_dual,
+                          verify_primal)
 from fdomlab.generators import (complete_bipartite, coxeter, cycle,
                                 girth6_family, hypercube, incidence_graph,
                                 join_with_clique, kneser, theta_graph)
-from fdomlab.graphs import Graph, mask_of
-from fdomlab.iso import automorphism_generators
+from fdomlab.graphs import Graph
 from fdomlab.structure import hammocks
 
 
@@ -192,11 +191,10 @@ def test_criterion_10_counterexamples(report):
     t0 = time.monotonic()
     g = coxeter()
     assert domination_number(g)[0] == 7
-    primal = symmetric_certificate(g, automorphism_generators(g),
-                                   mask_of([2, 10, 18, 24, 25, 26, 27]))
-    dual = closed_form_certificate("neighbourhood", g=g)
-    assert primal.objective == dual.total == 4
-    assert verify_primal(g, primal)[0] and verify_dual(g, dual)[0]
+    res = fdom_colgen(g)
+    assert res.primal.generators  # the orbit master: one orbit, one column
+    assert res.value == res.primal.objective == res.dual.total == 4
+    assert verify_primal(g, res.primal)[0] and verify_dual(g, res.dual)[0]
     # exhaustive refutation well inside the 30-minute budget (no degradation
     # to the chi(G^2) route needed)
     assert _domatic_partition(g, 4) is None
@@ -204,15 +202,10 @@ def test_criterion_10_counterexamples(report):
 
     k = kneser(7, 3)
     assert domination_number(k)[0] == 7
-    fano = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6},
-            {2, 3, 6}, {2, 4, 5}]
-    from itertools import combinations
-    idx = {frozenset(c): i for i, c in enumerate(combinations(range(7), 3))}
-    kprimal = symmetric_certificate(k, automorphism_generators(k),
-                                    mask_of(idx[frozenset(l)] for l in fano))
-    kdual = closed_form_certificate("neighbourhood", g=k)
-    assert kprimal.objective == kdual.total == 5
-    assert verify_primal(k, kprimal)[0] and verify_dual(k, kdual)[0]
+    kres = fdom_colgen(k)
+    assert kres.primal.generators
+    assert kres.value == kres.primal.objective == kres.dual.total == 5
+    assert verify_primal(k, kres.primal)[0] and verify_dual(k, kres.dual)[0]
     dt = time.monotonic() - t0
     assert dt < 1800.0
     report(f"criterion 10 PASS: Coxeter gamma=7, fdom=4, dom=3 (exhaustive); "

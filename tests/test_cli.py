@@ -47,9 +47,35 @@ def test_fdom_prints_rational_and_certificates_verify(tmp_path, capsys):
     primal_path = tmp_path / "primal.json"
     primal_path.write_text(json.dumps(blob["primal"]))
     assert main(["verify", "--in", path, "--primal", str(primal_path)]) == 0
+    assert capsys.readouterr().out.strip() == "valid: fdom >= 7/3"
     dual_path = tmp_path / "dual.json"
     dual_path.write_text(json.dumps(blob["dual"]))
     assert main(["verify", "--in", path, "--dual", str(dual_path)]) == 0
+    assert capsys.readouterr().out.strip() == "valid: fdom <= 7/3"
+
+
+def test_orbit_primal_round_trip(tmp_path, capsys):
+    path = write_graph(tmp_path, coxeter())
+    cert_path = tmp_path / "cert.json"
+    assert main(["fdom", "--in", path, "--colgen", "--out", str(cert_path)]) == 0
+    assert capsys.readouterr().out.strip() == "4/1"
+    blob = json.loads(cert_path.read_text())["primal"]
+    assert blob["type"] == "orbit-primal" and blob["generators"]
+    primal_path = tmp_path / "primal.json"
+    primal_path.write_text(json.dumps(blob))
+    assert main(["verify", "--in", path, "--primal", str(primal_path)]) == 0
+    assert capsys.readouterr().out.strip() == "valid: fdom >= 4/1"
+    # swap two images of the first generator: a permutation, no automorphism
+    gen = blob["generators"][0]
+    u = next(u for u in range(28) if not coxeter().has_edge(gen[0], gen[u]) and u)
+    gen[0], gen[u] = gen[u], gen[0]
+    primal_path.write_text(json.dumps(blob))
+    assert main(["verify", "--in", path, "--primal", str(primal_path)]) == 1
+    assert capsys.readouterr().out.strip().endswith("is not an automorphism")
+    del blob["generators"]
+    primal_path.write_text(json.dumps(blob))
+    assert main(["verify", "--in", path, "--primal", str(primal_path)]) == 2
+    assert capsys.readouterr().err.strip() == "error: missing key 'generators'"
 
 
 def test_construct52_bad_family_exit(tmp_path, capsys):
@@ -65,6 +91,7 @@ def test_construct52_emits_verifiable_distribution(tmp_path, capsys):
     d, r = DominatingDistribution.from_json(json.loads(out.read_text()))
     assert r == F(2, 5)
     assert main(["verify", "--in", path, "--distribution", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "valid: 2/5-dominating"
 
 
 def test_verify_rejects_bad_dual(tmp_path, capsys):
@@ -129,6 +156,27 @@ def test_verify_malformed_json_exits_2(tmp_path, capsys, flag, blob):
     assert main(["verify", "--in", path, flag, str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+MISSING = [
+    ("--primal", {"type": "primal", "columns": []}, "value"),
+    ("--primal", {"type": "primal", "value": ["1", "1"], "columns": [{"set": [0, 1, 2]}]}, "x"),
+    ("--primal", {"type": "primal", "value": ["1", "1"]}, "columns"),
+    ("--primal", {"type": "orbit-primal", "value": ["0", "1"], "columns": []}, "generators"),
+    ("--dual", {"type": "dual", "value": ["1", "1"]}, "weights"),
+    ("--distribution", {"atoms": [{"set": [0, 1, 2], "p": ["1", "1"]}]}, "r"),
+    ("--distribution", {"r": ["1", "1"], "atoms": [{"set": [0, 1, 2]}]}, "p"),
+    ("--colouring", {"p": 3, "phi": [[1], [2], [3]]}, "q"),
+]
+
+
+@pytest.mark.parametrize("flag, blob, key", MISSING)
+def test_verify_names_a_missing_key(tmp_path, capsys, flag, blob, key):
+    path = triangle_path(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["verify", "--in", path, flag, str(bad)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: missing key {key!r}"
 
 
 def test_verify_primal_rejects_out_of_range_vertex(tmp_path, capsys):
@@ -220,6 +268,7 @@ def test_verify_colouring_rejects_too_many_entries(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "invalid: colouring has 4 entries for n=3"
     phi.write_text(json.dumps({"p": 3, "q": 1, "phi": [[1], [2], [3]]}))
     assert main(["verify", "--in", path, "--colouring", str(phi)]) == 0
+    assert capsys.readouterr().out.strip() == "valid: (3:1)-colouring, fdom >= 3/1"
 
 
 def test_verify_colouring_with_a_huge_palette_checks_without_building_it(tmp_path, capsys):
@@ -472,11 +521,11 @@ def test_failed_chi_f_self_check_exits_internal(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value, code, message", [
-    (["5", "2"], 0, "valid"),
+    (["5", "2"], 0, "valid: fdom <= 5/2"),
     (["1", "1"], 1, "invalid: value mismatch: 5/2 != 1"),
     (["1", "0"], 2, "error: zero denominator in ['1', '0']"),
     ("junk", 2, "error: expected a [num, den] pair, got 'junk'"),
-    (None, 2, "error: "),
+    (None, 2, "error: missing key 'value'"),
 ])
 def test_verify_dual_checks_its_stated_value(tmp_path, capsys, value, code, message):
     # weights 1/2 on C5 certify fdom <= 5/2 and nothing less
@@ -488,7 +537,16 @@ def test_verify_dual_checks_its_stated_value(tmp_path, capsys, value, code, mess
     cert.write_text(json.dumps(blob))
     assert main(["verify", "--in", path, "--dual", str(cert)]) == code
     captured = capsys.readouterr()
-    assert (captured.out if code < 2 else captured.err).strip().startswith(message)
+    assert (captured.out if code < 2 else captured.err).strip() == message
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_time_budget_must_be_positive(tmp_path, capsys, monkeypatch, budget):
+    # 0 read as no budget and -5 as one already spent; both are usage errors
+    monkeypatch.setenv("FDOMLAB_TIME_BUDGET_MS", budget)
+    assert main(["chi", "--in", write_graph(tmp_path, cycle(5))]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: FDOMLAB_TIME_BUDGET_MS must be positive, got {budget}")
 
 
 def digits_from(base: int):

@@ -59,7 +59,7 @@ def test_bad_family_check_agrees_with_canonical_forms():
 
 
 def test_automorphism_generators_generate_the_full_group():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in all_graphs(n):
             gens = automorphism_generators(g)
             auts = automorphisms(g)

@@ -10,15 +10,15 @@ from fdomlab.enumerate_graphs import all_graphs
 from fdomlab.fdom import (CertificateError, DualCertificate, PrimalCertificate,
                           SampleReport, certificate_from_json, closed_form_certificate,
                           fdom_colgen, fdom_exact, girth6_certificate,
-                          pq_colouring_exists, sample_lnbound, symmetric_certificate,
-                          verify_dual, verify_primal)
+                          pq_colouring_exists, sample_lnbound, verify_dual,
+                          verify_primal)
 from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 girth6_family, hypercube, incidence_graph,
                                 join_with_clique, kneser, theta_graph)
 from fdomlab.distributions import DistributionError, FractionalColouring
 from fdomlab.graphs import Graph, mask_of
 from fdomlab.structure import hammocks
-from fdomlab.iso import automorphism_generators, orbits
+from fdomlab.iso import orbits
 
 
 def test_fdom_cycles_formula():
@@ -145,50 +145,83 @@ def test_hnd_certificate_reverified_not_trusted():
 
 
 def test_symmetric_certificate_c5():
-    c5 = cycle(5)
-    rot = tuple((i + 1) % 5 for i in range(5))
-    cert = symmetric_certificate(c5, [rot], mask_of([0, 2]))
-    assert cert.objective == F(5, 2)
-    assert verify_primal(c5, cert)[0]
+    # the orbit master on C5: one orbit under the dihedral group
+    res = fdom_colgen(cycle(5))
+    cert = res.primal
+    assert cert.objective == F(5, 2) and cert.generators
+    assert orbits(5, cert.generators) == [[0, 1, 2, 3, 4]]
+    assert verify_primal(cycle(5), cert) == (True, "ok")
+    blob = json.loads(json.dumps(cert.to_json()))
+    assert blob["type"] == "orbit-primal"
+    again = certificate_from_json(blob)
+    assert (again.columns, again.objective, again.generators) == (
+        cert.columns, cert.objective, cert.generators)
+
+
+ROTATION = (1, 2, 3, 4, 0)
+
+
+# (generators, columns, objective, why verify_primal refuses them) on C5
+BAD_ORBIT_PRIMALS = [
+    ([(0, 0, 1, 2, 3)], [([0, 2], F(5, 2))], F(5, 2), "not a permutation of 0..4"),
+    ([(1, 2, 3, 4, 5)], [([0, 2], F(5, 2))], F(5, 2), "not a permutation of 0..4"),
+    ([(1, 2, 3, 4)], [([0, 2], F(5, 2))], F(5, 2), "not a permutation of 0..4"),
+    ([(1, 0, 2, 3, 4)], [([0, 2], F(5, 2))], F(5, 2), "is not an automorphism"),
+    ([ROTATION], [([0, 2], F(3))], F(3), "load 6 > 5 at the orbit of vertex"),
+    # the reflection fixing 0 leaves {0} an orbit of its own
+    ([(0, 4, 3, 2, 1)], [([0, 2], F(5, 2))], F(5, 2), "load 5/2 > 1 at vertex 0"),
+    ([ROTATION], [([0, 2], F(5, 2))], F(2), "objective mismatch: 5/2 != 2"),
+    ([ROTATION], [([0], F(1))], F(1), "column [0] is not dominating"),
+    ([ROTATION], [([0, 5], F(1))], F(1), "column [0, 5] has a vertex out of range"),
+]
 
 
 def test_symmetric_certificate_rejects_bad_inputs():
     c5 = cycle(5)
-    not_aut = (1, 0, 2, 3, 4)
-    with pytest.raises(CertificateError):
-        symmetric_certificate(c5, [not_aut], mask_of([0, 2]))
-    reflection = tuple((-i) % 5 for i in range(5))  # fixes 0: not transitive
-    with pytest.raises(CertificateError):
-        symmetric_certificate(c5, [reflection], mask_of([0, 2]))
+    good = PrimalCertificate([(mask_of([0, 2]), F(5, 2))], F(5, 2), [ROTATION])
+    assert verify_primal(c5, good) == (True, "ok")
+    for generators, columns, objective, why in BAD_ORBIT_PRIMALS:
+        cert = PrimalCertificate([(mask_of(s), x) for s, x in columns], objective, generators)
+        ok, message = verify_primal(c5, cert)
+        assert not ok and why in message, (generators, columns, message)
 
 
 def test_symmetric_certificate_coxeter():
     g = coxeter()
-    gens = automorphism_generators(g)
-    assert orbits(28, gens) == [list(range(28))]
-    cert = symmetric_certificate(g, gens, mask_of([2, 10, 18, 24, 25, 26, 27]))
-    assert cert.objective == 4
-    assert verify_primal(g, cert)[0]
+    res = fdom_colgen(g)
+    assert orbits(28, res.primal.generators) == [list(range(28))]
+    # one column: a minimum dominating set (gamma = 7) at weight 4
+    assert [(s.bit_count(), x) for s, x in res.primal.columns] == [(7, 4)]
+    assert res.primal.objective == 4 and verify_primal(g, res.primal)[0]
+    assert verify_dual(g, res.dual)[0] and res.dual.total == 4
     # delta+1 dual closes the gap: fdom(Coxeter) = 4 exactly
     dual = closed_form_certificate("neighbourhood", g=g)
     assert verify_dual(g, dual)[0] and dual.total == 4
 
 
-def fano_mask():
-    from itertools import combinations
-    fano = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
-    subsets = [frozenset(c) for c in combinations(range(7), 3)]
-    idx = {s: i for i, s in enumerate(subsets)}
-    return mask_of(idx[frozenset(l)] for l in fano)
-
-
 def test_symmetric_certificate_kneser73():
     g = kneser(7, 3)
-    cert = symmetric_certificate(g, automorphism_generators(g), fano_mask())
-    assert cert.objective == 5
-    assert verify_primal(g, cert)[0]
+    res = fdom_colgen(g)
+    assert len(orbits(35, res.primal.generators)) == 1
+    assert [(s.bit_count(), x) for s, x in res.primal.columns] == [(7, 5)]
+    assert res.primal.objective == 5 and verify_primal(g, res.primal)[0]
+    assert verify_dual(g, res.dual)[0] and res.dual.total == 5
     dual = closed_form_certificate("neighbourhood", g=g)
     assert verify_dual(g, dual)[0] and dual.total == 5
+
+
+@pytest.mark.parametrize("g, value", [
+    pytest.param(girth6_family(4), F(18, 7), id="G4"),
+    pytest.param(girth6_family(5), F(23, 9), id="G5"),
+    pytest.param(kneser(10, 2), F(15), id="KG(10,2)"),
+])
+def test_colgen_certifies_symmetric_families(g, value):
+    # (5n-2)/(2n-1) for G_n; KG(10,2) took more than 90 s on the plain master
+    res = fdom_colgen(g)
+    assert res.value == res.primal.objective == res.dual.total == value
+    assert res.primal.generators
+    assert verify_primal(g, res.primal) == (True, "ok")
+    assert verify_dual(g, res.dual) == (True, "ok")
 
 
 def test_certificate_json_roundtrip():
@@ -300,18 +333,30 @@ def test_colgen_matches_exact_on_random_graphs():
         assert fdom_colgen(g).value == fdom_exact(g).value
 
 
-@pytest.mark.parametrize("solve, name, g, value", [
-    pytest.param(fdom_colgen, "fdom", cycle(12), 3, id="g0-3"),
-    pytest.param(fdom_colgen, "fdom", coxeter(), 4, id="g1-4"),
-    pytest.param(fdom_colgen, "fdom", girth6_family(3), F(13, 5), id="g2-value2"),
-    pytest.param(fractional_chromatic, "chi_f", cycle(27), F(27, 13), id="chi_f-C27"),
-    pytest.param(fractional_chromatic, "chi_f", kneser(7, 3), F(7, 3), id="chi_f-KG73"),
+def chorded_cycle(n):
+    """C_n with the chords {0, 7} and {20, 33}: only the trivial automorphism."""
+    return Graph(n, list(cycle(n).edges()) + [(0, 7), (20, 33)])
+
+
+# converged: the first cap at which the solve returns (None: beyond 5); the
+# orbit master converges in 2 rounds on C12 and Coxeter and 3 on G3
+@pytest.mark.parametrize("solve, name, g, value, converged", [
+    pytest.param(fdom_colgen, "fdom", cycle(12), 3, 2, id="g0-3"),
+    pytest.param(fdom_colgen, "fdom", coxeter(), 4, 2, id="g1-4"),
+    pytest.param(fdom_colgen, "fdom", girth6_family(3), F(13, 5), 3, id="g2-value2"),
+    pytest.param(fdom_colgen, "fdom", chorded_cycle(34), F(17, 6), None, id="C34-chords"),
+    pytest.param(fdom_colgen, "fdom", chorded_cycle(40), F(20, 7), None, id="C40-chords"),
+    pytest.param(fractional_chromatic, "chi_f", cycle(27), F(27, 13), None, id="chi_f-C27"),
+    pytest.param(fractional_chromatic, "chi_f", kneser(7, 3), F(7, 3), None, id="chi_f-KG73"),
 ])
 @pytest.mark.parametrize("rounds", range(1, 6))
-def test_colgen_cap_reports_bounds(monkeypatch, solve, name, g, value, rounds):
+def test_colgen_cap_reports_bounds(monkeypatch, solve, name, g, value, converged, rounds):
     from fdomlab import fdom
     from fdomlab.domset import CapExceeded
     monkeypatch.setattr(fdom, "COLGEN_ROUNDS", rounds)
+    if converged is not None and rounds >= converged:
+        assert solve(g).value == value
+        return
     with pytest.raises(CapExceeded) as e:
         solve(g)
     text = str(e.value)

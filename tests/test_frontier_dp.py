@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from fdomlab import domset
 from fdomlab.enumerate_graphs import all_graphs
-from fdomlab.fdom import fdom_colgen
 from fdomlab.generators import coxeter, cycle, girth6_family
 from fdomlab.graphs import mask_to_list
 
@@ -74,9 +73,12 @@ def test_engines_agree_on_every_graph_up_to_7_vertices():
 
 
 def test_race_moves_low_width_families_to_the_dp_only():
+    # twenty pricing calls per graph under random weights in 1..10
     domset._family.cache_clear()
     for g, on_dp in [(girth6_family(3), True), (cycle(48), True), (coxeter(), False)]:
-        fdom_colgen(g)
+        rng = random.Random(0)
+        for _ in range(20):
+            domset.min_weight_dominating_set(g, [rng.randint(1, 10) for _ in range(g.n)])
         fam = domset._family(g.closed_mask, g.closed_mask)
         assert (fam.budget is None) == on_dp
     # every Coxeter call fits in 1024 nodes, so its largest probe cap was

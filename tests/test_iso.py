@@ -1,13 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdomlab.badfamily import bad_family_check, bad_family_members
-from fdomlab.generators import complete, complete_bipartite, cycle
+from conftest import random_cubic
+from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
+                                girth6_family, kneser, split_construction)
 from fdomlab.graphs import Graph
-from fdomlab.iso import (automorphisms, canonical_form, group_closure,
-                         is_isomorphic, isomorphism, orbits,
+from fdomlab.iso import (automorphism_generators, automorphisms, canonical_form,
+                         group_closure, is_isomorphic, isomorphism, orbits,
                          spanning_subgraph_embedding)
 
 
@@ -78,6 +81,31 @@ def test_orbits_and_closure():
     rot = tuple((i + 1) % 5 for i in range(5))
     assert orbits(5, [rot]) == [[0, 1, 2, 3, 4]]
     assert len(group_closure(5, [rot])) == 5
+
+
+@pytest.mark.parametrize("g, orbit_count", [
+    pytest.param(girth6_family(3), 3, id="G3"),
+    pytest.param(coxeter(), 1, id="Coxeter"),
+    pytest.param(kneser(7, 3), 1, id="KG(7,3)"),
+    pytest.param(split_construction(complete(6)), 2, id="S(K6)"),
+])
+def test_automorphism_generators_ignore_the_labelling(g, orbit_count):
+    order = len(group_closure(g.n, automorphism_generators(g)))
+    rng = random.Random(g.n)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = permuted(g, perm)
+        gens = automorphism_generators(h)
+        assert all(h.has_edge(p[u], p[v]) for p in gens for u, v in h.edges())
+        assert len(orbits(h.n, gens)) == orbit_count
+        assert len(group_closure(h.n, gens)) == order
+
+
+def test_automorphism_generators_of_an_asymmetric_cubic_graph():
+    # 1-WL cannot split a regular graph; the search refines after each
+    # individualisation, so this takes well under a second
+    assert automorphism_generators(random_cubic(100, 0)) == []
 
 
 def test_spanning_subgraph_embedding():
