@@ -18,6 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .domset import (CapExceeded, complete_to_dominating, coverage,
@@ -422,6 +423,9 @@ def closed_form_certificate(kind: str, **kw):
 # -- the probabilistic lower-bound sampler -----------------------------
 
 
+SAMPLE_CHUNK = 1024  # trials counted at once; bounds the sampler's memory
+
+
 @dataclass
 class SampleReport:
     trials: int
@@ -433,15 +437,19 @@ class SampleReport:
 
 def sample_lnbound(g: Graph, p: Fraction, trials: int, seed: int = 0) -> SampleReport:
     """Monte Carlo check of the random-set bound: include each vertex with
-    probability p, then add every vertex not dominated by the sample.  Each
-    resulting set dominates by construction; membership frequency compares
-    against p + (1-p)^(delta+1).
+    probability p, then add every vertex not dominated by the sample.
+    Membership frequency compares against p + (1-p)^(delta+1), and
+    all_dominating checks that every completed set dominates.
 
     Randomness comes from random.Random(seed) (Mersenne Twister), fixed
     across platforms.  With p = num/den in lowest terms, each vertex's draw
     is r = getrandbits(den.bit_length()), redrawn while r >= den, and the
-    vertex is in when r < num.  That is CPython's own uniform draw below
-    den, word for word, with no float and no Python frame per draw.
+    vertex is in when r < num, trial by trial and vertex by vertex.  That
+    is CPython's own uniform draw below den, word for word, with no float
+    and no Python frame per draw: one getrandbits call returns the words of
+    many draws, a table on their top bytes sorts nearly all of them, and up
+    to SAMPLE_CHUNK trials are counted at once on trial columns (an int per
+    vertex, a bit per trial), on which all_dominating is checked too.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -449,29 +457,53 @@ def sample_lnbound(g: Graph, p: Fraction, trials: int, seed: int = 0) -> SampleR
         raise ValueError("p must be in [0,1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")  # Random(-s) is Random(s)
     getrandbits = random.Random(seed).getrandbits
-    num, den = p.numerator, p.denominator
+    num, den, n = p.numerator, p.denominator, g.n
     k = den.bit_length()
-    bits = [1 << v for v in range(g.n)]
-    tally: dict[int, int] = {}
-    for _ in range(trials):
-        x = 0
-        for b in bits:
-            r = getrandbits(k)
-            while r >= den:
-                r = getrandbits(k)
-            if r < num:
-                x |= b
-        tally[x] = tally.get(x, 0) + 1
-    # each distinct draw is completed and counted once, weighted by its tally
-    counts = [0] * g.n
+    w = -(-k // 32)  # 32-bit words per draw, the lowest drawn first
+    lane, low, shift = 4 * w, 32 * w - 32, 32 * w - k
+    # a draw's key is its top min(k, 8) bits, so r is in [key << e, key + 1 << e):
+    # code 1 is in, 0 out, 2 redrawn, 3 undecided (num or den inside)
+    e, in_top = max(k - 8, 0), min(32 - shift, 8)  # key bits in the top word
+    codes = bytes(2 if t << e >= den else 3 if t + 1 << e > den else 1 if t + 1 << e <= num
+                  else 0 if t << e >= num else 3 for t in range(256))
+    high = bytes(b >> 8 - in_top << min(k, 8) - in_top for b in range(256))
+    rest = bytes(b >> in_top for b in range(256))  # the key's bits in the next word
+    split = w > 1 and in_top < 8
+    if not split:
+        codes = high.translate(codes)
+    closed = [mask_to_list(m) for m in g.closed_mask]
+    counts = [0] * n
     all_dom = True
-    full = (1 << g.n) - 1
-    for x, times in tally.items():
-        d = x | (full & ~coverage(g, x))
-        all_dom &= is_dominating(g, d)
-        for v in mask_to_list(d):
-            counts[v] += times
+    drawn = b""  # accepted draws in stream order, 1 in and 0 out
+    for start in range(0, trials, SAMPLE_CHUNK):
+        t = min(SAMPLE_CHUNK, trials - start)
+        while len(drawn) < t * n:
+            # about enough draws to fill the chunk; the surplus opens the next
+            lanes = ((t * n - len(drawn)) << k) // den + 64
+            raw = getrandbits(32 * w * lanes).to_bytes(lane * lanes, "little")
+            key = raw[lane - 1::lane]
+            if split:
+                key = (int.from_bytes(key.translate(high), "little") + int.from_bytes(
+                    raw[lane - 5::lane].translate(rest), "little")).to_bytes(lanes, "little")
+            got = bytearray(key.translate(codes))
+            i = got.find(3)
+            while i >= 0:
+                r = int.from_bytes(raw[i * lane:(i + 1) * lane], "little")
+                r = (r >> low >> shift << low) | (r & ((1 << low) - 1))
+                got[i] = 2 if r >= den else r < num
+                i = got.find(3, i + 1)
+            drawn += got.translate(None, b"\x02")
+        block, drawn = drawn[:t * n], drawn[t * n:]
+        # trial columns: bit 8j of a vertex's int is its draw in trial j
+        ones = int.from_bytes(b"\x01" * t, "little")
+        picked = [int.from_bytes(block[v::n], "little") for v in range(n)]
+        missed = [ones ^ reduce(int.__or__, [picked[u] for u in c]) for c in closed]
+        all_dom &= all(reduce(int.__or__, [picked[u] | missed[u] for u in c]) == ones
+                       for c in closed)
+        counts = [c + a.bit_count() + b.bit_count() for c, a, b in zip(counts, picked, missed)]
     freqs = [Fraction(c, trials) for c in counts]
     delta = g.min_degree()
     bound = p + (1 - p) ** (delta + 1)

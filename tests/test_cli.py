@@ -252,6 +252,13 @@ def test_sample_rejects_the_empty_graph(tmp_path, capsys):
     assert err.strip() == "error: empty graph" and "Traceback" not in err
 
 
+def test_sample_rejects_a_negative_seed(tmp_path, capsys):
+    path = triangle_path(tmp_path)
+    assert main(["sample-lnbound", "--in", path, "--p", "1/3", "--trials", "10",
+                 "--seed", "-7"]) == 2
+    assert capsys.readouterr().err.strip() == "error: seed must be >= 0"
+
+
 def test_verify_colouring_rejects_too_few_entries(tmp_path, capsys):
     path = triangle_path(tmp_path)
     phi = tmp_path / "phi.json"

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from fdomlab.chromatic import fractional_chromatic
 from fdomlab.domset import domination_number, is_dominating
 from fdomlab.enumerate_graphs import all_graphs
-from fdomlab.fdom import (CertificateError, DualCertificate, PrimalCertificate,
-                          SampleReport, certificate_from_json, closed_form_certificate,
-                          fdom_colgen, fdom_exact, girth6_certificate,
-                          pq_colouring_exists, sample_lnbound, verify_dual,
-                          verify_primal)
+from fdomlab.fdom import (SAMPLE_CHUNK, CertificateError, DualCertificate,
+                          PrimalCertificate, SampleReport, certificate_from_json,
+                          closed_form_certificate, fdom_colgen, fdom_exact,
+                          girth6_certificate, pq_colouring_exists, sample_lnbound,
+                          verify_dual, verify_primal)
 from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 girth6_family, hypercube, incidence_graph,
                                 join_with_clique, kneser, theta_graph)
@@ -278,13 +279,37 @@ def test_sampler_matches_per_trial_reference(g, p):
 
 @pytest.mark.parametrize("p", [F(0), F(1), F(1, 2), F(2, 2 ** 31 + 1), F(5, 2 ** 32 + 3),
                                F(2 ** 32 + 1, 2 ** 32 + 3), F(1, 12345678901234),
-                               F(5, 2 ** 70 + 25)])
+                               F(5, 2 ** 70 + 25), F(255, 256), F(2 ** 24 + 1, 2 ** 25 - 1),
+                               F(2 ** 32 - 1, 2 ** 32), F(1, 2 ** 32)])
 def test_sampler_draws_match_the_randrange_reference(p):
     # denominators of 1, 2, 32, 33, 44 and 71 bits: getrandbits takes one
-    # 32-bit word up to den < 2^32 and several above
+    # 32-bit word up to den < 2^32 and several above; the last four put num
+    # or den inside a top byte's range, or on the edge of one
     for g in (cycle(7), hypercube(3)):
         for seed in (3, 11):
             assert sample_lnbound(g, p, 300, seed) == reference_sample(g, p, 300, seed)
+
+
+def test_sampler_matches_the_reference_across_chunks():
+    g, p = cycle(9), F(3662, 10000)
+    for trials in (SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 3):
+        assert sample_lnbound(g, p, trials, 5) == reference_sample(g, p, trials, 5)
+
+
+def test_sampler_memory_does_not_grow_with_trials():
+    tracemalloc.start()
+    try:
+        sample_lnbound(cycle(9), F(3662, 10000), 100_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sampler_rejects_a_negative_seed():
+    # random.Random(-7) is random.Random(7): a negative seed would alias
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sample_lnbound(cycle(9), F(1, 3), trials=10, seed=-7)
 
 
 def test_sampler_rejects_the_empty_graph():
