@@ -158,15 +158,13 @@ def _cmd_verify(args) -> int:
             return EXIT_VERIFY
         cert = certificate_from_json(obj)
         if not isinstance(cert, PrimalCertificate):
-            print("not a primal certificate", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("not a primal certificate")
         ok, why = verify_primal(g, cert)
         claim = f"fdom >= {_rat(cert.objective)}"
     elif args.dual:
         cert = certificate_from_json(json.loads(Path(args.dual).read_text()))
         if not isinstance(cert, DualCertificate):
-            print("not a dual certificate", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("not a dual certificate")
         ok, why = verify_dual(g, cert)
         claim = f"fdom <= {_rat(cert.value)}"
     elif args.colouring:
@@ -185,8 +183,7 @@ def _cmd_verify(args) -> int:
         ok, why = verify_f_dominating(g, d, demand, r)
         claim = f"{_rat(r)}-dominating"
     else:
-        print("nothing to verify", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("nothing to verify")
     print(f"valid: {claim}" if ok else f"invalid: {why}")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -391,15 +391,16 @@ def domatic_number(g: Graph, cap: int = 30) -> tuple[int, list[int]]:
     if g.n == 0:
         return 0, []
     for k in range(g.min_degree() + 1, 1, -1):
-        part = _domatic_partition(g, k)
+        part = domatic_partition(g, k)
         if part is not None:
             return k, part
     return 1, [(1 << g.n) - 1]
 
 
-def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:
-    """A partition of V into k dominating sets, or None."""
-    colour = dominating_colouring(g, k, 1)
+def domatic_partition(g: Graph, k: int, cap: Optional[int] = None) -> Optional[list[int]]:
+    """A partition of V into k dominating sets, or None; the search is
+    dominating_colouring(g, k, 1, cap)."""
+    colour = dominating_colouring(g, k, 1, cap)
     if colour is None:
         return None
     part = [0] * k
@@ -414,7 +415,8 @@ def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:
 COLOURING_NODE_CAP = 20_000_000
 
 
-def dominating_colouring(g: Graph, p: int, q: int) -> Optional[list[int]]:
+def dominating_colouring(g: Graph, p: int, q: int,
+                         cap: Optional[int] = None) -> Optional[list[int]]:
     """A dominating (p:q)-colouring: per vertex a p-bit colour mask with q
     bits set, such that every closed neighbourhood spans all p colours; or
     None when there is none.
@@ -424,10 +426,13 @@ def dominating_colouring(g: Graph, p: int, q: int) -> Optional[list[int]]:
     once a neighbourhood misses more colours than q per unassigned vertex,
     or the unassigned vertices can no longer open the unused colours.
     Colours are symmetric, so a vertex opens new colours only as the lowest
-    unused ones.  Raises CapExceeded past COLOURING_NODE_CAP nodes.
+    unused ones.  Raises CapExceeded past cap nodes (COLOURING_NODE_CAP,
+    read at call time, when cap is None).
     """
     if not 1 <= q <= p:
         raise ValueError("needs 1 <= q <= p")
+    if cap is None:
+        cap = COLOURING_NODE_CAP
     n = g.n
     order = g.bfs_order()
     closed = [mask_to_list(m) for m in g.closed_mask]
@@ -454,9 +459,8 @@ def dominating_colouring(g: Graph, p: int, q: int) -> Optional[list[int]]:
         v = order[i]
         for c, opened in choices[used]:
             nodes += 1
-            if nodes > COLOURING_NODE_CAP:
-                raise CapExceeded(f"dominating-colouring search passed "
-                                  f"{COLOURING_NODE_CAP} nodes")
+            if nodes > cap:
+                raise CapExceeded(f"dominating-colouring search passed {cap} nodes")
             colour[v] = c
             undo: list[tuple[int, int]] = []
             for w in closed[v]:

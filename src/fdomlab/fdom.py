@@ -5,6 +5,9 @@ dual asks for nonnegative vertex weights giving every dominating set
 weight at least 1 (a fractional bottleneck).  Column generation solves it
 with one row per orbit of Aut(G), which is exact: averaging a packing over
 the group keeps it feasible (Boedi, Herr & Joswig, Math. Program. 2013).
+A domatically full graph (delta+1 disjoint dominating sets; Cockayne &
+Hedetniemi, Networks 1977) needs no LP: fdom_exact proves fdom = delta+1
+with the partition's classes and a closed neighbourhood at weight 1.
 Every result carries both certificates and they are verified, in exact
 rationals, before being returned: the primal (columns and group
 generators) by direct constraint checking, the dual by an independent
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
-from .domset import (CapExceeded, complete_to_dominating, coverage,
+from .domset import (CapExceeded, complete_to_dominating, coverage, domatic_partition,
                      dominating_colouring, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
                      min_weight_dominating_set, min_weight_hitting_set)
@@ -172,31 +175,55 @@ def _orbit_rows(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     return [row[v] for v in range(n)]
 
 
-def _result_from_master(g: Graph, master: IntegerLP, columns: list[int],
-                        gens: Sequence[tuple[int, ...]] = ()) -> FdomResult:
-    value = master.value()
-    primal = PrimalCertificate(
-        [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value, list(gens))
-    ys = master.duals()  # per vertex y_{O(v)}; verify_dual checks the duality
-    dual = DualCertificate([ys[i] for i in _orbit_rows(g.n, gens)], value)
+def _certified(g: Graph, primal: PrimalCertificate, dual: DualCertificate) -> FdomResult:
+    """The result both certificates prove, once each verifies and their
+    values agree; RuntimeError otherwise."""
     ok, why = verify_primal(g, primal)
     if not ok:
         raise RuntimeError(f"primal verification failed: {why}")
     ok, why = verify_dual(g, dual)
     if not ok:
         raise RuntimeError(f"dual verification failed: {why}")
-    return FdomResult(value, primal, dual)
+    if primal.objective != dual.value:
+        raise RuntimeError(f"certificates disagree: {primal.objective} != {dual.value}")
+    return FdomResult(primal.objective, primal, dual)
+
+
+def _result_from_master(g: Graph, master: IntegerLP, columns: list[int],
+                        gens: Sequence[tuple[int, ...]] = ()) -> FdomResult:
+    value = master.value()
+    primal = PrimalCertificate(
+        [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value, list(gens))
+    ys = master.duals()  # per vertex y_{O(v)}; verify_dual checks the duality
+    return _certified(g, primal, DualCertificate([ys[i] for i in _orbit_rows(g.n, gens)], value))
+
+
+PARTITION_NODES = 64  # colouring-search nodes per vertex fdom_exact spends on a partition
 
 
 def fdom_exact(g: Graph, cap: int = 20) -> FdomResult:
-    """fdom by full enumeration of minimal dominating sets.
+    """fdom of a graph with at most cap vertices (CapExceeded beyond).
 
-    Columns can be restricted to minimal sets: any dominating set contains
-    a minimal one, and shifting mass down to the subset never violates a
-    load constraint.
+    A partition into delta+1 dominating sets, searched for within
+    PARTITION_NODES * n nodes, proves fdom = delta+1: its classes at
+    weight 1 are the primal, neighbourhood_certificate(g) the dual.
+    Otherwise, or when the search spends its budget, the LP runs over
+    every minimal dominating set.  Columns can be restricted to minimal
+    sets: any dominating set contains a minimal one, and shifting mass
+    down to the subset never violates a load constraint.
     """
     if g.n == 0:
         raise ValueError("empty graph")
+    if g.n > cap:
+        raise CapExceeded(f"minimal dominating set enumeration capped at {cap} vertices")
+    k = g.min_degree() + 1
+    try:
+        part = domatic_partition(g, k, PARTITION_NODES * g.n)
+    except CapExceeded:
+        part = None
+    if part is not None:
+        return _certified(g, PrimalCertificate([(s, Fraction(1)) for s in part], Fraction(k)),
+                          neighbourhood_certificate(g))
     master = IntegerLP([1] * g.n)
     columns = list(enumerate_minimal_dominating_sets(g, cap=cap))
     for col in columns:

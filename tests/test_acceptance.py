@@ -24,7 +24,7 @@ from fdomlab.badfamily import bad_family_check, bad_family_members
 from fdomlab.chromatic import check_reduction, chromatic_number, fullness_check, join_check
 from fdomlab.construct import construct52, intersecting_family, planar_girth_construct
 from fdomlab.distributions import constant_demand, verify_f_dominating
-from fdomlab.domset import domatic_number, domination_number, _domatic_partition
+from fdomlab.domset import domatic_number, domination_number, domatic_partition
 from fdomlab.enumerate_graphs import connected_graphs
 from fdomlab.fdom import (closed_form_certificate, fdom_colgen, fdom_exact,
                           pq_colouring_exists, sample_lnbound, verify_dual,
@@ -197,7 +197,7 @@ def test_criterion_10_counterexamples(report):
     assert verify_primal(g, res.primal)[0] and verify_dual(g, res.dual)[0]
     # exhaustive refutation well inside the 30-minute budget (no degradation
     # to the chi(G^2) route needed)
-    assert _domatic_partition(g, 4) is None
+    assert domatic_partition(g, 4) is None
     assert domatic_number(g)[0] == 3
 
     k = kneser(7, 3)

@@ -54,6 +54,35 @@ def test_fdom_prints_rational_and_certificates_verify(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "valid: fdom <= 7/3"
 
 
+def test_fdom_on_c6_writes_the_domatic_partition(tmp_path, capsys):
+    # C6 is domatically full: three disjoint pairs at weight 1, N[v] as the dual
+    path = write_graph(tmp_path, cycle(6))
+    cert_path = tmp_path / "cert.json"
+    assert main(["fdom", "--in", path, "--out", str(cert_path)]) == 0
+    assert capsys.readouterr().out.strip() == "3/1"
+    blob = json.loads(cert_path.read_text())
+    assert [c["x"] for c in blob["primal"]["columns"]] == [["1", "1"]] * 3
+    for kind, claim in [("primal", "fdom >= 3/1"), ("dual", "fdom <= 3/1")]:
+        cert = tmp_path / f"{kind}.json"
+        cert.write_text(json.dumps(blob[kind]))
+        assert main(["verify", "--in", path, f"--{kind}", str(cert)]) == 0
+        assert capsys.readouterr().out.strip() == f"valid: {claim}"
+
+
+def test_verify_usage_errors_carry_the_error_prefix(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle(5))
+    res = fdom_exact(cycle(5))
+    primal, dual = tmp_path / "primal.json", tmp_path / "dual.json"
+    primal.write_text(json.dumps(res.primal.to_json()))
+    dual.write_text(json.dumps(res.dual.to_json()))
+    for extra, message in [(["--primal", str(dual)], "not a primal certificate"),
+                           (["--dual", str(primal)], "not a dual certificate"),
+                           ([], "nothing to verify")]:
+        assert main(["verify", "--in", path] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.strip() == f"error: {message}"
+
+
 def test_orbit_primal_round_trip(tmp_path, capsys):
     path = write_graph(tmp_path, coxeter())
     cert_path = tmp_path / "cert.json"

@@ -2,17 +2,20 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
 from fdomlab.chromatic import fractional_chromatic
-from fdomlab.domset import domination_number, is_dominating
+from fdomlab import fdom
+from fdomlab.domset import CapExceeded, domatic_number, domination_number, is_dominating
 from fdomlab.enumerate_graphs import all_graphs
 from fdomlab.fdom import (SAMPLE_CHUNK, CertificateError, DualCertificate,
                           PrimalCertificate, SampleReport, certificate_from_json,
                           closed_form_certificate, fdom_colgen, fdom_exact,
-                          girth6_certificate, pq_colouring_exists, sample_lnbound,
-                          verify_dual, verify_primal)
+                          girth6_certificate, neighbourhood_certificate,
+                          pq_colouring_exists, sample_lnbound, verify_dual,
+                          verify_primal)
 from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 girth6_family, hypercube, incidence_graph,
                                 join_with_clique, kneser, theta_graph)
@@ -45,6 +48,53 @@ def test_result_carries_matching_certificates():
     assert res.primal.objective == res.dual.total == res.value
     assert verify_primal(cycle(5), res.primal) == (True, "ok")
     assert verify_dual(cycle(5), res.dual) == (True, "ok")
+
+
+def is_domatic_partition(g, res):
+    """True iff the primal is delta+1 disjoint classes covering V, each at
+    weight 1."""
+    sets = [s for s, _ in res.primal.columns]
+    return (len(sets) == g.min_degree() + 1
+            and all(x == 1 for _, x in res.primal.columns)
+            and sum(s.bit_count() for s in sets) == g.n
+            and reduce(int.__or__, sets, 0) == (1 << g.n) - 1)
+
+
+@pytest.mark.parametrize("g", [cycle(6), complete(4)], ids=["C6", "K4"])
+def test_domatically_full_graph_gets_the_partition_and_neighbourhood(g):
+    res = fdom_exact(g)
+    k = g.min_degree() + 1
+    assert res.value == res.primal.objective == res.dual.value == k
+    assert is_domatic_partition(g, res)
+    assert all(is_dominating(g, s) for s, _ in res.primal.columns)
+    assert res.dual == neighbourhood_certificate(g)
+    assert verify_primal(g, res.primal) == (True, "ok")
+    assert verify_dual(g, res.dual) == (True, "ok")
+
+
+def test_fdom_exact_cap_comes_before_the_partition():
+    # C21 is domatically full, but 21 vertices exceed the enumeration cap
+    with pytest.raises(CapExceeded, match="capped at 20 vertices"):
+        fdom_exact(cycle(21), cap=20)
+
+
+def test_lp_agrees_with_the_partition_shortcut(corpus7_mindeg2, monkeypatch):
+    with_partition = [fdom_exact(g) for g in corpus7_mindeg2]
+    monkeypatch.setattr(fdom, "PARTITION_NODES", 0)  # every search overflows at once
+    lp = [fdom_exact(g) for g in corpus7_mindeg2]
+    assert [r.value for r in lp] == [r.value for r in with_partition]
+    # the LP's optima are partitions on fewer graphs, so the search was off
+    assert (sum(map(is_domatic_partition, corpus7_mindeg2, lp))
+            < sum(map(is_domatic_partition, corpus7_mindeg2, with_partition)))
+
+
+def test_partition_budget_finds_every_domatic_partition(corpus7_mindeg2):
+    # the LP alone returns a partition on 222 of these 583 graphs; a search
+    # order or budget that loses partitions shows up here
+    full = [domatic_number(g)[0] == g.min_degree() + 1 for g in corpus7_mindeg2]
+    found = [is_domatic_partition(g, fdom_exact(g)) for g in corpus7_mindeg2]
+    assert sum(found) == sum(full) == 415
+    assert found == full
 
 
 def test_colgen_matches_exact(corpus7_mindeg2):
