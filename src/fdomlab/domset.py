@@ -10,11 +10,13 @@ complement is chi_f's maximum-weight independent set.  Two exact engines
 give the same answer: a packing-bound branch-and-bound, and a frontier DP
 (Telle & Proskurowski, SIAM J. Discrete Math. 1997, in hitting-set form).
 Each family is prepared once and races them: a call that overflows the
-branch-and-bound's node budget probes the DP's state count under a cap
-proportional to the budget, and the family moves to the DP for good if
-the probe finishes, else the budget doubles.  domination_number keeps its
-own unit-weight search.  One backtracking search, dominating_colouring,
-finds dominating (p:q)-colourings; the domatic number is its q = 1 case.
+branch-and-bound's node budget runs the DP under a state cap proportional
+to the budget; if the DP finishes, its answer is the call's and the
+family moves to the DP for good, else the budget doubles.  Both searches
+keep their nodes on an explicit stack, so their depth is not bounded by
+the interpreter's recursion limit.  domination_number keeps its own
+unit-weight search.  One backtracking search, dominating_colouring, finds
+dominating (p:q)-colourings; the domatic number is its q = 1 case.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ def _most_constrained(uncovered: int, excluded: int, sets: Sequence[int]) -> int
 
 def domination_number(g: Graph) -> tuple[int, int]:
     """(gamma, witness bitmask): branch-and-bound, branching on the
-    dominators of an uncovered vertex with the fewest candidates."""
+    dominators of an uncovered vertex with the fewest candidates, most
+    covering first, on an explicit stack."""
     if g.n == 0:
         return 0, 0
     full = (1 << g.n) - 1
@@ -162,26 +165,26 @@ def domination_number(g: Graph) -> tuple[int, int]:
     near, doms = _family(closed, closed).near, _doms(closed, [1] * g.n)
     best_set = complete_to_dominating(g, 0)
     best = best_set.bit_count()
-
-    def search(chosen: int, covered: int, excluded: int) -> None:
-        nonlocal best, best_set
+    stack = [(0, 0, 0)]
+    while stack:
+        chosen, covered, excluded = stack.pop()
         size = chosen.bit_count()
         if covered == full:
             if size < best:
                 best, best_set = size, chosen
-            return
+            continue
         uncovered = full & ~covered
         lb = _packing_bound(uncovered, excluded, near, doms)
         if lb is None or size + lb >= best:
-            return
+            continue
         v = _most_constrained(uncovered, excluded, closed)
-        banned = excluded
-        for u in sorted(iter_mask(closed[v] & ~excluded),
-                        key=lambda x: -(closed[x] & ~covered).bit_count()):
-            search(chosen | (1 << u), covered | closed[u], banned)
-            banned |= 1 << u
-
-    search(0, 0, 0)
+        # a child bans the candidates before it; pushed last-first, so
+        # the first candidate pops first
+        banned = excluded | closed[v]
+        for u in reversed(sorted(iter_mask(closed[v] & ~excluded),
+                                 key=lambda x: -(closed[x] & ~covered).bit_count())):
+            banned ^= 1 << u
+            stack.append((chosen | 1 << u, covered | closed[u], banned))
     return best, best_set
 
 
@@ -196,15 +199,11 @@ DP_STATES_PER_NODE = 16
 DP_MAX_STATES = 1 << 19
 
 
-class _Overflow(Exception):
-    """The branch-and-bound passed its node budget."""
-
-
 class _Family:
     """A hitting-set family prepared once: the branch-and-bound's `near`
     table (near[j], the sets sharing an element with set j), the DP's
-    element order and closing masks (built at the first overflow), and the
-    engine: a node budget, or None once the DP has won the race."""
+    element order and closing masks (built at the DP's first call), and
+    the engine: a node budget, or None once the DP has won the race."""
 
     def __init__(self, sets: tuple[int, ...], hits: tuple[int, ...]) -> None:
         if 0 in sets:
@@ -217,35 +216,24 @@ class _Family:
         self.order: list[tuple[int, int]] = []
 
     def solve(self, weights: Sequence[int | Fraction]) -> tuple[int, int | Fraction]:
-        """The answer of min_weight_hitting_set, by the race's engine."""
+        """The answer of min_weight_hitting_set, by the race's engine: a
+        call past the node budget b runs the DP under the cap
+        DP_STATES_PER_NODE * b, and the family stays on the DP if it fits."""
         free = sum(1 << u for u, w in enumerate(weights) if w == 0)
         if self.budget is not None:
             doms = _doms(self.sets, weights)
         while self.budget is not None:
-            try:
-                return _branch_and_bound(self, weights, doms, free, self.budget)
-            except _Overflow:
-                cap = DP_STATES_PER_NODE * self.budget
-                if cap <= DP_MAX_STATES and self._dp_fits(cap):
+            found = _branch_and_bound(self, weights, doms, free, self.budget)
+            if found is not None:
+                return found
+            cap = DP_STATES_PER_NODE * self.budget
+            if cap <= DP_MAX_STATES:
+                found = _frontier_dp(self, weights, free, cap)
+                if found is not None:
                     self.budget = None
-                else:
-                    self.budget *= 2
+                    return found
+            self.budget *= 2
         return _frontier_dp(self, weights, free)
-
-    def _dp_fits(self, cap: int) -> bool:
-        """Whether the DP's layers, summed over the order, hold at most cap
-        states; no layer grows past twice the cap."""
-        if not self.order:
-            self.order = _frontier_order(self.sets, self.hits)
-        layer, total = {0}, 1
-        for u, close in self.order:
-            hu = self.hits[u]
-            layer = {k ^ close for hm in layer for k in (hm, hm | hu)
-                     if k & close == close}
-            total += len(layer)
-            if total > cap:
-                return False
-        return True
 
 
 #: the prepared family of (sets, hits), kept while it is among the last
@@ -287,55 +275,57 @@ def _frontier_order(sets: Sequence[int], hits: Sequence[int]) -> list[tuple[int,
 
 
 def _branch_and_bound(fam: _Family, weights: Sequence[int | Fraction], doms: list,
-                      free: int, budget: int) -> tuple[int, int | Fraction]:
-    """The packing-bound search, branching on a most constrained set;
-    raises _Overflow past `budget` nodes."""
+                      free: int, budget: int | float
+                      ) -> Optional[tuple[int, int | Fraction]]:
+    """The packing-bound search, branching on a most constrained set, on a
+    stack of (chosen, covered, excluded, weight) nodes; None past `budget`
+    nodes."""
     sets, hits, near = fam.sets, fam.hits, fam.near
     full = (1 << len(sets)) - 1
     best_set = (1 << len(weights)) - 1
     best_w = sum(weights)
+    stack = [(free, _hit_by(hits, free), free, 0)]
+    # bound to locals: the loop runs once per node
+    push, pop, bound, branch = stack.append, stack.pop, _packing_bound, _most_constrained
     nodes = 0
-
-    def search(chosen: int, covered: int, excluded: int, w: int | Fraction) -> None:
-        nonlocal best_set, best_w, nodes
+    while stack:
+        chosen, covered, excluded, w = pop()
         nodes += 1
         if nodes > budget:
-            raise _Overflow
+            return None
         if covered == full:
             if w < best_w or (w == best_w and chosen < best_set):
                 best_set, best_w = chosen, w
-            return
+            continue
         uncovered = full & ~covered
-        lb = _packing_bound(uncovered, excluded, near, doms)
+        lb = bound(uncovered, excluded, near, doms)
         if lb is None or w + lb > best_w:
-            return
-        j = _most_constrained(uncovered, excluded, sets)
-        # the candidates in (weight, index) order
-        banned = excluded
-        for bit, wu in doms[j]:
-            if excluded & bit:
-                continue
-            u = bit.bit_length() - 1
-            search(chosen | bit, covered | hits[u], banned, w + wu)
-            banned |= bit
-
-    try:
-        search(free, _hit_by(hits, free), free, 0)
-    finally:
-        search = None  # breaks the closure's reference cycle, freeing doms now
+            continue
+        j = branch(uncovered, excluded, sets)
+        # the candidates in (weight, index) order, each child banning those
+        # before it; pushed last-first, so the first candidate pops first
+        banned = excluded | sets[j]
+        for bit, wu in reversed(doms[j]):
+            if not excluded & bit:
+                banned ^= bit
+                push((chosen | bit, covered | hits[bit.bit_length() - 1], banned, w + wu))
     return best_set, best_w
 
 
-def _frontier_dp(fam: _Family, weights: Sequence[int | Fraction], free: int
-                 ) -> tuple[int, int | Fraction]:
-    """The DP over the frontier order.  A state is the mask of the open sets
-    already hit, and keeps the least (weight, chosen mask) reaching it,
-    packed as weight << n | mask on the integer-scaled weights; a set is
-    dropped at its last element, and a state that left it unhit dies.
-    Extensions of a state are disjoint from its chosen mask, so the least
-    pair composes: the result is the branch-and-bound's."""
+def _frontier_dp(fam: _Family, weights: Sequence[int | Fraction], free: int,
+                 cap: int | float = inf) -> Optional[tuple[int, int | Fraction]]:
+    """The DP over the frontier order; None once its layers, summed over
+    the order, pass `cap` states (no layer grows past twice the cap).  A
+    state is the mask of the open sets already hit, and keeps the least
+    (weight, chosen mask) reaching it, packed as weight << n | mask on the
+    integer-scaled weights; a set is dropped at its last element, and a
+    state that left it unhit dies.  Extensions of a state are disjoint from
+    its chosen mask, so the least pair composes: the result is the
+    branch-and-bound's."""
+    if not fam.order:
+        fam.order = _frontier_order(fam.sets, fam.hits)
     n, ints = len(weights), scale_to_integers(weights)[0]
-    states = {0: 0}
+    states, total = {0: 0}, 1
     for u, close in fam.order:
         hu, bit = fam.hits[u], 1 << u
         if free & bit:  # forced in at no weight
@@ -352,6 +342,9 @@ def _frontier_dp(fam: _Family, weights: Sequence[int | Fraction], free: int
                 if old is None or v < old:
                     nxt[k] = v
         states = nxt
+        total += len(states)
+        if total > cap:
+            return None
     s = states[0] & (1 << n) - 1
     return s, sum(weights[u] for u in iter_mask(s & ~free))
 
@@ -431,9 +424,14 @@ def dominating_colouring(g: Graph, p: int, q: int,
     """
     if not 1 <= q <= p:
         raise ValueError("needs 1 <= q <= p")
+    n = g.n
+    # each colour's class dominates, so it holds at least ceil(n/(D+1))
+    # vertices (D the maximum degree), and the q*n colour slots must fill
+    # p such classes
+    if q * n < p * -(-n // (g.max_degree() + 1)):
+        return None
     if cap is None:
         cap = COLOURING_NODE_CAP
-    n = g.n
     order = g.bfs_order()
     closed = [mask_to_list(m) for m in g.closed_mask]
     palette = (1 << p) - 1

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fdomlab import chromatic
 from fdomlab.chromatic import (check_reduction, chromatic_number,
                                fractional_chromatic, fullness_check,
                                join_check, max_weight_independent_set,
@@ -61,6 +62,18 @@ def test_chi_witness_is_proper(corpus7):
         assert len(set(col)) == res.value
         for u, v in g.edges():
             assert col[u] != col[v]
+
+
+def test_chi_improves_on_a_bad_greedy_colouring():
+    # the crown graph with a_i = 2i and b_i = 2i+1 adjacent iff i != j:
+    # all degrees are equal, so the greedy colouring takes the vertices in
+    # index order and spends a colour on each pair; chi is 2
+    n = 5
+    g = Graph(2 * n, [(2 * i, 2 * j + 1) for i in range(n) for j in range(n) if i != j])
+    assert max(chromatic._greedy_colour_list(g)) + 1 == n
+    res = chromatic_number(g)
+    assert res.exact and res.value == 2 and len(set(res.colouring)) == 2
+    assert all(res.colouring[u] != res.colouring[v] for u, v in g.edges())
 
 
 def test_maximal_independent_sets_oracle(corpus7):

@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -8,12 +9,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdomlab import cli
+from fdomlab import chromatic, cli
 from fdomlab.cli import main
 from fdomlab.construct import ConstructionError, construct52
 from fdomlab.distributions import DistributionError, DominatingDistribution
@@ -332,6 +334,32 @@ def test_gamma_domatic_chi(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2/1"
 
 
+def test_planar_construct_output_verifies(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle(16))
+    out = tmp_path / "dist.json"
+    assert main(["planar-construct", "--in", path, "--k", "2", "--out", str(out)]) == 0
+    assert main(["verify", "--in", path, "--distribution", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "valid: 2/5-dominating"
+
+
+def test_reduce_s_and_fullness_reports(tmp_path, capsys):
+    assert main(["reduce-s", "--in", write_graph(tmp_path, cycle(5))]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "chi_f 5/2", "fdom_split 3/1", "equivalence holds"]
+    assert main(["fullness", "--in", write_graph(tmp_path, cycle(6), "c6.graph")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degree 2", "chi_square 3", "chi_f_square 3/1", "dom_full True", "fdom_full True"]
+
+
+def test_chi_prints_bounds_once_its_budget_is_spent(tmp_path, capsys, monkeypatch):
+    # each clock reading is a second past the last, so the 1 ms budget is
+    # spent before the first k-colouring search; C5 stays bracketed
+    monkeypatch.setenv("FDOMLAB_TIME_BUDGET_MS", "1")
+    monkeypatch.setattr(chromatic, "time", SimpleNamespace(monotonic=itertools.count().__next__))
+    assert main(["chi", "--in", write_graph(tmp_path, cycle(5))]) == 3
+    assert capsys.readouterr().out.strip() == "bounds [2,3]"
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["gen", "nosuchfamily"]) == 2
     path = write_graph(tmp_path, cycle(5))
@@ -394,6 +422,18 @@ def test_family_cert_cli(tmp_path, capsys):
     assert main(["family-cert", "--kind", "girth6", "2", "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
     assert blob["type"] == "dual"
+
+
+def test_family_cert_hammock_and_kmn_primal(tmp_path, capsys):
+    theta = write_graph(tmp_path, theta_graph((2, 3, 4)))
+    assert main(["family-cert", "--kind", "hammock", "--in", theta]) == 0
+    assert capsys.readouterr().err.splitlines() == ["total 5/2", "valid"]
+    c5 = write_graph(tmp_path, cycle(5), "c5.graph")
+    assert main(["family-cert", "--kind", "hammock", "--in", c5]) == 2
+    assert capsys.readouterr().err.strip() == "no hammock in input"
+    # a primal certificate, checked by verify_primal on K3,2
+    assert main(["family-cert", "--kind", "kmn_primal", "3", "2"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["total 7/3", "valid"]
 
 
 def assert_usage_error(argv, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -77,6 +78,14 @@ def test_domination_number_matches_enumeration(corpus7):
         gamma, witness = domination_number(g)
         assert is_dominating(g, witness) and witness.bit_count() == gamma
         assert gamma == min(s.bit_count() for s in enumerate_minimal_dominating_sets(g))
+
+
+def test_domination_number_keeps_its_search_order():
+    # the witnesses depend on the order the search visits its nodes; a
+    # digest of (gamma, witness) on every graph on 1..7 vertices pins it
+    res = [domination_number(g) for n in range(1, 8) for g in all_graphs(n)]
+    assert len(res) == 1252
+    assert hashlib.sha256(repr(res).encode()).hexdigest()[:16] == "c0ee5c660b8df982"
 
 
 def test_min_weight_examples():
@@ -182,6 +191,11 @@ def test_dominating_colouring_matches_brute_force(p, q, n_max):
             assert (colour is not None) == exists, (g.edges(), p, q)
             if colour is not None:
                 assert all(c in masks for c in colour) and spans_palette(g, colour, p)
+
+
+def test_counting_refutes_a_colouring_before_any_search():
+    # each of the 3 classes would need ceil(5/4) = 2 of K2,3's 5 vertices
+    assert domset.domatic_partition(complete_bipartite(2, 3), 3, cap=0) is None
 
 
 def test_colouring_search_stops_at_its_node_cap(monkeypatch):

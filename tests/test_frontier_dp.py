@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fdomlab import domset
 from fdomlab.enumerate_graphs import all_graphs
-from fdomlab.generators import coxeter, cycle, girth6_family
+from fdomlab.generators import coxeter, cycle, girth6_family, kneser
 from fdomlab.graphs import mask_to_list
 
 
@@ -27,7 +27,6 @@ def engines(sets, hits, ws):
     fam = domset._Family(tuple(sets), tuple(hits))
     free = sum(1 << u for u, w in enumerate(ws) if w == 0)
     bb = domset._branch_and_bound(fam, ws, domset._doms(fam.sets, ws), free, inf)
-    fam.order = domset._frontier_order(fam.sets, fam.hits)
     return bb, domset._frontier_dp(fam, ws, free)
 
 
@@ -91,7 +90,47 @@ def test_frontier_order_keeps_the_dp_small():
     # answers exactly, but slower, and may move these families off the DP
     for g, states in [(girth6_family(3), 1377), (girth6_family(5), 35004),
                       (cycle(48), 407)]:
-        assert domset._Family(g.closed_mask, g.closed_mask)._dp_fits(states)
+        fam = domset._Family(g.closed_mask, g.closed_mask)
+        assert domset._frontier_dp(fam, [1] * g.n, 0, states) is not None
+        assert domset._frontier_dp(fam, [1] * g.n, 0, states - 1) is None
+
+
+# (graph, seeds): per seed, the nodes the search visits and its answer,
+# under the weights random.Random(seed).choice([0, 1, 2, 3, 5, 8]) per
+# element; the largest searches of seeds 0..29
+BB_RUNS = [
+    (cycle(20), {9: (135, 152725, 14), 28: (268, 149833, 12)}),
+    (cycle(31), {14: (727, 306858277, 25), 28: (1597, 724116629, 16)}),
+    (coxeter(), {12: (333, 235218690, 14), 18: (509, 88884306, 11)}),
+    (girth6_family(3), {27: (459, 377835762, 16), 14: (558, 23603253, 22)}),
+    (kneser(7, 2), {28: (65, 133, 2), 17: (70, 7172, 4)}),
+]
+
+
+def test_branch_and_bound_visits_the_same_nodes():
+    # the node count and the tie-break pin the search order: a budget of
+    # `nodes` finishes with the answer, one less stops with None
+    for g, runs in BB_RUNS:
+        fam = domset._Family(g.closed_mask, g.closed_mask)
+        for seed, (nodes, mask, w) in runs.items():
+            rng = random.Random(seed)
+            ws = [rng.choice([0, 1, 2, 3, 5, 8]) for _ in range(g.n)]
+            free = sum(1 << u for u, x in enumerate(ws) if x == 0)
+            doms = domset._doms(fam.sets, ws)
+            assert domset._branch_and_bound(fam, ws, doms, free, nodes) == (mask, w)
+            assert domset._branch_and_bound(fam, ws, doms, free, nodes - 1) is None
+
+
+def test_deep_branch_and_bound_needs_no_recursion(monkeypatch):
+    # 1000 disjoint pairs, kept off the DP: an optimal leaf lies 1000
+    # choices deep, past the interpreter's default recursion limit
+    monkeypatch.setattr(domset, "DP_MAX_STATES", 0)
+    k = 1000
+    sets = [0b11 << 2 * i for i in range(k)]
+    hits = [1 << u // 2 for u in range(2 * k)]
+    s, w = domset.min_weight_hitting_set(sets, hits, [1, 2] * k)
+    assert (s, w) == (int("01" * k, 2), k)
+    assert domset._family(tuple(sets), tuple(hits)).budget is not None
 
 
 def test_hitting_set_boundary_checks():

@@ -106,3 +106,15 @@ def test_outside_integers_have_one_reader():
                     and isinstance(node.value, ast.Name) and node.value.id == "int"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_raises_the_recursion_limit():
+    # a deep search keeps its nodes on its own stack; a raised limit lets
+    # the C stack overflow first, which ends the process without a message
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit"
+                    or isinstance(node, ast.alias) and node.name == "setrecursionlimit"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
