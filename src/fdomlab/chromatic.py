@@ -253,34 +253,38 @@ def _k_colouring(g: Graph, k: int, deadline: Optional[float]):
                 best, key = v, cand
         return best
 
-    def bt(assigned: int, used: int):
-        nonlocal ticks
+    # the search's stack: per assigned vertex [v, colours in use before it,
+    # its colour, the neighbours that colour newly saturated]
+    stack: list[list] = []
+    used = 0
+    while True:
         ticks += 1
         if deadline and ticks % 512 == 0 and time.monotonic() > deadline:
             return "timeout"
-        if assigned == g.n:
+        if len(stack) == g.n:
             return list(col)
         v = pick()
-        if len(nbr_cols[v]) >= k:
-            return None
-        for c in range(min(used + 1, k)):
-            if c in nbr_cols[v]:
+        if len(nbr_cols[v]) < k:
+            stack.append([v, used, -1, []])
+        while stack:  # the next colour of the deepest vertex that has one
+            frame = stack[-1]
+            v, before, c, touched = frame
+            if c >= 0:
+                col[v] = -1
+                for w in touched:
+                    nbr_cols[w].discard(c)
+            c = next((d for d in range(c + 1, min(before + 1, k)) if d not in nbr_cols[v]), -1)
+            if c < 0:
+                stack.pop()
                 continue
             col[v] = c
-            touched = []
-            for w in nbrs[v]:
-                if col[w] < 0 and c not in nbr_cols[w]:
-                    nbr_cols[w].add(c)
-                    touched.append(w)
-            res = bt(assigned + 1, max(used, c + 1))
-            if res is not None:
-                return res
-            col[v] = -1
-            for w in touched:
-                nbr_cols[w].discard(c)
-        return None
-
-    return bt(0, 0)
+            frame[2], frame[3] = c, [w for w in nbrs[v] if col[w] < 0 and c not in nbr_cols[w]]
+            for w in frame[3]:
+                nbr_cols[w].add(c)
+            used = max(before, c + 1)
+            break
+        else:
+            return None
 
 
 # -- reduction, fullness and join reports ---------------------------------

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Callable, Optional
 
 from .badfamily import bad_family_check
@@ -47,7 +48,7 @@ from .distributions import (DistributionError, DominatingDistribution,
 from .domset import CapExceeded, coverage, is_dominating
 from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
-from .graphs import Graph, iter_mask, mask_to_list
+from .graphs import Graph, iter_mask, mask_of, mask_to_list
 from .iso import spanning_subgraph_embedding
 from .structure import (SuspendedPath, cut_vertices_and_blocks,
                         find_long_suspended_path, hammocks,
@@ -356,32 +357,17 @@ def base_case_hammock(g: Graph, ann: HammockAnnotations) -> DominatingDistributi
     if len(ann.b0) + len(ann.b1) > HAMMOCK_COIN_CAP:
         raise CapExceeded(f"hammock base coins capped at {HAMMOCK_COIN_CAP} hubs")
 
+    def tosses(coins) -> list[tuple[int, Fraction]]:
+        # (mask, probability) per outcome of independent coins, each coin a
+        # list of (mask, probability) sides
+        return [(sum(m for m, _ in o), prod(p for _, p in o)) for o in product(*coins)]
+
+    two5, three5, half = Fraction(2, 5), Fraction(3, 5), Fraction(1, 2)
+    b0_subsets = tosses([(1 << b, two5), (0, three5)] for b in ann.b0)
+    b1_branches = [(0, Fraction(1, 5))] + tosses(
+        [[(0, Fraction(4, 5))]] + [[(1 << b, half), (0, half)] for b in ann.b1])
+
     outcomes: list[tuple[int, Fraction]] = []
-
-    def expand_choices(mask: int, pr: Fraction,
-                       choice_sets: list[list[int]]) -> None:
-        if not choice_sets:
-            outcomes.append((mask, pr))
-            return
-        head, rest = choice_sets[0], choice_sets[1:]
-        share = pr / len(head)
-        for z in head:
-            expand_choices(mask | (1 << z), share, rest)
-
-    two5, three5 = Fraction(2, 5), Fraction(3, 5)
-    b0_subsets: list[tuple[int, Fraction]] = [(0, Fraction(1))]
-    for b in ann.b0:
-        b0_subsets = [(m | (1 << b), p * two5) for m, p in b0_subsets] + \
-                     [(m, p * three5) for m, p in b0_subsets]
-
-    b1_branches: list[tuple[int, Fraction]] = [(0, Fraction(1, 5))]
-    half = Fraction(1, 2)
-    live: list[tuple[int, Fraction]] = [(0, Fraction(4, 5))]
-    for b in ann.b1:
-        live = [(m | (1 << b), p * half) for m, p in live] + \
-               [(m, p * half) for m, p in live]
-    b1_branches += live
-
     for b0set, p0 in b0_subsets:
         for b1set, p1 in b1_branches:
             hubset = b0set | b1set
@@ -407,7 +393,8 @@ def base_case_hammock(g: Graph, ann: HammockAnnotations) -> DominatingDistributi
                     base_mask |= 1 << b
                 if not u_in and not x_in:
                     choice_sets.append([a, b])
-            expand_choices(base_mask, pr, choice_sets)
+            share = pr / prod(map(len, choice_sets))
+            outcomes += [(base_mask | mask_of(pick), share) for pick in product(*choice_sets)]
 
     d = DominatingDistribution.from_pairs(outcomes)
     for s, _ in d.atoms:

@@ -444,36 +444,38 @@ def dominating_colouring(g: Graph, p: int, q: int,
     colour = [0] * n
     seen = [0] * n
     unassigned = [len(c) for c in closed]
-    nodes = 0
-
-    def backtrack(i: int, used: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            # the last assignment in each closed neighbourhood left it
-            # missing no colour
-            return True
-        if used + q * (n - i) < p:
-            return False
+    # the search's stack: level i holds the colours open on reaching it,
+    # its next choice, and the (vertex, seen) pairs its last choice changed
+    opened_at, tried, undos = [0] * (n + 1), [0] * (n + 1), [[] for _ in range(n + 1)]
+    nodes = i = 0
+    while 0 <= i < n:
+        undo = undos[i]
+        while undo:
+            w, s = undo.pop()
+            seen[w] = s
+            unassigned[w] += 1
+        options = choices[opened_at[i]]
+        if tried[i] == len(options):
+            i -= 1
+            continue
+        c, opened = options[tried[i]]
+        tried[i] += 1
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"dominating-colouring search passed {cap} nodes")
         v = order[i]
-        for c, opened in choices[used]:
-            nodes += 1
-            if nodes > cap:
-                raise CapExceeded(f"dominating-colouring search passed {cap} nodes")
-            colour[v] = c
-            undo: list[tuple[int, int]] = []
-            for w in closed[v]:
-                undo.append((w, seen[w]))
-                seen[w] |= c
-                unassigned[w] -= 1
-                if (palette & ~seen[w]).bit_count() > q * unassigned[w]:
-                    break
-            else:
-                if backtrack(i + 1, opened):
-                    return True
-            for w, s in reversed(undo):
-                seen[w] = s
-                unassigned[w] += 1
-        return False
-
-    return colour if backtrack(0, 0) else None
+        colour[v] = c
+        for w in closed[v]:
+            undo.append((w, seen[w]))
+            seen[w] |= c
+            unassigned[w] -= 1
+            if (palette & ~seen[w]).bit_count() > q * unassigned[w]:
+                break
+        else:
+            # the last assignment in each closed neighbourhood left it
+            # missing no colour; below, q colours per vertex must open the rest
+            if i + 1 == n or opened + q * (n - i - 1) >= p:
+                i += 1
+                opened_at[i], tried[i] = opened, 0
+    return colour if i == n else None
 

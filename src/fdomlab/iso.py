@@ -1,8 +1,10 @@
-"""Isomorphism machinery: one isomorphism-invariant vertex signature
-(colour refinement, from the degrees or a given colouring), backtracking
-isomorphism with colour pruning, automorphism groups (in full, or by a
-generating set from an individualise-and-refine search), canonical
-forms, and spanning-subgraph embeddings.
+"""Isomorphism machinery around one mapping search, `_maps`: a backtrack
+on an explicit stack that sends g's vertices into candidate masks of h,
+edges onto edges and, when induced, non-edges onto non-edges.
+Isomorphisms and automorphisms (classes of `vertex_signature`, the one
+colour refinement, as candidates), the individualise-and-refine generator
+search and spanning-subgraph embeddings all run through it;
+`canonical_form` keeps a search of its own as the tests' oracle.
 
 Everything here is exponential in the worst case.  The generator search
 refines after each individualisation, so it also serves column
@@ -50,62 +52,72 @@ def _search_order(g: Graph, colours: list[int]) -> list[int]:
     """The order in which the backtracking maps the vertices of g: rare
     colour class first, then depth-first so mapped vertices stay adjacent."""
     freq = Counter(colours)
-    order = sorted(range(g.n), key=lambda v: (freq[colours[v]], -g.degree(v), v))
-    ordered = []
-    seen: set[int] = set()
-    stack = list(reversed(order))
+    stack = sorted(range(g.n), key=lambda v: (freq[colours[v]], -g.degree(v), v), reverse=True)
+    ordered, seen = [], 0
     while stack:
         v = stack.pop()
-        if v in seen:
-            continue
-        ordered.append(v)
-        seen.add(v)
-        for w in sorted(iter_mask(g.nbr_mask[v]), key=lambda x: (freq[colours[x]], x)):
-            if w not in seen:
-                stack.append(w)
+        if not seen >> v & 1:
+            ordered.append(v)
+            seen |= 1 << v
+            stack += sorted(iter_mask(g.nbr_mask[v] & ~seen), key=lambda x: (freq[colours[x]], x))
     return ordered
 
 
-def _extensions(g: Graph, h: Graph, cg: list[int], ch: list[int],
-                ordered: list[int]) -> Iterator[tuple[int, ...]]:
-    """Yield isomorphisms g -> h that respect the colours, mapping g's
-    vertices in `ordered` order."""
-    nbrs = [mask_to_list(m) for m in g.nbr_mask]
-    phi: dict[int, int] = {}
-    used = [False] * h.n
+def _maps(g: Graph, h: Graph, order: list[int], cands: list[int],
+          induced: bool) -> Iterator[tuple[int, ...]]:
+    """Yield the injective maps phi: V(g) -> V(h) (phi[u] = image of u) with
+    phi(order[i]) in the mask cands[i], each edge onto an edge and, when
+    `induced`, each non-edge onto a non-edge; depth-first in `order`,
+    targets in increasing order.  left[i] holds level i's untried targets
+    and want[i] the images of order[i]'s mapped neighbours."""
+    k = len(order)
+    if k == 0:
+        yield ()
+        return
+    phi = [0] * g.n
+    left, want = [cands[0]] + [0] * (k - 1), [0] * k
+    i = mapped = used = 0
+    while i >= 0:
+        m = left[i]
+        if not m:
+            i -= 1
+            if i >= 0:
+                mapped ^= 1 << order[i]
+                used ^= 1 << phi[order[i]]
+            continue
+        low = m & -m
+        left[i] = m ^ low
+        t = low.bit_length() - 1
+        if h.nbr_mask[t] & (used if induced else want[i]) != want[i]:
+            continue
+        v = order[i]
+        phi[v] = t
+        if i + 1 == k:
+            yield tuple(phi)
+            continue
+        mapped |= 1 << v
+        used |= low
+        i += 1
+        left[i] = cands[i] & ~used
+        want[i] = mask_of(phi[w] for w in iter_mask(g.nbr_mask[order[i]] & mapped))
 
-    def backtrack(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(ordered):
-            yield tuple(phi[v] for v in range(g.n))
-            return
-        v = ordered[i]
-        mapped_nbrs = [phi[w] for w in nbrs[v] if w in phi]
-        for t in range(h.n):
-            if used[t] or ch[t] != cg[v]:
-                continue
-            if any(not h.has_edge(t, x) for x in mapped_nbrs):
-                continue
-            # mapped non-neighbours of v must stay non-neighbours of t
-            if any(g.has_edge(v, w) != h.has_edge(t, tw) for w, tw in phi.items()):
-                continue
-            phi[v] = t
-            used[t] = True
-            yield from backtrack(i + 1)
-            used[t] = False
-            del phi[v]
 
-    yield from backtrack(0)
-
-
-def _iso_search(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield isomorphisms g -> h as tuples phi with phi[u] in V(h)."""
+def _iso_search(g: Graph, h: Graph, cg: Optional[list[int]] = None,
+                ch: Optional[list[int]] = None) -> Iterator[tuple[int, ...]]:
+    """Yield the isomorphisms g -> h that map each class of g's colouring cg
+    onto the class of equal colour in ch (default: vertex signatures)."""
     if g.n != h.n or g.m != h.m:
-        return
-    cg = vertex_signature(g.nbr_mask)
-    ch = cg if h is g else vertex_signature(h.nbr_mask)
+        return iter(())
+    if cg is None:
+        cg = vertex_signature(g.nbr_mask)
+        ch = cg if h is g else vertex_signature(h.nbr_mask)
     if sorted(cg) != sorted(ch):
-        return
-    yield from _extensions(g, h, cg, ch, _search_order(g, cg))
+        return iter(())
+    cls: dict[int, int] = {}
+    for t, c in enumerate(ch):
+        cls[c] = cls.get(c, 0) | 1 << t
+    order = _search_order(g, cg)
+    return _maps(g, h, order, [cls[cg[v]] for v in order], True)
 
 
 def isomorphism(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
@@ -142,44 +154,28 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     Individualise and refine (McKay & Piperno, J. Symb. Comput. 2014): the
     first path individualises the lowest vertex v_i of the smallest
     non-singleton cell of its colouring pi_i and refines, until the leaf
-    is discrete.  Level i (from the last up) adds, for each t of v_i's cell
-    outside v_i's orbit under the generators so far, one automorphism
-    fixing v_0..v_{i-1} with v_i -> t, if any: t is individualised in pi_i
-    instead, and the search below follows the path's cells, keeping a
-    child only if its colour multiset equals the path's.  A matching leaf
-    maps colour to vertex and is kept only after an edge-by-edge check, so
-    a hash collision can only lose a generator.  The generators of levels
-    i..k-1 reach v_i's orbit under the stabiliser of v_0..v_{i-1} and
-    generate the stabiliser of v_0..v_i, so they generate the former; at
-    level 0 that is Aut(g).
+    is discrete.  Level i (from the last up) tries each t of v_i's cell
+    outside v_i's orbit under the generators so far, and keeps the first
+    map the mapping search finds from pi_{i+1} to pi_i refined with t
+    individualised instead.  Refinement is equivariant, so one exists
+    exactly when an automorphism fixes v_0..v_{i-1} and sends v_i to t;
+    the map is kept only after a check of both, so a hash collision can
+    only lose a generator.  The generators of levels i..k-1 reach v_i's
+    orbit under the stabiliser of v_0..v_{i-1} and generate the stabiliser
+    of v_0..v_i, so they generate the former; at level 0 that is Aut(g).
     """
-    path = [vertex_signature(g.nbr_mask)]
-    cells = [_target_cell(path[0])]
-    while cells[-1] is not None:
-        path.append(_individualised(g, path[-1], path[-1].index(cells[-1])))
-        cells.append(_target_cell(path[-1]))
-    depth, shapes = len(path) - 1, [sorted(p) for p in path]
-
-    def below(colours: list[int], i: int, u: int) -> Optional[tuple[int, ...]]:
-        """An automorphism taking the leaf to a leaf below the child of
-        `colours` (at depth i) that individualises u, or None."""
-        nxt = _individualised(g, colours, u)
-        if sorted(nxt) != shapes[i + 1]:
-            return None
-        if i + 1 < depth:
-            return next((phi for w, c in enumerate(nxt)
-                         if c == cells[i + 1] and (phi := below(nxt, i + 1, w))), None)
-        at = {c: w for w, c in enumerate(nxt)}
-        phi = tuple(at[c] for c in path[-1])
-        return phi if all(mask_of(phi[w] for w in iter_mask(m)) == g.nbr_mask[phi[v]]
-                          for v, m in enumerate(g.nbr_mask)) else None
-
+    path, fixed = [vertex_signature(g.nbr_mask)], []
+    while (cell := _target_cell(path[-1])) is not None:
+        fixed.append(path[-1].index(cell))
+        path.append(_individualised(g, path[-1], fixed[-1]))
     gens: list[tuple[int, ...]] = []
-    for i in reversed(range(depth)):
-        v = path[i].index(cells[i])
-        orbit = {v}
+    for i in reversed(range(len(fixed))):
+        v, orbit = fixed[i], {fixed[i]}
         for t, c in enumerate(path[i]):
-            if c == cells[i] and t not in orbit and (phi := below(path[i], i, t)):
+            if c != path[i][v] or t in orbit:
+                continue
+            phi = next(_iso_search(g, g, path[i + 1], _individualised(g, path[i], t)), None)
+            if phi is not None and phi[v] == t and all(phi[u] == u for u in fixed[:i]):
                 gens.append(phi)
                 orbit = next(o for o in orbits(g.n, gens) if v in o)
     return gens
@@ -287,28 +283,7 @@ def spanning_subgraph_embedding(pattern: Graph, host: Graph,
     if pattern.n != host.n or pattern.m > host.m:
         return None
     # one colour class: highest degree first, then depth-first
-    ordered = _search_order(pattern, [0] * pattern.n)
-    nbrs = [mask_to_list(m) for m in pattern.nbr_mask]
-    phi: dict[int, int] = {}
-    used = [False] * host.n
-
-    def backtrack(i: int) -> Optional[tuple[int, ...]]:
-        if i == len(ordered):
-            return tuple(phi[v] for v in range(pattern.n))
-        v = ordered[i]
-        mapped_nbrs = [phi[w] for w in nbrs[v] if w in phi]
-        for t in ((fixed[v],) if v in fixed else range(host.n)):
-            if used[t] or host.degree(t) < pattern.degree(v):
-                continue
-            if any(not host.has_edge(t, x) for x in mapped_nbrs):
-                continue
-            phi[v] = t
-            used[t] = True
-            res = backtrack(i + 1)
-            if res is not None:
-                return res
-            used[t] = False
-            del phi[v]
-        return None
-
-    return backtrack(0)
+    order = _search_order(pattern, [0] * pattern.n)
+    cands = [mask_of(t for t in ((fixed[v],) if v in fixed else range(host.n))
+                     if host.degree(t) >= pattern.degree(v)) for v in order]
+    return next(_maps(pattern, host, order, cands, False), None)

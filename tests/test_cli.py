@@ -393,6 +393,21 @@ def test_cap_exit(tmp_path, capsys):
     assert main(["--caps", "coins=5", "domatic", "--in", path]) == 2
 
 
+def test_lifted_caps_on_long_cycles_answer(tmp_path, capsys):
+    # the colouring searches keep one stack level per vertex on their own
+    # stacks, so caps lifted past the recursion limit end in an answer
+    c1200, c1201 = tmp_path / "c1200.graph", tmp_path / "c1201.graph"
+    assert main(["gen", "cycle", "1200", "--out", str(c1200)]) == 0
+    assert main(["gen", "cycle", "1201", "--out", str(c1201)]) == 0
+    capsys.readouterr()
+    assert main(["--caps", "domatic=2000", "domatic", "--in", str(c1200)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "3"
+    assert main(["--caps", "enum=2000", "fdom", "--in", str(c1200)]) == 0
+    assert capsys.readouterr().out.strip() == "3/1"
+    assert main(["--caps", "chi=2000", "chi", "--in", str(c1201)]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
 def test_intersecting_family_cli(capsys):
     assert main(["intersecting-family", "--a", "2", "--b", "0"]) == 0
     out = capsys.readouterr().out

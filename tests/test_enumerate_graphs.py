@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -15,6 +16,14 @@ MIN_DEGREE_2 = (1, 3, 11, 61, 507, 7442)              # connected, n = 3..8
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    # every permutation that maps the edge set onto itself: an oracle that
+    # shares nothing with the mapping search
+    edges = set(g.edges())
+    return {p for p in permutations(range(g.n))
+            if {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges} == edges}
 
 
 def test_all_graphs_counts():
@@ -65,6 +74,8 @@ def test_automorphism_generators_generate_the_full_group():
             auts = automorphisms(g)
             assert set(gens) <= set(auts)
             assert len(group_closure(n, gens)) == len(auts)
+            if n <= 6:
+                assert set(group_closure(n, gens)) == set(auts) == brute_automorphisms(g)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -72,6 +83,7 @@ def test_subset_orbit_representatives(n):
     # one smallest mask per orbit of the full automorphism group
     for g in all_graphs(n):
         auts = automorphisms(g)
+        assert set(auts) == brute_automorphisms(g)
         want = sorted({min(sum(1 << p[v] for v in range(n) if s >> v & 1) for p in auts)
                        for s in range(1 << n)})
         assert list(enumerate_graphs._subset_orbit_representatives(g)) == want

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +104,32 @@ def test_automorphism_generators_ignore_the_labelling(g, orbit_count):
         assert all(h.has_edge(p[u], p[v]) for p in gens for u, v in h.edges())
         assert len(orbits(h.n, gens)) == orbit_count
         assert len(group_closure(h.n, gens)) == order
+
+
+def test_automorphism_generators_need_no_recursion():
+    # one mapping search per individualisation level, on an explicit stack:
+    # K2,80's 80 levels fit under a recursion limit of 150.  Each generator
+    # of level i fixes the path's first i vertices, (0, 2, 3, .., 80) for
+    # this labelling, so the orbits of the generators fixing each prefix
+    # bound the group order from below, and 2 * 80! is all of Aut(K2,80)
+    code = """
+import math, sys
+from fdomlab.generators import complete_bipartite
+from fdomlab.iso import automorphism_generators, orbits
+g = complete_bipartite(2, 80)
+sys.setrecursionlimit(150)
+gens = automorphism_generators(g)
+assert all(g.has_edge(p[u], p[v]) for p in gens for u, v in g.edges())
+base, order = [0] + list(range(2, 81)), 1
+for i, b in enumerate(base):
+    fixing = [p for p in gens if all(p[x] == x for x in base[:i])]
+    order *= len(next(o for o in orbits(g.n, fixing) if b in o))
+print(orbits(g.n, gens) == [[0, 1], list(range(2, 82))], order == 2 * math.factorial(80))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (run.returncode, run.stdout.strip()) == (0, "True True"), run.stderr[-400:]
 
 
 def test_automorphism_generators_of_an_asymmetric_cubic_graph():

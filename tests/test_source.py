@@ -118,3 +118,37 @@ def test_no_module_raises_the_recursion_limit():
                     or isinstance(node, ast.alias) and node.name == "setrecursionlimit"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_recursion_is_audited():
+    # a function that calls itself spends an interpreter frame per level, so
+    # a deep input ends at the recursion limit as an internal error; each
+    # one left is bounded, and a new one has to be argued the same way
+    audited = {
+        "chromatic.maximal_independent_sets.bk",  # n <= CHI_F_ENUM_CAP at its caller
+        "construct._planar_recurse",  # the atom count grows first
+        "domset.enumerate_minimal_dominating_sets.search",  # n <= the enum cap
+        "enumerate_graphs.all_graphs",  # 2^n subset tables end it near n = 10
+        "iso.canonical_form.backtrack",  # the tests' small-graph oracle
+        "simplex._pack_lanes",  # halves its list: depth log2(len)
+    }
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef) and any(
+                        isinstance(c, ast.Call) and (
+                            isinstance(c.func, ast.Name) and c.func.id == child.name
+                            or isinstance(c.func, ast.Attribute) and c.func.attr == child.name
+                            and isinstance(c.func.value, ast.Name)
+                            and c.func.value.id in ("self", "cls"))
+                        for c in ast.walk(child)):
+                    found.add(name)
+            visit(child, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == audited
