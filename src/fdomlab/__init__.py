@@ -3,14 +3,13 @@ fractional domatic number of graphs."""
 
 __version__ = "0.1.0"
 
-from .graphs import (Graph, MultiGraph, read_graph_text, read_multigraph_text,
-                     write_graph_text)
+from .graphs import Graph, MultiGraph, read_graph_text, write_graph_text
 from .simplex import simplex_exact, LPInfeasible, LPUnbounded
 from .generators import (generate_named, cycle, complete, complete_bipartite,
                          kneser, coxeter, incidence_graph, girth6_family,
                          subdivide, split_construction, graph_square,
                          join_with_clique, hammock_expand, theta_graph)
-from .structure import structure_report, find_long_suspended_path, SuspendedPath, Hammock
+from .structure import cut_vertices, find_long_suspended_path, SuspendedPath, Hammock
 from .badfamily import bad_family_check, bad_family_members
 from .domset import (is_dominating, enumerate_minimal_dominating_sets,
                      domination_number, min_weight_dominating_set,
@@ -23,7 +22,7 @@ from .distributions import (DominatingDistribution, FractionalColouring,
                             distribution_to_colouring, complete_to_r,
                             cycle_distribution, standard_demand,
                             constant_demand, relabel)
-from .gluing import glue_at_cutvertex, extend_over_pair, attach_suspended_path, corner_stats
+from .gluing import glue_at_cutvertex, extend_over_pair, attach_suspended_path
 from .pathtables import path_tables, PathColouringTable
 from .construct import (construct52, planar_girth_construct,
                         base_case_hammock, hammock_base_annotations,

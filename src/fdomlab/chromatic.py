@@ -336,6 +336,8 @@ def fullness_check(g: Graph, time_budget_ms: Optional[int] = None) -> FullnessRe
     """For regular graphs: domatically full iff chi(G^2) = d+1, and
     fdom-full iff chi_f(G^2) = d+1.  Bounds are reported when the integral
     solver hits its budget; no value is ever guessed."""
+    if g.n == 0:
+        raise ValueError("empty graph")
     degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError("fullness check applies to regular graphs")

@@ -50,7 +50,7 @@ from .figures import EDGE_CASE_KEYS, QUASI_BY_MEMBER, exceptional_colouring
 from .gluing import attach_suspended_path, glue_at_cutvertex
 from .graphs import Graph, iter_mask, mask_of, mask_to_list
 from .iso import spanning_subgraph_embedding
-from .structure import (SuspendedPath, cut_vertices_and_blocks,
+from .structure import (SuspendedPath, cut_vertices,
                         find_long_suspended_path, hammocks,
                         remove_suspended_path, suspended_paths, twin_pairs)
 
@@ -101,7 +101,7 @@ def _construct(g: Graph) -> DominatingDistribution:
     if all(d == 2 for d in degs):
         return _cycle_case(g, R25)
 
-    cuts, _ = cut_vertices_and_blocks(g)
+    cuts = cut_vertices(g)
     if cuts:
         return _cut_vertex_case(g, cuts[0], R25, _side_distribution)
 
@@ -439,7 +439,7 @@ def _planar_recurse(g: Graph, k: int, r: Fraction) -> DominatingDistribution:
         return _edge_case(r)
     if all(d == 2 for d in g.degrees()):
         return _cycle_case(g, r)
-    cuts, _ = cut_vertices_and_blocks(g)
+    cuts = cut_vertices(g)
     if cuts:
         return _cut_vertex_case(g, cuts[0], r, lambda h, _: _planar_recurse(h, k, r))
     p = find_long_suspended_path(g, 3 * k - 3)

@@ -281,10 +281,6 @@ def cycle_distribution(n: int) -> DominatingDistribution:
         n, ((mask_of((v + shift) % n for v in base), 1) for shift in range(n)))
 
 
-def point_mass(mask: int) -> DominatingDistribution:
-    return DominatingDistribution(1, ((mask, 1),))
-
-
 def relabel(d: DominatingDistribution, mapping: Sequence[int]) -> DominatingDistribution:
     """Relabel atom vertices through mapping (local id -> global id)."""
     if list(mapping) == list(range(len(mapping))):

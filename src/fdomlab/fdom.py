@@ -353,6 +353,8 @@ def fdom_colgen(g: Graph) -> FdomResult:
 def neighbourhood_certificate(g: Graph, v: Optional[int] = None) -> DualCertificate:
     """Weight 1 on a closed neighbourhood (of a minimum-degree vertex by
     default): every dominating set meets it, so fdom <= deg(v)+1."""
+    if g.n == 0:
+        raise CertificateError("empty graph")
     if v is None:
         v = min(range(g.n), key=g.degree)
     elif not 0 <= v < g.n:
@@ -366,6 +368,8 @@ def neighbourhood_certificate(g: Graph, v: Optional[int] = None) -> DualCertific
 def uniform_certificate(g: Graph) -> DualCertificate:
     """Weight 1/gamma everywhere: every dominating set has >= gamma
     vertices, so fdom <= n/gamma."""
+    if g.n == 0:
+        raise CertificateError("empty graph")
     gamma, _ = domination_number(g)
     return DualCertificate([Fraction(1, gamma)] * g.n)
 

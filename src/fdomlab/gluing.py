@@ -119,20 +119,6 @@ def glue_at_cutvertex(d0: DominatingDistribution, g0: Graph, map0: list[int],
     return _couple(plan)
 
 
-@dataclass(frozen=True)
-class CornerStats:
-    """alpha = P(u in D' | v in D'), beta = P(u out | v out) for the host
-    distribution at the separation pair; beta >= alpha whenever r < 1/2."""
-
-    alpha: Fraction
-    beta: Fraction
-
-
-def corner_stats(d: DominatingDistribution, u: int, v: int, r: Fraction) -> CornerStats:
-    host = _by_event(d, _at_pair(u, v))
-    return CornerStats(alpha=host[1, 1].prob / r, beta=host[0, 0].prob / (1 - r))
-
-
 def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
                      d0: DominatingDistribution, d1: DominatingDistribution,
                      r: Fraction) -> DominatingDistribution:
@@ -157,8 +143,9 @@ def extend_over_pair(d_host: DominatingDistribution, u: int, v: int,
         raise DistributionError("d0 must keep the endpoints exclusive")
     if piece1.keys() - {(1, 1), (0, 0)}:
         raise DistributionError("d1 must keep the endpoints identified")
-    # the memberships at u and v make P(both out) = 1 - 2r + P(both in) > 0,
-    # so beta > 0
+    # alpha = P(u in | v in), beta = P(u out | v out); the memberships at u
+    # and v make P(both out) = 1 - 2r + P(both in) > 0, so beta > 0, and
+    # beta >= alpha whenever r < 1/2, so alpha/beta is a probability
     neither = host[0, 0]
     alpha, beta = host[1, 1].prob / r, neither.prob / (1 - r)
     switch = alpha / beta

@@ -86,19 +86,16 @@ class Graph:
 
     # -- traversal -----------------------------------------------------
 
-    def _levels(self, start: int) -> Iterator[int]:
-        """The BFS levels from start, as vertex masks."""
-        seen = level = 1 << start
+    def is_connected(self) -> bool:
+        """A BFS from vertex 0, one level mask at a time, reaches every vertex."""
+        seen = level = 1 if self.n else 0
         while level:
-            yield level
             reach = 0
             for u in iter_mask(level):
                 reach |= self.nbr_mask[u]
             level = reach & ~seen
             seen |= level
-
-    def is_connected(self) -> bool:
-        return self.n == 0 or sum(level.bit_count() for level in self._levels(0)) == self.n
+        return seen == (1 << self.n) - 1
 
     def bfs_order(self) -> list[int]:
         order, seen, i = [], 0, 0
@@ -112,13 +109,6 @@ class Graph:
                 order.extend(iter_mask(new))
                 i += 1
         return order
-
-    def distances_from(self, start: int) -> list[Optional[int]]:
-        dist: list[Optional[int]] = [None] * self.n
-        for d, level in enumerate(self._levels(start)):
-            for w in iter_mask(level):
-                dist[w] = d
-        return dist
 
     def girth(self) -> Optional[int]:
         """Length of a shortest cycle, or None for a forest.
@@ -197,25 +187,19 @@ class MultiGraph:
     def max_multiplicity(self) -> int:
         return max(self.mult.values(), default=0)
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        out = []
-        for (u, v), m in self.mult.items():
-            out.extend([(u, v)] * m)
-        return out
-
     def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, m={len(self.edge_list())})"
+        return f"MultiGraph(n={self.n}, m={sum(self.mult.values())})"
 
 
 # -- text format -------------------------------------------------------
 #
 #   # comment
 #   p <n> <m>
-#   e <u> <v>        (0-based; repeated edges allowed for multigraphs only)
+#   e <u> <v>        (0-based)
 
 
-def write_graph_text(g: Graph | MultiGraph) -> str:
-    edges = g.edges() if isinstance(g, Graph) else g.edge_list()
+def write_graph_text(g: Graph) -> str:
+    edges = g.edges()
     lines = [f"p {g.n} {len(edges)}"]
     lines += [f"e {u} {v}" for u, v in edges]
     return "\n".join(lines) + "\n"
@@ -226,7 +210,8 @@ def write_graph_text(g: Graph | MultiGraph) -> str:
 MAX_VERTICES = 1 << 16
 
 
-def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+def read_graph_text(text: str) -> Graph:
+    """A simple graph: an edge given twice, in either orientation, is an error."""
     n = None
     m = None
     edges: list[tuple[int, int]] = []
@@ -255,13 +240,6 @@ def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
         raise GraphError("missing 'p' header")
     if m is not None and m != len(edges):
         raise GraphError(f"header promises {m} edges, found {len(edges)}")
-    return n, edges
-
-
-def read_graph_text(text: str) -> Graph:
-    """A simple graph: an edge given twice, in either orientation, is an error
-    (read_multigraph_text keeps parallel edges)."""
-    n, edges = _parse_edges(text)
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         e = (min(u, v), max(u, v))
@@ -269,11 +247,6 @@ def read_graph_text(text: str) -> Graph:
             raise GraphError(f"repeated edge ({u},{v})")
         seen.add(e)
     return Graph(n, seen)
-
-
-def read_multigraph_text(text: str) -> MultiGraph:
-    n, edges = _parse_edges(text)
-    return MultiGraph(n, edges)
 
 
 def read_int(x) -> int:

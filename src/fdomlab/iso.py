@@ -169,36 +169,45 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
         fixed.append(path[-1].index(cell))
         path.append(_individualised(g, path[-1], fixed[-1]))
     gens: list[tuple[int, ...]] = []
+    parent = list(range(g.n))  # the orbits of gens, as a union-find forest
     for i in reversed(range(len(fixed))):
-        v, orbit = fixed[i], {fixed[i]}
+        # gens so far fix v (they come from deeper levels), so its orbit
+        # starts as {v} and grows only by this level's generators
+        v = fixed[i]
         for t, c in enumerate(path[i]):
-            if c != path[i][v] or t in orbit:
+            if c != path[i][v] or _find(parent, t) == _find(parent, v):
                 continue
             phi = next(_iso_search(g, g, path[i + 1], _individualised(g, path[i], t)), None)
             if phi is not None and phi[v] == t and all(phi[u] == u for u in fixed[:i]):
                 gens.append(phi)
-                orbit = next(o for o in orbits(g.n, gens) if v in o)
+                _merge(parent, phi)
     return gens
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x's tree in the union-find forest parent (path halving)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _merge(parent: list[int], perm: Sequence[int]) -> None:
+    """Join the tree of each v with that of perm[v]."""
+    for v, w in enumerate(perm):
+        a, b = _find(parent, v), _find(parent, w)
+        if a != b:
+            parent[a] = b
 
 
 def orbits(n: int, perms: list[tuple[int, ...]]) -> list[list[int]]:
     """Orbits of 0..n-1 under the group generated by the given permutations."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for p in perms:
-        for v in range(n):
-            a, b = find(v), find(p[v])
-            if a != b:
-                parent[a] = b
+        _merge(parent, p)
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     return sorted(groups.values())
 
 

@@ -1,9 +1,9 @@
-"""Structural queries: cut vertices and blocks, suspended paths, twins,
-hammocks, and extraction of long suspended paths."""
+"""Structural queries: cut vertices, suspended paths, twins, hammocks,
+and extraction of long suspended paths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, GraphError, iter_mask
@@ -50,75 +50,40 @@ class Hammock:
         return tuple(sorted(set(self.two_path.vertices) | set(self.three_path.vertices)))
 
 
-@dataclass
-class StructureReport:
-    min_degree: int
-    max_degree: int
-    connected: bool
-    two_connected: bool
-    cut_vertices: list[int]
-    blocks: list[list[int]] = field(default_factory=list)
-    suspended_paths: list[SuspendedPath] = field(default_factory=list)
-    hammocks: list[Hammock] = field(default_factory=list)
-    twin_pairs: list[tuple[SuspendedPath, SuspendedPath]] = field(default_factory=list)
-
-
-def cut_vertices_and_blocks(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """Iterative Hopcroft-Tarjan. Blocks are vertex lists of the maximal
-    2-connected subgraphs (bridges give 2-vertex blocks)."""
-    visited = [False] * g.n
-    depth = [0] * g.n
+def cut_vertices(g: Graph) -> list[int]:
+    """The cut vertices of g in increasing order: an iterative lowpoint DFS
+    (Hopcroft-Tarjan) over each component."""
+    depth = [-1] * g.n
     low = [0] * g.n
-    parent: list[Optional[int]] = [None] * g.n
+    parent = [-1] * g.n
     cuts: set[int] = set()
-    blocks: list[list[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-
     for root in range(g.n):
-        if visited[root]:
+        if depth[root] >= 0:
             continue
+        depth[root] = 0
         stack = [(root, iter_mask(g.nbr_mask[root]))]
-        visited[root] = True
         root_children = 0
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    depth[w] = depth[v] + 1
-                    low[w] = depth[w]
+                if depth[w] < 0:
+                    depth[w] = low[w] = depth[v] + 1
                     parent[w] = v
-                    edge_stack.append((v, w))
-                    if v == root:
-                        root_children += 1
+                    root_children += v == root
                     stack.append((w, iter_mask(g.nbr_mask[w])))
-                    advanced = True
                     break
-                elif w != parent[v] and depth[w] < depth[v]:
-                    edge_stack.append((v, w))
+                if w != parent[v]:
                     low[v] = min(low[v], depth[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= depth[u]:
-                    # u closes a block containing the edge (u, v)
-                    block_edges = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        block_edges.append(e)
-                        if e == (u, v):
-                            break
-                    verts = sorted({x for e in block_edges for x in e})
-                    blocks.append(verts)
-                    if u != root or root_children > 1:
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= depth[u] and u != root:
                         cuts.add(u)
         if root_children > 1:
             cuts.add(root)
-    return sorted(cuts), blocks
+    return sorted(cuts)
 
 
 def suspended_paths(g: Graph) -> list[SuspendedPath]:
@@ -174,23 +139,6 @@ def hammocks(g: Graph, paths: Optional[list[SuspendedPath]] = None) -> list[Hamm
     return out
 
 
-def structure_report(g: Graph) -> StructureReport:
-    cuts, blocks = cut_vertices_and_blocks(g)
-    paths = suspended_paths(g)
-    rep = StructureReport(
-        min_degree=g.min_degree(),
-        max_degree=g.max_degree(),
-        connected=g.is_connected(),
-        two_connected=g.is_connected() and not cuts and g.n >= 3,
-        cut_vertices=cuts,
-        blocks=blocks,
-        suspended_paths=paths,
-        hammocks=hammocks(g, paths),
-        twin_pairs=twin_pairs(paths),
-    )
-    return rep
-
-
 def find_long_suspended_path(g: Graph, l: int) -> Optional[SuspendedPath]:
     """A longest suspended path, provided its length is >= l+1; None otherwise.
 
@@ -198,8 +146,7 @@ def find_long_suspended_path(g: Graph, l: int) -> Optional[SuspendedPath]:
     suitable path always exists; the search itself works on any graph
     meeting the stated degree preconditions.
     """
-    cuts, _ = cut_vertices_and_blocks(g)
-    if not g.is_connected() or cuts:
+    if not g.is_connected() or cut_vertices(g):
         raise GraphError("long-path extraction expects a 2-connected graph")
     if g.min_degree() < 2 or g.max_degree() < 3:
         raise GraphError("long-path extraction expects min degree 2 and a 3+-vertex")

@@ -283,6 +283,17 @@ def test_sample_rejects_the_empty_graph(tmp_path, capsys):
     assert err.strip() == "error: empty graph" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["family-cert", "--kind", "uniform"],
+                                  ["family-cert", "--kind", "neighbourhood"],
+                                  ["fullness"]])
+def test_graph_commands_reject_the_empty_graph(tmp_path, capsys, argv):
+    path = tmp_path / "empty.graph"
+    path.write_text("p 0 0\n")
+    assert main(argv + ["--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: empty graph" and "Traceback" not in err
+
+
 def test_sample_rejects_a_negative_seed(tmp_path, capsys):
     path = triangle_path(tmp_path)
     assert main(["sample-lnbound", "--in", path, "--p", "1/3", "--trials", "10",

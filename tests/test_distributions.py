@@ -12,8 +12,7 @@ from fdomlab.distributions import (DistributionError, DominatingDistribution,
                                    FractionalColouring,
                                    colouring_to_distribution, complete_to_r,
                                    constant_demand, cycle_distribution,
-                                   distribution_to_colouring, point_mass,
-                                   relabel, standard_demand,
+                                   distribution_to_colouring, relabel, standard_demand,
                                    verify_f_dominating)
 from fdomlab.generators import complete_bipartite, cycle
 from fdomlab.graphs import Graph, mask_of
@@ -37,7 +36,7 @@ def test_membership_and_dominated_eval():
 
 def test_point_mass():
     g = cycle(4)
-    d = point_mass((1 << 4) - 1)
+    d = DominatingDistribution(1, (((1 << 4) - 1, 1),))
     for v in range(4):
         assert membership(d, v) == 1
         assert dominated_prob(d, g, v) == 1
@@ -93,7 +92,7 @@ def test_verify_f_dominating():
     ok, why = verify_f_dominating(g, d, constant_demand(F(1)), F(1, 2))
     assert not ok and "membership" in why
     k2 = Graph(2, [(0, 1)])
-    d = point_mass(0b01)
+    d = DominatingDistribution(1, ((0b01, 1),))
     ok, _ = verify_f_dominating(k2, d, constant_demand(F(1)), F(1))
     assert not ok  # vertex 1 never in the set
 
@@ -163,7 +162,8 @@ def test_complete_to_r_identity_and_k2():
     assert dict(fractions(out)) == {0b01: F(1, 2), 0b10: F(1, 2)}
     assert membership(out, 0) == membership(out, 1) == F(1, 2)
     with pytest.raises(DistributionError):
-        complete_to_r(point_mass(0b01), F(1, 2), 2)  # membership 1 > 1/2 at 0
+        # membership 1 > 1/2 at 0
+        complete_to_r(DominatingDistribution(1, ((0b01, 1),)), F(1, 2), 2)
 
 
 def test_complete_to_r_monotone(corpus7):
@@ -207,7 +207,7 @@ def test_colouring_json_roundtrip():
 
 
 def test_relabel():
-    d = point_mass(0b011)
+    d = DominatingDistribution(1, ((0b011, 1),))
     out = relabel(d, [4, 2, 0])
     assert fractions(out) == ((0b10100, F(1)),)
 

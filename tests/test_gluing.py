@@ -4,15 +4,21 @@ from fractions import Fraction as F
 import pytest
 
 from fdomlab.distributions import (DistributionError, DominatingDistribution,
-                                   constant_demand, point_mass, relabel,
-                                   verify_f_dominating)
+                                   constant_demand, relabel, verify_f_dominating)
 from fdomlab.generators import cycle, theta_graph
-from fdomlab.gluing import (attach_suspended_path, corner_stats,
-                            extend_over_pair, glue_at_cutvertex)
+from fdomlab.gluing import attach_suspended_path, extend_over_pair, glue_at_cutvertex
 from fdomlab.graphs import Graph, mask_of
 from fdomlab.structure import SuspendedPath
 
 from distview import dominated_prob, fractions, membership
+
+
+def corner_stats(d, u, v, r):
+    """alpha = P(u in | v in) and beta = P(u out | v out) for a distribution
+    with membership r at u and v."""
+    both = sum(p for s, p in fractions(d) if s >> u & s >> v & 1)
+    neither = sum(p for s, p in fractions(d) if not (s >> u | s >> v) & 1)
+    return both / r, neither / (1 - r)
 
 
 def c5_pairs():
@@ -48,8 +54,8 @@ def test_glue_preserves_side_marginals():
 
 def test_glue_point_masses():
     k2a = Graph(2, [(0, 1)])
-    out = glue_at_cutvertex(point_mass(0b11), k2a, [0, 1],
-                            point_mass(0b11), k2a, [1, 2], 1, F(1))
+    both = DominatingDistribution(1, ((0b11, 1),))
+    out = glue_at_cutvertex(both, k2a, [0, 1], both, k2a, [1, 2], 1, F(1))
     assert fractions(out) == ((0b111, F(1)),)
 
 
@@ -74,15 +80,15 @@ def test_glue_quasi_demand_arithmetic():
 
 def test_corner_stats():
     d = c5_pairs()
-    st = corner_stats(d, 0, 2, F(2, 5))
-    assert st.alpha == F(1, 2)  # {0,2} is one of the two atoms containing 2
-    assert st.beta == F(2, 3)
-    assert st.beta >= st.alpha
+    alpha, beta = corner_stats(d, 0, 2, F(2, 5))
+    assert alpha == F(1, 2)  # {0,2} is one of the two atoms containing 2
+    assert beta == F(2, 3)
+    assert beta >= alpha
 
 
 def test_extend_requires_structure():
     d = c5_pairs()
-    bad_d0 = point_mass(0b11)  # endpoints co-occur
+    bad_d0 = DominatingDistribution(1, ((0b11, 1),))  # endpoints co-occur
     with pytest.raises(DistributionError):
         extend_over_pair(d, 0, 1, bad_d0, bad_d0, F(2, 5))
     # the host's membership is checked at each endpoint
@@ -102,8 +108,8 @@ def test_extend_alpha_zero_branch():
         {mask_of([0, 2]): F(1, 6), mask_of([2, 4]): F(1, 6), mask_of([4, 0]): F(1, 6),
          mask_of([1, 3]): F(1, 6), mask_of([3, 5]): F(1, 6), mask_of([5, 1]): F(1, 6)}.items())
     # u=0, v=3 never co-occur: alpha = 0
-    st = corner_stats(d, 0, 3, F(1, 3))
-    assert st.alpha == 0
+    alpha, _ = corner_stats(d, 0, 3, F(1, 3))
+    assert alpha == 0
     d0 = DominatingDistribution.from_pairs(
         {mask_of([0, 7]): F(1, 3), mask_of([3, 8]): F(1, 3), mask_of([7, 8]): F(1, 3)}.items())
     d1 = DominatingDistribution.from_pairs(

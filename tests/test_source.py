@@ -152,3 +152,51 @@ def test_every_recursion_is_audited():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
     assert found == audited
+
+
+def test_every_public_name_is_read():
+    # a public name that no module and no bench script reads is code that
+    # nothing reaches; each one kept for the tests has its reason here
+    audited = {
+        "chromatic.join_check": "criterion 8",
+        "chromatic.JoinReport.holds": "criterion 8",
+        "fdom.pq_colouring_exists": "criterion 7",
+        "distributions.distribution_to_colouring": "the distribution/colouring equivalence",
+        "generators.hammock_expand": "the tests' graph maker",
+        "generators.subdivide": "the tests' graph maker",
+        "figures.catalog_keys": "the catalog-reach tests",
+        "iso.canonical_form": "the tests' isomorphism oracle",
+        "iso.group_closure": "the tests' automorphism-group oracle",
+        "iso.automorphisms": "the tests' automorphism oracle",
+    }
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in modules + sorted((ROOT / "perfbench").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+
+    unread = set()
+    for path in modules:
+        for node in trees[path].body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    names += [f"{node.name}.{f.name}" for f in node.body
+                              if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.Assign):
+                names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.append(node.target.id)
+            for name in names:
+                bare = name.rpartition(".")[2]
+                if not bare.startswith("_") and bare not in read:
+                    unread.add(f"{path.stem}.{name}")
+    assert unread == set(audited)

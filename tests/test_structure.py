@@ -1,36 +1,69 @@
+import random
+
 import pytest
 
+from fdomlab.enumerate_graphs import all_graphs
 from fdomlab.generators import complete, cycle, subdivide, theta_graph
-from fdomlab.graphs import Graph, GraphError
-from fdomlab.structure import (cut_vertices_and_blocks, find_long_suspended_path,
+from fdomlab.graphs import Graph, GraphError, iter_mask
+from fdomlab.structure import (cut_vertices, find_long_suspended_path,
                                hammocks, remove_suspended_path,
-                               structure_report, suspended_paths)
+                               suspended_paths, twin_pairs)
 
 TWO_C4 = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 3), (3, 6)])
 
 
 def test_cycle_report():
-    rep = structure_report(cycle(5))
-    assert rep.connected and rep.two_connected
-    assert rep.cut_vertices == [] and rep.suspended_paths == []
+    g = cycle(5)
+    assert g.is_connected() and cut_vertices(g) == [] and suspended_paths(g) == []
 
 
 def test_two_c4_blocks():
-    rep = structure_report(TWO_C4)
-    assert rep.cut_vertices == [3]
-    assert sorted(map(sorted, rep.blocks)) == [[0, 1, 2, 3], [3, 4, 5, 6]]
+    assert cut_vertices(TWO_C4) == [3]
+
+
+def component_count(g):
+    seen = count = 0
+    for v in range(g.n):
+        if not seen >> v & 1:
+            count += 1
+            reach, grown = 0, 1 << v
+            while grown != reach:
+                reach = grown
+                for u in iter_mask(reach):
+                    grown |= g.nbr_mask[u]
+            seen |= reach
+    return count
+
+
+def test_cut_vertices_match_the_component_count_oracle():
+    # v is a cut vertex iff deleting it leaves more components than g has
+    rng = random.Random(28)
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        p = rng.choice([0.05, 0.1, 0.2, 0.4])
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    assert any(component_count(g) > 1 for g in graphs)
+    for g in graphs:
+        k = component_count(g)
+        expected = [v for v in range(g.n)
+                    if component_count(g.remove_vertices([v])[0]) > k]
+        assert cut_vertices(g) == expected
 
 
 def test_hammock_detection():
     g = theta_graph((2, 3, 3))
-    rep = structure_report(g)
-    assert len(rep.hammocks) == 2
-    for h in rep.hammocks:
+    paths = suspended_paths(g)
+    found = hammocks(g, paths)
+    assert len(found) == 2
+    for h in found:
         assert set(h.endpoints) == {0, 1}
         assert h.two_path.length == 2 and h.three_path.length == 3
         assert len(h.cycle_vertices()) == 5
-    assert len(rep.twin_pairs) == 1
-    a, b = rep.twin_pairs[0]
+    twins = twin_pairs(paths)
+    assert len(twins) == 1
+    a, b = twins[0]
     assert a.length == b.length == 3 and a.endpoints == b.endpoints
 
 
@@ -42,10 +75,9 @@ def test_adjacent_endpoints_are_not_a_hammock():
 
 def test_suspended_paths_partition_degree2_vertices(corpus7_mindeg2):
     for g in corpus7_mindeg2:
-        rep = structure_report(g)
-        if not rep.two_connected or rep.max_degree < 3:
+        if not g.is_connected() or cut_vertices(g) or g.max_degree() < 3:
             continue
-        internal = [v for p in rep.suspended_paths for v in p.internal]
+        internal = [v for p in suspended_paths(g) for v in p.internal]
         assert sorted(internal) == sorted(v for v in range(g.n) if g.degree(v) == 2)
 
 
