@@ -3,8 +3,10 @@
 fractional_chromatic solves the covering LP over independent sets: over
 every maximal one up to CHI_F_ENUM_CAP vertices, and beyond that by the
 column-generation driver fdom.colgen, which also serves the fdom packing LP
-(smoothed duals, and a bracket when it runs out of rounds).  Pricing and
-the dual check find maximum-weight independent sets as the complements of
+(smoothed duals, and a bracket when it runs out of rounds), one master row
+per orbit of Aut(G); each column is then spread evenly over its set orbit,
+so the classes and their checks stay per vertex.  Pricing and the dual
+check find maximum-weight independent sets as the complements of
 minimum-weight vertex covers, through domset's hitting-set search.
 chromatic_number is an exact DSATUR-ordered branch-and-bound with a clique
 lower bound and an optional time budget; when the budget runs out it
@@ -23,7 +25,8 @@ from .distributions import FractionalColouring
 from .domset import CapExceeded, min_weight_hitting_set
 from .fdom import colgen, fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
-from .graphs import Graph, iter_mask, mask_to_list, scale_to_integers
+from .graphs import Graph, iter_mask, mask_of, mask_to_list, scale_to_integers
+from .iso import GROUP_CAP, automorphism_generators, orbit_index
 from .simplex import simplex_exact
 
 
@@ -49,13 +52,6 @@ class ChromaticResult:
         if not self.exact:
             raise CapExceeded(f"chromatic number only bracketed in [{self.lower},{self.upper}]")
         return self.lower
-
-
-def _is_independent(g: Graph, mask: int) -> bool:
-    for v in mask_to_list(mask):
-        if g.nbr_mask[v] & mask:
-            return False
-    return True
 
 
 def maximal_independent_sets(g: Graph) -> list[int]:
@@ -109,13 +105,13 @@ def _greedy_colouring_classes(g: Graph) -> list[int]:
     return out
 
 
-CHI_F_ENUM_CAP = 25  # above this many vertices chi_f runs column generation
+CHI_F_ENUM_CAP = 8  # up to here enumeration beats the orbit master (BENCH_29.json)
 
 
 def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     """Exact chi_f via the covering LP over independent sets: over every
-    maximal independent set up to CHI_F_ENUM_CAP vertices, by fdom.colgen
-    from the greedy colouring's classes beyond.
+    maximal independent set up to CHI_F_ENUM_CAP vertices, beyond by
+    fdom.colgen on the orbit master, its columns expanded by _set_orbits.
 
     The dual clique weights are certified by a maximum-weight independent
     set search: no independent set may carry weight above 1.
@@ -130,11 +126,40 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
                             [-1] * g.n)
         value, xs, ys = -res.value, res.x, res.y
     else:
-        master, sets = colgen(range(g.n), -1, _greedy_colouring_classes(g),
-                              lambda y: max_weight_independent_set(g, y), "chi_f", Fraction(1))
-        value, xs, ys = -master.value(), master.primal(), master.duals()
+        gens = automorphism_generators(g)
+        row = orbit_index(g.n, gens)
+        master, columns = colgen(row, -1, _greedy_colouring_classes(g),
+                                 lambda y: max_weight_independent_set(g, y), "chi_f", Fraction(1))
+        value, duals = -master.value(), master.duals()
+        sets, xs = _set_orbits(gens, columns, master.primal())
+        ys = [duals[i] for i in row]
     _check_chi_f(g, sets, value, xs, ys)
     return FractionalChromaticResult(value, [(s, x) for s, x in zip(sets, xs) if x > 0], ys)
+
+
+def _set_orbits(gens: Sequence[tuple[int, ...]], columns: list[int], xs: list[Fraction]
+                ) -> tuple[list[int], list[Fraction]]:
+    """Each column S of nonzero weight x replaced by its orbit under gens (a
+    BFS on masks), each image at weight x/|orbit|.  A vertex v lies in the
+    share |S & O_v|/|O_v| of the images, so an orbit row's load |O_v|
+    becomes load 1 at each of its vertices.  CapExceeded past GROUP_CAP
+    images."""
+    weight: dict[int, Fraction] = {}
+    for s, x in zip(columns, xs):
+        if x == 0:
+            continue
+        orbit, seen = [s], {s}
+        for t in orbit:
+            for p in gens:
+                image = mask_of(p[v] for v in iter_mask(t))
+                if image not in seen:
+                    if len(orbit) >= GROUP_CAP:
+                        raise CapExceeded(f"set orbit of a chi_f class exceeds {GROUP_CAP} masks")
+                    seen.add(image)
+                    orbit.append(image)
+        for t in orbit:
+            weight[t] = weight.get(t, 0) + x / len(orbit)
+    return list(weight), list(weight.values())
 
 
 def _check_chi_f(g: Graph, sets: list[int], value: Fraction,
@@ -142,7 +167,9 @@ def _check_chi_f(g: Graph, sets: list[int], value: Fraction,
     cover = [Fraction(0)] * g.n
     total = Fraction(0)
     for s, x in zip(sets, xs):
-        if x < 0 or not _is_independent(g, s):
+        if x == 0:
+            continue  # adds nothing to any cover
+        if x < 0 or any(g.nbr_mask[v] & s for v in iter_mask(s)):
             raise RuntimeError("internal: bad covering-LP witness")
         total += x
         for v in mask_to_list(s):

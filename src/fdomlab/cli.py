@@ -267,8 +267,7 @@ def _cmd_family_cert(args) -> int:
         if args.kind == "hammock":
             hs = hammocks(target)
             if not hs:
-                print("no hammock in input", file=sys.stderr)
-                return EXIT_USAGE
+                raise GraphError("no hammock in input")
             kw["hammock"] = hs[0]
         if args.vertex is not None:
             kw["v"] = args.vertex

@@ -382,7 +382,7 @@ def domatic_number(g: Graph, cap: int = 30) -> tuple[int, list[int]]:
     if g.n > cap:
         raise CapExceeded(f"domatic search capped at {cap} vertices")
     if g.n == 0:
-        return 0, []
+        raise ValueError("empty graph")
     for k in range(g.min_degree() + 1, 1, -1):
         part = domatic_partition(g, k)
         if part is not None:

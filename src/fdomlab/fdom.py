@@ -31,7 +31,7 @@ from .domset import (CapExceeded, complete_to_dominating, coverage, domatic_part
 from .distributions import FractionalColouring
 from .graphs import (Graph, fraction_from_pair, fraction_to_pair, iter_mask, json_field,
                      json_list, mask_of, mask_to_list, scale_to_integers, vertex_list)
-from .iso import automorphism_generators, orbits
+from .iso import automorphism_generators, orbit_index
 from .simplex import IntegerLP
 from .structure import Hammock
 
@@ -169,12 +169,6 @@ def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _orbit_rows(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
-    """The master row of each vertex: the index of its orbit."""
-    row = {v: i for i, orbit in enumerate(orbits(n, gens)) for v in orbit}
-    return [row[v] for v in range(n)]
-
-
 def _certified(g: Graph, primal: PrimalCertificate, dual: DualCertificate) -> FdomResult:
     """The result both certificates prove, once each verifies and their
     values agree; RuntimeError otherwise."""
@@ -195,7 +189,7 @@ def _result_from_master(g: Graph, master: IntegerLP, columns: list[int],
     primal = PrimalCertificate(
         [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value, list(gens))
     ys = master.duals()  # per vertex y_{O(v)}; verify_dual checks the duality
-    return _certified(g, primal, DualCertificate([ys[i] for i in _orbit_rows(g.n, gens)], value))
+    return _certified(g, primal, DualCertificate([ys[i] for i in orbit_index(g.n, gens)], value))
 
 
 PARTITION_NODES = 64  # colouring-search nodes per vertex fdom_exact spends on a partition
@@ -341,7 +335,7 @@ def fdom_colgen(g: Graph) -> FdomResult:
     gens = automorphism_generators(g)
     pool = [complete_to_dominating(g, col)
             for col in _greedy_domatic_columns(g) + list(g.closed_mask)]
-    master, columns = colgen(_orbit_rows(g.n, gens), 1, pool,
+    master, columns = colgen(orbit_index(g.n, gens), 1, pool,
                              lambda y: min_weight_dominating_set(g, y),
                              "fdom", Fraction(g.min_degree() + 1))
     return _result_from_master(g, master, columns, gens)

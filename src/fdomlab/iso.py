@@ -211,6 +211,12 @@ def orbits(n: int, perms: list[tuple[int, ...]]) -> list[list[int]]:
     return sorted(groups.values())
 
 
+def orbit_index(n: int, perms: Sequence[tuple[int, ...]]) -> list[int]:
+    """The index in orbits(n, perms) of each vertex's orbit."""
+    row = {v: i for i, orbit in enumerate(orbits(n, perms)) for v in orbit}
+    return [row[v] for v in range(n)]
+
+
 GROUP_CAP = 100_000  # elements group_closure may list
 
 

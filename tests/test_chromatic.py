@@ -116,6 +116,17 @@ def test_check_reduction_examples():
     assert r.fdom_split == 3 and r.equivalence_holds
 
 
+@pytest.mark.parametrize("g", [cycle(9), cycle(11), cycle(13), kneser(5, 2)],
+                         ids=["C9", "C11", "C13", "Petersen"])
+def test_check_reduction_colours_the_split_graph_from_orbit_classes(g):
+    # above CHI_F_ENUM_CAP the classes are set orbits of the orbit master's
+    # columns; the extension onto S(G) dominates only if they colour G
+    assert g.n > chromatic.CHI_F_ENUM_CAP
+    r = check_reduction(g)
+    assert r.chi_f <= 3 and r.fdom_split >= 3 and r.equivalence_holds
+    assert r.extension_checked
+
+
 def test_fullness_c6():
     rep = fullness_check(cycle(6))
     assert rep.chi_square_lower == rep.chi_square_upper == 3

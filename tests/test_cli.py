@@ -285,7 +285,7 @@ def test_sample_rejects_the_empty_graph(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["family-cert", "--kind", "uniform"],
                                   ["family-cert", "--kind", "neighbourhood"],
-                                  ["fullness"]])
+                                  ["fullness"], ["domatic"]])
 def test_graph_commands_reject_the_empty_graph(tmp_path, capsys, argv):
     path = tmp_path / "empty.graph"
     path.write_text("p 0 0\n")
@@ -456,7 +456,7 @@ def test_family_cert_hammock_and_kmn_primal(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["total 5/2", "valid"]
     c5 = write_graph(tmp_path, cycle(5), "c5.graph")
     assert main(["family-cert", "--kind", "hammock", "--in", c5]) == 2
-    assert capsys.readouterr().err.strip() == "no hammock in input"
+    assert capsys.readouterr().err.strip() == "error: no hammock in input"
     # a primal certificate, checked by verify_primal on K3,2
     assert main(["family-cert", "--kind", "kmn_primal", "3", "2"]) == 0
     assert capsys.readouterr().err.splitlines() == ["total 7/3", "valid"]
@@ -608,6 +608,23 @@ def test_family_cert_rejects_flags_its_kind_does_not_read(tmp_path, capsys):
     assert_usage_error(["family-cert", "--kind", "girth6", "2", "--vertex", "0"], capsys)
     for kind in ("uniform", "neighbourhood", "hammock"):
         assert_usage_error(["family-cert", "--kind", kind, "7", "7", "--in", path], capsys)
+
+
+def test_family_cert_hammock_on_the_empty_graph_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    path.write_text("p 0 0\n")
+    assert main(["family-cert", "--kind", "hammock", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: no hammock in input" and "Traceback" not in err
+
+
+def test_chif_set_orbit_past_the_group_cap_exits_cap(tmp_path, capsys, monkeypatch):
+    # C25's optimal class has a set orbit of 25 masks under the rotations
+    monkeypatch.setattr(chromatic, "GROUP_CAP", 3)
+    assert main(["chif", "--in", write_graph(tmp_path, cycle(25))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cap exceeded: set orbit") and "Traceback" not in captured.err
 
 
 def test_failed_chi_f_self_check_exits_internal(tmp_path, capsys, monkeypatch):

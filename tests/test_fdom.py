@@ -414,15 +414,19 @@ def chorded_cycle(n):
 
 
 # converged: the first cap at which the solve returns (None: beyond 5); the
-# orbit master converges in 2 rounds on C12 and Coxeter and 3 on G3
+# orbit master converges in 2 rounds on C12 and Coxeter, 3 on G3 and 1 on
+# chi_f's C27 and KG(7,3), while chi_f on the chorded C35 (trivial group)
+# keeps the covering LP's bracket
 @pytest.mark.parametrize("solve, name, g, value, converged", [
     pytest.param(fdom_colgen, "fdom", cycle(12), 3, 2, id="g0-3"),
     pytest.param(fdom_colgen, "fdom", coxeter(), 4, 2, id="g1-4"),
     pytest.param(fdom_colgen, "fdom", girth6_family(3), F(13, 5), 3, id="g2-value2"),
     pytest.param(fdom_colgen, "fdom", chorded_cycle(34), F(17, 6), None, id="C34-chords"),
     pytest.param(fdom_colgen, "fdom", chorded_cycle(40), F(20, 7), None, id="C40-chords"),
-    pytest.param(fractional_chromatic, "chi_f", cycle(27), F(27, 13), None, id="chi_f-C27"),
-    pytest.param(fractional_chromatic, "chi_f", kneser(7, 3), F(7, 3), None, id="chi_f-KG73"),
+    pytest.param(fractional_chromatic, "chi_f", cycle(27), F(27, 13), 1, id="chi_f-C27"),
+    pytest.param(fractional_chromatic, "chi_f", kneser(7, 3), F(7, 3), 1, id="chi_f-KG73"),
+    pytest.param(fractional_chromatic, "chi_f", chorded_cycle(35), F(17, 8), None,
+                 id="chi_f-C35-chords"),
 ])
 @pytest.mark.parametrize("rounds", range(1, 6))
 def test_colgen_cap_reports_bounds(monkeypatch, solve, name, g, value, converged, rounds):
