@@ -1,13 +1,13 @@
 """Chromatic machinery and the hardness-reduction checks.
 
 fractional_chromatic solves the covering LP over independent sets: over
-every maximal one up to CHI_F_ENUM_CAP vertices, and beyond that by the
-column-generation driver fdom.colgen, which also serves the fdom packing LP
-(smoothed duals, and a bracket when it runs out of rounds), one master row
-per orbit of Aut(G); each column is then spread evenly over its set orbit,
-so the classes and their checks stay per vertex.  Pricing and the dual
-check find maximum-weight independent sets as the complements of
-minimum-weight vertex covers, through domset's hitting-set search.
+every maximal one up to CHI_F_ENUM_CAP vertices, and beyond that (or on
+at most n/2 orbits of Aut(G)) by the column-generation driver fdom.colgen,
+which also serves the fdom packing LP (smoothed duals, and a bracket when
+it runs out of rounds), one master row per orbit, each class standing for
+its set orbit.  Pricing and the dual check find maximum-weight independent
+sets as the complements of minimum-weight vertex covers, through domset's
+hitting-set search.
 chromatic_number is an exact DSATUR-ordered branch-and-bound with a clique
 lower bound and an optional time budget; when the budget runs out it
 reports bounds instead of guessing.
@@ -16,17 +16,18 @@ reports bounds instead of guessing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
 from .distributions import FractionalColouring
 from .domset import CapExceeded, min_weight_hitting_set
-from .fdom import colgen, fdom_colgen, fdom_exact
+from .fdom import automorphism_orbits, colgen, fdom_colgen, fdom_exact
 from .generators import graph_square, join_with_clique, split_construction
-from .graphs import Graph, iter_mask, mask_of, mask_to_list, scale_to_integers
-from .iso import GROUP_CAP, automorphism_generators, orbit_index
+from .graphs import Graph, iter_mask, mask_to_list, scale_to_integers
+from .iso import automorphism_generators, orbit_index
 from .simplex import simplex_exact
 
 
@@ -35,6 +36,8 @@ class FractionalChromaticResult:
     value: Fraction
     classes: list[tuple[int, Fraction]]  # (independent-set mask, weight)
     clique_weights: list[Fraction]       # dual witness, max ind-set weight <= 1
+    # with generators, each class stands for its set orbit under them
+    generators: list[tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -105,20 +108,29 @@ def _greedy_colouring_classes(g: Graph) -> list[int]:
     return out
 
 
-CHI_F_ENUM_CAP = 8  # up to here enumeration beats the orbit master (BENCH_29.json)
+CHI_F_ENUM_CAP = 25  # above this many vertices chi_f runs column generation
+CHI_F_ORBIT_MIN = 9  # from here at most n/2 orbits of Aut(G) take the orbit master
 
 
 def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     """Exact chi_f via the covering LP over independent sets: over every
-    maximal independent set up to CHI_F_ENUM_CAP vertices, beyond by
-    fdom.colgen on the orbit master, its columns expanded by _set_orbits.
+    maximal independent set up to CHI_F_ENUM_CAP vertices, by fdom.colgen
+    from the greedy colouring's classes beyond, or at any size on at most
+    n/2 orbits (BENCH_29.json).  From CHI_F_ORBIT_MIN vertices colgen has
+    one row per orbit of Aut(G), and the result carries its generators.
 
     The dual clique weights are certified by a maximum-weight independent
     set search: no independent set may carry weight above 1.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    if g.n <= CHI_F_ENUM_CAP:
+    return _covering_lp(g, automorphism_generators(g) if g.n >= CHI_F_ORBIT_MIN else [])
+
+
+def _covering_lp(g: Graph, gens: list[tuple[int, ...]]) -> FractionalChromaticResult:
+    row = orbit_index(g.n, gens)
+    if g.n <= CHI_F_ENUM_CAP and 2 * (max(row) + 1) > g.n:
+        gens = []
         # min sum x, Ax >= 1, x >= 0  ==  max sum(-x), -Ax <= -1
         sets = maximal_independent_sets(g)
         res = simplex_exact([-1] * len(sets),
@@ -126,44 +138,23 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
                             [-1] * g.n)
         value, xs, ys = -res.value, res.x, res.y
     else:
-        gens = automorphism_generators(g)
-        row = orbit_index(g.n, gens)
-        master, columns = colgen(row, -1, _greedy_colouring_classes(g),
-                                 lambda y: max_weight_independent_set(g, y), "chi_f", Fraction(1))
-        value, duals = -master.value(), master.duals()
-        sets, xs = _set_orbits(gens, columns, master.primal())
+        master, sets = colgen(row, -1, _greedy_colouring_classes(g),
+                              lambda y: max_weight_independent_set(g, y), "chi_f", Fraction(1))
+        value, xs, duals = -master.value(), master.primal(), master.duals()
         ys = [duals[i] for i in row]
-    _check_chi_f(g, sets, value, xs, ys)
-    return FractionalChromaticResult(value, [(s, x) for s, x in zip(sets, xs) if x > 0], ys)
+    _check_chi_f(g, sets, value, xs, ys, gens)
+    return FractionalChromaticResult(value, [(s, x) for s, x in zip(sets, xs) if x], ys, gens)
 
 
-def _set_orbits(gens: Sequence[tuple[int, ...]], columns: list[int], xs: list[Fraction]
-                ) -> tuple[list[int], list[Fraction]]:
-    """Each column S of nonzero weight x replaced by its orbit under gens (a
-    BFS on masks), each image at weight x/|orbit|.  A vertex v lies in the
-    share |S & O_v|/|O_v| of the images, so an orbit row's load |O_v|
-    becomes load 1 at each of its vertices.  CapExceeded past GROUP_CAP
-    images."""
-    weight: dict[int, Fraction] = {}
-    for s, x in zip(columns, xs):
-        if x == 0:
-            continue
-        orbit, seen = [s], {s}
-        for t in orbit:
-            for p in gens:
-                image = mask_of(p[v] for v in iter_mask(t))
-                if image not in seen:
-                    if len(orbit) >= GROUP_CAP:
-                        raise CapExceeded(f"set orbit of a chi_f class exceeds {GROUP_CAP} masks")
-                    seen.add(image)
-                    orbit.append(image)
-        for t in orbit:
-            weight[t] = weight.get(t, 0) + x / len(orbit)
-    return list(weight), list(weight.values())
-
-
-def _check_chi_f(g: Graph, sets: list[int], value: Fraction,
-                 xs: list[Fraction], ys: list[Fraction]) -> None:
+def _check_chi_f(g: Graph, sets: list[int], value: Fraction, xs: list[Fraction],
+                 ys: list[Fraction], gens: Sequence[tuple[int, ...]] = ()) -> None:
+    """Each orbit O of gens covered |O| times, so the set orbits of the
+    classes, each image at an equal share, cover every vertex once."""
+    try:
+        orbit = automorphism_orbits(g, gens)
+    except ValueError as e:
+        raise RuntimeError(f"internal: {e}") from e
+    size = Counter(orbit)
     cover = [Fraction(0)] * g.n
     total = Fraction(0)
     for s, x in zip(sets, xs):
@@ -172,9 +163,9 @@ def _check_chi_f(g: Graph, sets: list[int], value: Fraction,
         if x < 0 or any(g.nbr_mask[v] & s for v in iter_mask(s)):
             raise RuntimeError("internal: bad covering-LP witness")
         total += x
-        for v in mask_to_list(s):
-            cover[v] += x
-    if total != value or any(cv < 1 for cv in cover):
+        for v in iter_mask(s):
+            cover[orbit[v]] += x
+    if total != value or any(cover[r] < k for r, k in size.items()):
         raise RuntimeError("internal: covering-LP witness infeasible")
     # no independent set above weight 1, tested on the integer numerators
     ints, den = scale_to_integers(ys)
@@ -187,7 +178,11 @@ def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
                          ratio_p: int, ratio_q: int) -> FractionalColouring:
     """Turn an LP witness with value <= ratio into a proper (P:Q)-colouring
     with P/Q = ratio_p/ratio_q exactly, by replicating classes Q*x_S times,
-    trimming over-covered vertices and padding with unused colours."""
+    trimming over-covered vertices and padding with unused colours.  A
+    result on the orbit master is solved again per vertex first: its set
+    orbits can number 2^(n/2), as on a perfect matching."""
+    if res.generators:
+        res = _covering_lp(g, [])
     q = lcm(*[x.denominator for _, x in res.classes]) if res.classes else 1
     q = lcm(q, ratio_q)
     assignment: list[set[int]] = [set() for _ in range(g.n)]

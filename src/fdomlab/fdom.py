@@ -109,12 +109,10 @@ def certificate_from_json(obj: dict) -> PrimalCertificate | DualCertificate:
     raise CertificateError("unknown certificate type")
 
 
-def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
-    """Check that every generator is a permutation of 0..n-1 and an
-    automorphism, domination of every column, nonnegativity, each orbit's
-    load <= its size (per-vertex loads <= 1 with no generators) and the
-    objective arithmetic.  The orbits come from a union-find of its own.
-    Returns (ok, reason)."""
+def automorphism_orbits(g: Graph, generators: Sequence[tuple[int, ...]]) -> list[int]:
+    """A representative of each vertex's orbit under generators, from a
+    union-find of its own; ValueError unless every generator is a
+    permutation of 0..n-1 and an automorphism of g."""
     root = list(range(g.n))
 
     def find(v: int) -> int:
@@ -122,14 +120,25 @@ def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
             root[v] = v = root[root[v]]
         return v
 
-    for p in cert.generators:
+    for p in generators:
         if sorted(p) != list(range(g.n)):
-            return False, f"generator {list(p)} is not a permutation of 0..{g.n - 1}"
+            raise ValueError(f"generator {list(p)} is not a permutation of 0..{g.n - 1}")
         if any(not g.has_edge(p[u], p[v]) for u, v in g.edges()):
-            return False, f"generator {list(p)} is not an automorphism"
+            raise ValueError(f"generator {list(p)} is not an automorphism")
         for v in range(g.n):
             root[find(v)] = find(p[v])
-    orbit = [find(v) for v in range(g.n)]
+    return [find(v) for v in range(g.n)]
+
+
+def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
+    """Check the generators (automorphism_orbits), domination of every
+    column, nonnegativity, each orbit's load <= its size (per-vertex loads
+    <= 1 with no generators) and the objective arithmetic.
+    Returns (ok, reason)."""
+    try:
+        orbit = automorphism_orbits(g, cert.generators)
+    except ValueError as e:
+        return False, str(e)
     size = Counter(orbit)
     total = Fraction(0)
     loads = [Fraction(0)] * g.n

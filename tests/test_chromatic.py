@@ -46,6 +46,14 @@ def test_chi_f_colgen_path_agrees(corpus7, monkeypatch):
     assert [fractional_chromatic(g).value for g in graphs] == full
 
 
+def test_chi_f_orbit_master_agrees(corpus7, monkeypatch):
+    # the orbit master forced at every size against enumeration
+    full = [fractional_chromatic(g).value for g in corpus7]
+    monkeypatch.setattr(chromatic, "CHI_F_ENUM_CAP", 0)
+    monkeypatch.setattr(chromatic, "CHI_F_ORBIT_MIN", 0)
+    assert [fractional_chromatic(g).value for g in corpus7] == full
+
+
 def test_chi_examples():
     assert chromatic_number(graph_square(cycle(5))).value == 5
     assert chromatic_number(complete_bipartite(3, 3)).value == 2
@@ -118,13 +126,55 @@ def test_check_reduction_examples():
 
 @pytest.mark.parametrize("g", [cycle(9), cycle(11), cycle(13), kneser(5, 2)],
                          ids=["C9", "C11", "C13", "Petersen"])
-def test_check_reduction_colours_the_split_graph_from_orbit_classes(g):
-    # above CHI_F_ENUM_CAP the classes are set orbits of the orbit master's
-    # columns; the extension onto S(G) dominates only if they colour G
-    assert g.n > chromatic.CHI_F_ENUM_CAP
+def test_check_reduction_colours_the_split_graph_above_the_orbit_min(g):
+    # chi_f runs on the orbit master and the witness solves again per
+    # vertex; the extension onto S(G) dominates only if its classes colour G
+    assert fractional_chromatic(g).generators
     r = check_reduction(g)
     assert r.chi_f <= 3 and r.fdom_split >= 3 and r.equivalence_holds
     assert r.extension_checked
+
+
+def matching(m):
+    return Graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
+def friendship(m):
+    return Graph(2 * m + 1, [e for i in range(m)
+                             for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
+def test_chi_f_orbit_classes_whose_set_orbits_are_exponential():
+    # an optimal class takes one end of each edge (one vertex of each
+    # triangle): 2^17 images under Aut(G), which the witness never lists
+    assert fractional_chromatic(matching(17)).value == 2
+    g = friendship(17)
+    res = fractional_chromatic(g)
+    assert res.value == 3 and res.generators
+    phi = witness_pq_colouring(g, res, 3, 1)
+    assert phi.p == 3 * phi.q and phi.check(g) == (True, "ok")
+
+
+def test_check_chi_f_reads_orbit_loads_and_generators():
+    g = cycle(9)
+    res = fractional_chromatic(g)
+    sets, xs = [s for s, _ in res.classes], [x for _, x in res.classes]
+    ys, gens = res.clique_weights, res.generators
+    chromatic._check_chi_f(g, sets, res.value, xs, ys, gens)
+    with pytest.raises(RuntimeError):  # each vertex alone is covered < 1
+        chromatic._check_chi_f(g, sets, res.value, xs, ys)
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        chromatic._check_chi_f(g, sets, res.value, xs, ys, [(1, 0) + tuple(range(2, 9))])
+
+
+@pytest.mark.parametrize("g, value", [
+    (Graph(10, [(i, i + 1) for i in range(9)] + [(1, 3)]), 3),  # trivial group
+    (Graph(12, list(cycle(10).edges()) + [(0, 10), (0, 11)]), 2),  # 7 orbits
+])
+def test_chi_f_enumerates_below_the_cap_on_more_than_half_as_many_orbits(g, value):
+    assert g.n >= chromatic.CHI_F_ORBIT_MIN
+    res = fractional_chromatic(g)
+    assert res.generators == [] and res.value == value
 
 
 def test_fullness_c6():

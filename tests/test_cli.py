@@ -21,7 +21,7 @@ from fdomlab.construct import ConstructionError, construct52
 from fdomlab.distributions import DistributionError, DominatingDistribution
 from fdomlab.fdom import certificate_from_json, fdom_exact
 from fdomlab.generators import coxeter, cycle, theta_graph
-from fdomlab.graphs import read_graph_text, write_graph_text
+from fdomlab.graphs import Graph, read_graph_text, write_graph_text
 
 
 def write_graph(tmp_path, g, name="g.graph"):
@@ -618,13 +618,15 @@ def test_family_cert_hammock_on_the_empty_graph_is_a_usage_error(tmp_path, capsy
     assert err.strip() == "error: no hammock in input" and "Traceback" not in err
 
 
-def test_chif_set_orbit_past_the_group_cap_exits_cap(tmp_path, capsys, monkeypatch):
-    # C25's optimal class has a set orbit of 25 masks under the rotations
-    monkeypatch.setattr(chromatic, "GROUP_CAP", 3)
-    assert main(["chif", "--in", write_graph(tmp_path, cycle(25))]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("cap exceeded: set orbit") and "Traceback" not in captured.err
+def test_chif_on_the_matching_and_the_friendship_graph(tmp_path, capsys):
+    # an optimal class takes one vertex of each edge or triangle, so its set
+    # orbit under Aut(G) holds 2^17 masks; none is listed
+    m17 = Graph(34, [(2 * i, 2 * i + 1) for i in range(17)])
+    f17 = Graph(35, [e for i in range(17)
+                     for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+    for g, value in [(m17, "2/1"), (f17, "3/1")]:
+        assert main(["chif", "--in", write_graph(tmp_path, g)]) == 0
+        assert capsys.readouterr().out == value + "\n"
 
 
 def test_failed_chi_f_self_check_exits_internal(tmp_path, capsys, monkeypatch):
