@@ -3,7 +3,7 @@ fractional domatic number of graphs."""
 
 __version__ = "0.1.0"
 
-from .graphs import Graph, MultiGraph, read_graph_text, write_graph_text
+from .graphs import Graph, read_graph_text, write_graph_text
 from .simplex import simplex_exact, LPInfeasible, LPUnbounded
 from .generators import (generate_named, cycle, complete, complete_bipartite,
                          kneser, coxeter, incidence_graph, girth6_family,

@@ -44,7 +44,7 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str | Path) -> Graph:
     return read_graph_text(Path(path).read_text())
 
 
@@ -66,12 +66,12 @@ def _budget_ms() -> int | None:
 
 
 #: default size caps, overridable with --caps key=value
-DEFAULT_CAPS = {"enum": 20, "domatic": 30, "chi": 40}
+DEFAULT_CAPS = {"enum": 20, "chi": 40}
 
 
-def _caps(args) -> dict[str, int]:
+def _caps(items: list[str] | None) -> dict[str, int]:
     caps = dict(DEFAULT_CAPS)
-    for item in args.caps or []:
+    for item in items or []:
         key, _, value = item.partition("=")
         if key not in caps or (cap := read_int(value)) <= 0:
             raise GraphError(f"bad cap override {item!r}")
@@ -91,7 +91,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fdom(args) -> int:
     g = _load_graph(args.input)
-    cap = _caps(args)["enum"]
+    cap = args.caps["enum"]
     res = fdom_colgen(g) if args.colgen or g.n > cap else fdom_exact(g, cap=cap)
     print(_rat(res.value))
     if args.out:
@@ -109,7 +109,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_domatic(args) -> int:
     g = _load_graph(args.input)
-    k, parts = domatic_number(g, cap=_caps(args)["domatic"])
+    k, parts = domatic_number(g)
     print(k)
     for p in parts:
         print("part:", " ".join(map(str, mask_to_list(p))))
@@ -199,7 +199,7 @@ def _cmd_reduce_s(args) -> int:
 
 def _cmd_chi(args) -> int:
     g = _load_graph(args.input)
-    res = chromatic_number(g, cap=_caps(args)["chi"], time_budget_ms=_budget_ms())
+    res = chromatic_number(g, cap=args.caps["chi"], time_budget_ms=_budget_ms())
     if res.exact:
         print(res.value)
         return EXIT_OK
@@ -295,20 +295,21 @@ def _cmd_intersecting(args) -> int:
 
 def _cmd_corpus(args) -> int:
     directory = Path(args.dir)
-    files = sorted(directory.glob("*.graph"))
-    cap = _caps(args)["enum"]
+    if not directory.is_dir():
+        raise GraphError(f"no directory {args.dir!r}")
     failures = 0
     rows = []
-    for path in files:
-        g = read_graph_text(path.read_text())
-        row: dict = {"file": path.name, "n": g.n, "m": g.m}
+    for path in sorted(directory.glob("*.graph")):
+        row: dict = {"file": path.name}
         try:
+            g = _load_graph(path)
+            row.update(n=g.n, m=g.m)
             if args.check == "construct52":
                 d = construct52(g)
                 row["atoms"] = len(d.atoms)
                 row["pass"] = True
             else:
-                value = fdom_exact(g, cap=cap).value
+                value = fdom_exact(g, cap=args.caps["enum"]).value
                 row["fdom"] = _rat(value)
                 below = value < Fraction(5, 2)
                 row["pass"] = below if args.check == "fdom<5/2" else not below
@@ -318,6 +319,9 @@ def _cmd_corpus(args) -> int:
         except CapExceeded as e:
             row["pass"] = False
             row["error"] = f"cap: {e}"
+        except ValueError as e:  # a file that does not parse, or a graph the check refuses
+            row["pass"] = False
+            row["error"] = str(e)
         failures += not row["pass"]
         rows.append(row)
     print(json.dumps({"check": args.check, "results": rows,
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="exact fractional-domatic toolkit")
     ap.add_argument("--version", action="version", version=f"fdomlab {__version__}")
     ap.add_argument("--caps", action="append", metavar="KEY=VALUE",
-                    help="override a size cap (enum, domatic, chi)")
+                    help="override a size cap (enum, chi)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a named graph")
@@ -427,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        args.caps = _caps(args.caps)
         return args.fn(args)
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)

@@ -304,7 +304,6 @@ def _long_path_case(g: Graph, long_paths: list[SuspendedPath]) -> DominatingDist
 @dataclass
 class HammockAnnotations:
     a0: list[int]
-    a1: list[int]
     b0: list[int]
     b1: list[int]
     three_paths: list[SuspendedPath]
@@ -313,9 +312,9 @@ class HammockAnnotations:
 def hammock_base_annotations(g: Graph,
                              paths: Optional[list[SuspendedPath]] = None) -> HammockAnnotations:
     """Recover the expansion classes: hubs are the 3+-vertices, 2-path
-    middles form A0, 3-path internals A1, hubs meeting a 3-path B1.
-    Validates the base-case shape (paths of length 2 or 3 only, every
-    3-path inside a hammock, non-adjacent hubs)."""
+    middles form A0, hubs meeting a 3-path B1, the other hubs B0.  Validates
+    the base-case shape (paths of length 2 or 3 only, every 3-path inside a
+    hammock, non-adjacent hubs)."""
     if paths is None:
         paths = suspended_paths(g)
     degs = g.degrees()
@@ -323,7 +322,7 @@ def hammock_base_annotations(g: Graph,
     if not hubs:
         raise ConstructionError("base case needs a 3+-vertex")
     on_paths: set[int] = set()
-    a0, a1, b1 = [], [], set()
+    a0, b1 = [], set()
     hams = hammocks(g, paths)
     hammock_3paths = {h.three_path.vertices for h in hams}
     for p in paths:
@@ -333,7 +332,6 @@ def hammock_base_annotations(g: Graph,
         elif p.length == 3:
             if p.vertices not in hammock_3paths:
                 raise ConstructionError("a 3-path without its hammock partner")
-            a1 += list(p.internal)
             b1 |= set(p.endpoints)
         else:
             raise ConstructionError(f"unexpected path length {p.length} in base case")
@@ -342,8 +340,7 @@ def hammock_base_annotations(g: Graph,
     for u, v in g.edges():
         if degs[u] >= 3 and degs[v] >= 3:
             raise ConstructionError("adjacent hubs in base case")
-    return HammockAnnotations(sorted(a0), sorted(a1),
-                              sorted(set(hubs) - b1), sorted(b1),
+    return HammockAnnotations(sorted(a0), sorted(set(hubs) - b1), sorted(b1),
                               [p for p in paths if p.length == 3])
 
 

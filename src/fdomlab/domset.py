@@ -64,9 +64,6 @@ def enumerate_minimal_dominating_sets(g: Graph, cap: int = 20) -> Iterator[int]:
     if g.n > cap:
         raise CapExceeded(f"minimal dominating set enumeration capped at {cap} vertices")
     full = (1 << g.n) - 1
-    if g.n == 0:
-        yield 0
-        return
 
     def minimal(s: int) -> bool:
         for v in iter_mask(s):
@@ -158,8 +155,6 @@ def domination_number(g: Graph) -> tuple[int, int]:
     """(gamma, witness bitmask): branch-and-bound, branching on the
     dominators of an uncovered vertex with the fewest candidates, most
     covering first, on an explicit stack."""
-    if g.n == 0:
-        return 0, 0
     full = (1 << g.n) - 1
     closed = g.closed_mask
     near, doms = _family(closed, closed).near, _doms(closed, [1] * g.n)
@@ -376,11 +371,10 @@ def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
     return min_weight_hitting_set(g.closed_mask, g.closed_mask, weights)
 
 
-def domatic_number(g: Graph, cap: int = 30) -> tuple[int, list[int]]:
+def domatic_number(g: Graph) -> tuple[int, list[int]]:
     """(dom(G), partition as list of colour bitmasks): the largest k <= the
-    minimum degree + 1 with a dominating (k:1)-colouring."""
-    if g.n > cap:
-        raise CapExceeded(f"domatic search capped at {cap} vertices")
+    minimum degree + 1 with a dominating (k:1)-colouring, any graph size;
+    CapExceeded when one k's search passes COLOURING_NODE_CAP nodes."""
     if g.n == 0:
         raise ValueError("empty graph")
     for k in range(g.min_degree() + 1, 1, -1):

@@ -425,13 +425,11 @@ def hnd_certificate(n: int, d: int) -> DualCertificate:
     """
     if not (1 <= d < n) or n % d:
         raise CertificateError("requires d | n and 1 <= d < n")
+    # d | n and d < n give q >= 1; ln d - 2 ln ln d < d - 1/2 for d >= 2,
+    # so m <= q*d = n - d
     q = n // d - 1
-    if q < 1:
-        raise CertificateError("requires n >= 2d")
     m_real = (math.log(d) - 2 * math.log(math.log(d))) * q if d > 1 else 0.0
     m = max(1, round(m_real))
-    if m > n - d:
-        raise CertificateError("rounded m leaves no room for the B-side bound")
     wa = Fraction(1, m)
     wb = Fraction(1, math.comb(n - m, d))
     return DualCertificate([wa] * n + [wb] * math.comb(n, d))

@@ -18,10 +18,11 @@ Vertex labelling conventions (documented so figures can be cross-checked):
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from importlib import resources
 
-from .graphs import Graph, GraphError, MultiGraph, mask_to_list, read_graph_text
+from .graphs import Graph, GraphError, mask_to_list, read_graph_text
 
 
 def cycle(n: int) -> Graph:
@@ -183,26 +184,31 @@ def join_with_clique(g: Graph, t: int) -> Graph:
     return Graph(g.n + t, edges)
 
 
-def hammock_expand(h: MultiGraph) -> tuple[Graph, dict[str, list[int]]]:
-    """Subdivide each simple edge into a suspended 2-path and each double edge
-    into a hammock (a 2-path plus a 3-path with the same endpoints).
+def hammock_expand(n: int, pairs: list[tuple[int, int]]
+                   ) -> tuple[Graph, dict[str, list[int]]]:
+    """Expand the multigraph on hubs 0..n-1 with edges `pairs` (a double edge
+    listed twice), in sorted pair order: each simple edge becomes a suspended
+    2-path, each double edge a hammock (a 2-path plus a 3-path).
 
     Returns the expanded simple graph and the A0/A1/B0/B1 vertex classes:
     A0 = 2-path middles, A1 = 3-path internals, B1 = hubs incident to a
     double edge, B0 = the remaining hubs.
     """
-    if h.min_degree() < 3:
+    Graph(n, pairs)  # the id and loop checks
+    mult = Counter((min(u, v), max(u, v)) for u, v in pairs)
+    degree = Counter(v for pair in pairs for v in pair)
+    if min((degree[v] for v in range(n)), default=0) < 3:
         raise GraphError("hammock expansion needs minimum degree >= 3")
-    if h.max_multiplicity() > 2:
+    if max(mult.values(), default=0) > 2:
         raise GraphError("hammock expansion needs multiplicity <= 2")
     edges = []
     a0, a1, b1 = [], [], set()
-    nxt = h.n
-    for (u, v), mult in h.mult.items():
+    nxt = n
+    for (u, v), m in sorted(mult.items()):
         edges += [(u, nxt), (nxt, v)]
         a0.append(nxt)
         nxt += 1
-        if mult == 2:
+        if m == 2:
             edges += [(u, nxt), (nxt, nxt + 1), (nxt + 1, v)]
             a1 += [nxt, nxt + 1]
             b1 |= {u, v}
@@ -210,7 +216,7 @@ def hammock_expand(h: MultiGraph) -> tuple[Graph, dict[str, list[int]]]:
     classes = {
         "A0": a0,
         "A1": a1,
-        "B0": sorted(set(range(h.n)) - b1),
+        "B0": sorted(set(range(n)) - b1),
         "B1": sorted(b1),
     }
     return Graph(nxt, edges), classes

@@ -1,4 +1,4 @@
-"""Immutable simple graphs and loopless multigraphs on vertices 0..n-1.
+"""Immutable simple graphs on vertices 0..n-1.
 
 A simple graph stores its adjacency once, as open and closed
 neighbourhood bitmasks (Python ints; the dominating-set engines work on
@@ -157,38 +157,6 @@ class Graph:
     def induced(self, verts: Iterable[int]) -> tuple["Graph", list[int]]:
         keepset = set(verts)
         return self.remove_vertices([v for v in range(self.n) if v not in keepset])
-
-
-class MultiGraph:
-    """Loopless multigraph: unordered vertex pairs with multiplicity >= 1."""
-
-    __slots__ = ("n", "mult")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise GraphError("negative vertex count")
-        mult: dict[tuple[int, int], int] = {}
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            mult[key] = mult.get(key, 0) + 1
-        self.n = n
-        self.mult = dict(sorted(mult.items()))
-
-    def degree(self, v: int) -> int:
-        return sum(m for (a, b), m in self.mult.items() if v in (a, b))
-
-    def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.n)), default=0)
-
-    def max_multiplicity(self) -> int:
-        return max(self.mult.values(), default=0)
-
-    def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, m={sum(self.mult.values())})"
 
 
 # -- text format -------------------------------------------------------

@@ -66,7 +66,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import scale_to_integers
 
@@ -89,7 +89,6 @@ class LPUnbounded(LPError):
 
 @dataclass
 class SimplexResult:
-    status: Literal["optimal"]
     value: Fraction
     x: list[Fraction]
     y: list[Fraction]  # dual values, one per constraint
@@ -369,7 +368,7 @@ def simplex_exact(c: Sequence[Fraction | int], rows: Sequence[Sequence[Fraction 
     x, y, value = lp.primal(), lp.duals(), lp.value()
 
     _check_pair(c, A, cols, b, x, y, value)
-    return SimplexResult("optimal", value / obj_scale, x,
+    return SimplexResult(value / obj_scale, x,
                          [yi * s / obj_scale for yi, s in zip(y, row_scale)])
 
 

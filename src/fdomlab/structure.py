@@ -150,10 +150,8 @@ def find_long_suspended_path(g: Graph, l: int) -> Optional[SuspendedPath]:
         raise GraphError("long-path extraction expects a 2-connected graph")
     if g.min_degree() < 2 or g.max_degree() < 3:
         raise GraphError("long-path extraction expects min degree 2 and a 3+-vertex")
-    paths = suspended_paths(g)
-    if not paths:
-        return None
-    best = max(paths, key=lambda p: p.length)
+    # a 3+-vertex whose walks all came back to it would be a cut vertex
+    best = max(suspended_paths(g), key=lambda p: p.length)
     return best if best.length >= l + 1 else None
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,6 +60,28 @@ def test_chi_examples():
     assert chromatic_number(complete_bipartite(3, 3)).value == 2
     assert chromatic_number(cycle(7)).value == 3
     assert chromatic_number(complete(6)).value == 6
+
+
+def mycielski(g: Graph) -> Graph:
+    # a twin u' per vertex u, joined to u's neighbours, and one apex on the twins
+    n = g.n
+    edges = [(u + n, v) for u, v in g.edges()] + [(v + n, u) for u, v in g.edges()]
+    return Graph(2 * n + 1, [*g.edges(), *edges, *((2 * n, n + u) for u in range(n))])
+
+
+def test_chi_returns_bounds_when_the_deadline_passes_inside_the_search(monkeypatch):
+    # the Mycielskian of the Groetzsch graph: triangle-free, chi 5; its
+    # 4-colouring search runs past 512 steps, where the third clock reading
+    # finds the deadline passed
+    g = mycielski(mycielski(cycle(5)))
+    readings = iter([0, 0, 10 ** 9])
+    monkeypatch.setattr(chromatic, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+    res = chromatic_number(g, time_budget_ms=1000)
+    assert (res.lower, res.upper, res.exact) == (2, 5, False)
+    assert max(res.colouring) == 4
+    assert all(res.colouring[u] != res.colouring[v] for u, v in g.edges())
+    monkeypatch.undo()
+    assert chromatic_number(g).value == 5
 
 
 def test_chi_witness_is_proper(corpus7):

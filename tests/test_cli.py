@@ -35,6 +35,8 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert main(["gen", "cycle", "7", "--out", str(out)]) == 0
     g = read_graph_text(out.read_text())
     assert g == cycle(7)
+    assert main(["gen", "path", "3"]) == 0
+    assert read_graph_text(capsys.readouterr().out) == Graph(3, [(0, 1), (1, 2)])
 
 
 def test_fdom_prints_rational_and_certificates_verify(tmp_path, capsys):
@@ -285,7 +287,7 @@ def test_sample_rejects_the_empty_graph(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["family-cert", "--kind", "uniform"],
                                   ["family-cert", "--kind", "neighbourhood"],
-                                  ["fullness"], ["domatic"]])
+                                  ["fullness"], ["domatic"], ["chif"]])
 def test_graph_commands_reject_the_empty_graph(tmp_path, capsys, argv):
     path = tmp_path / "empty.graph"
     path.write_text("p 0 0\n")
@@ -343,6 +345,9 @@ def test_gamma_domatic_chi(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert main(["chif", "--in", path]) == 0
     assert capsys.readouterr().out.strip() == "2/1"
+    # an isolated vertex leaves one dominating class
+    assert main(["domatic", "--in", write_graph(tmp_path, Graph(3, [(0, 1)]), "iso.graph")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1", "part: 0 1 2"]
 
 
 def test_planar_construct_output_verifies(tmp_path, capsys):
@@ -357,6 +362,9 @@ def test_reduce_s_and_fullness_reports(tmp_path, capsys):
     assert main(["reduce-s", "--in", write_graph(tmp_path, cycle(5))]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "chi_f 5/2", "fdom_split 3/1", "equivalence holds"]
+    assert main(["fullness", "--in", write_graph(tmp_path, cycle(5))]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degree 2", "chi_square 5", "chi_f_square 5/1", "dom_full False", "fdom_full False"]
     assert main(["fullness", "--in", write_graph(tmp_path, cycle(6), "c6.graph")]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "degree 2", "chi_square 3", "chi_f_square 3/1", "dom_full True", "fdom_full True"]
@@ -396,12 +404,15 @@ def test_huge_vertex_count_in_a_graph_file_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: line 1: 1000000000000000 vertices exceed the cap")
 
 
-def test_cap_exit(tmp_path, capsys):
+def test_cap_exit(tmp_path, capsys, monkeypatch):
+    from fdomlab import domset
     path = write_graph(tmp_path, cycle(21))
     assert main(["fdom", "--in", path, "--colgen"]) == 0
-    assert main(["--caps", "domatic=5", "domatic", "--in", path]) == 3
+    assert main(["--caps", "domatic=5", "domatic", "--in", path]) == 2
     assert main(["--caps", "bogus=1", "domatic", "--in", path]) == 2
     assert main(["--caps", "coins=5", "domatic", "--in", path]) == 2
+    monkeypatch.setattr(domset, "COLOURING_NODE_CAP", 5)
+    assert main(["domatic", "--in", path]) == 3
 
 
 def test_lifted_caps_on_long_cycles_answer(tmp_path, capsys):
@@ -411,7 +422,7 @@ def test_lifted_caps_on_long_cycles_answer(tmp_path, capsys):
     assert main(["gen", "cycle", "1200", "--out", str(c1200)]) == 0
     assert main(["gen", "cycle", "1201", "--out", str(c1201)]) == 0
     capsys.readouterr()
-    assert main(["--caps", "domatic=2000", "domatic", "--in", str(c1200)]) == 0
+    assert main(["domatic", "--in", str(c1200)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "3"
     assert main(["--caps", "enum=2000", "fdom", "--in", str(c1200)]) == 0
     assert capsys.readouterr().out.strip() == "3/1"
@@ -756,3 +767,122 @@ def test_non_canonical_integers_exit_2(target, k, form):
             code = main(argv)
     assert code == 2, (argv, err.getvalue())
     assert "error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("caps, message", [
+    ("bogus=1", "bad cap override 'bogus=1'"), ("chi=-3", "bad cap override 'chi=-3'"),
+    ("domatic=5", "bad cap override 'domatic=5'"), ("enum=abc", "expected an integer, got 'abc'")])
+@pytest.mark.parametrize("argv", [["gamma", "--in"], ["gen", "cycle", "5"],
+                                  ["chif", "--in"], ["fullness", "--in"]])
+def test_a_bad_cap_override_is_a_usage_error_on_every_command(tmp_path, capsys, caps, message,
+                                                              argv):
+    # --caps is checked before any command runs, also by those that read no cap
+    if argv[-1] == "--in":
+        argv = argv + [write_graph(tmp_path, cycle(5))]
+    assert main(["--caps", caps] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {message}"
+
+
+def test_corpus_needs_a_directory(tmp_path, capsys):
+    afile = tmp_path / "c5.graph"
+    afile.write_text(write_graph_text(cycle(5)))
+    for where in (tmp_path / "missing", afile):
+        assert main(["corpus", "--dir", str(where), "--check", "fdom<5/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: no directory {str(where)!r}"
+
+
+def test_corpus_reports_a_file_it_cannot_check_in_its_own_row(tmp_path, capsys):
+    (tmp_path / "a_c5.graph").write_text(write_graph_text(cycle(5)))
+    (tmp_path / "b_bad.graph").write_text("p 3\n")
+    (tmp_path / "c_one.graph").write_text("p 1 0\n")
+    (tmp_path / "d_split.graph").write_text("p 4 2\ne 0 1\ne 2 3\n")
+    (tmp_path / "e_c7.graph").write_text(write_graph_text(cycle(7)))
+    assert main(["corpus", "--dir", str(tmp_path), "--check", "construct52"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["failures"] == 4
+    assert summary["results"] == [
+        {"file": "a_c5.graph", "n": 5, "m": 5, "atoms": 5, "pass": True},
+        {"file": "b_bad.graph", "pass": False, "error": "line 1: malformed header 'p 3'"},
+        {"file": "c_one.graph", "n": 1, "m": 0, "pass": False,
+         "error": "construction needs at least 2 vertices"},
+        {"file": "d_split.graph", "n": 4, "m": 2, "pass": False,
+         "error": "construction needs a connected graph"},
+        {"file": "e_c7.graph", "n": 7, "m": 7, "pass": False, "error": "bad-family:C7"}]
+    # a file that does not parse fails its row under the fdom checks too
+    assert main(["corpus", "--dir", str(tmp_path), "--check", "fdom<5/2"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [r["pass"] for r in rows] == [False, False, True, True, True]
+    assert "error" not in rows[0] and rows[1]["error"] == "line 1: malformed header 'p 3'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p 3\n", "line 1: malformed header 'p 3'"),
+    ("p 3 1\ne 1\n", "line 2: malformed edge 'e 1'"),
+    ("e 0 1\n", "line 1: edge before header"),
+    ("p -1 0\n", "negative vertex count"),
+])
+def test_malformed_graph_files_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert main(["gamma", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {message}"
+
+
+def two_c16():
+    edges = list(cycle(16).edges())
+    return Graph(32, edges + [(u + 16, v + 16) for u, v in edges])
+
+
+@pytest.mark.parametrize("argv, graph, message", [
+    (["construct52"], Graph(1, []), "construction needs at least 2 vertices"),
+    (["construct52"], Graph(4, [(0, 1), (2, 3)]), "construction needs a connected graph"),
+    (["planar-construct", "--k", "1"], cycle(16), "pipeline needs k >= 2"),
+    (["planar-construct", "--k", "2"], two_c16(), "pipeline needs a connected graph"),
+    (["reduce-s"], Graph(3, [(0, 1)]), "reduction needs minimum degree >= 1"),
+    (["sample-lnbound", "--p", "3/2"], cycle(5), "p must be in [0,1]"),
+    (["sample-lnbound", "--p", "1/2", "--trials", "0"], cycle(5), "trials must be >= 1"),
+])
+def test_graph_commands_reject_inputs_outside_their_domain(tmp_path, capsys, argv, graph,
+                                                           message):
+    assert main(argv + ["--in", write_graph(tmp_path, graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {message}"
+
+
+def test_verify_colouring_rejects_more_colours_per_vertex_than_the_palette(tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"p": 1, "q": 2, "phi": [[1, 2]] * 3}))
+    assert main(["verify", "--in", triangle_path(tmp_path), "--colouring", str(phi)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: needs 1 <= q <= p"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "complete", "0"], "complete graph needs n >= 1"),
+    (["gen", "complete_bipartite", "0", "3"], "complete bipartite needs both parts nonempty"),
+    (["gen", "hypercube", "0"], "hypercube needs d >= 1"),
+    (["gen", "theta", "1", "1", "2"], "parallel edges not allowed"),
+    (["gen", "cycle", "3", "4"], "family 'cycle' takes 1 parameter(s), got 2"),
+    (["family-cert", "--kind", "kmn_dual", "2", "3"], "requires m >= n >= 2"),
+])
+def test_generators_and_certificates_reject_bad_parameters(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {message}"
+
+
+def test_intersecting_family_past_its_ground_cap_exits_3(capsys):
+    assert main(["intersecting-family", "--a", "30", "--b", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "cap exceeded: ground set of size 5368709120 exceeds cap 2000000")

@@ -21,7 +21,7 @@ from fdomlab.generators import (complete, complete_bipartite, cycle,
                                 girth6_family, hammock_expand, hypercube,
                                 incidence_graph, kneser, subdivide,
                                 theta_graph)
-from fdomlab.graphs import Graph, MultiGraph
+from fdomlab.graphs import Graph
 from fdomlab.iso import spanning_subgraph_embedding
 
 from distview import dominated_prob, fractions, membership
@@ -158,9 +158,8 @@ def test_fdom_never_below_52_on_witnessed_graphs(corpus7_mindeg2):
 
 
 def test_base_case_on_expanded_figure_multigraph():
-    h = MultiGraph(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (3, 4),
-                       (4, 0), (0, 2), (0, 3)])
-    g, _ = hammock_expand(h)
+    g, _ = hammock_expand(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (3, 4),
+                              (4, 0), (0, 2), (0, 3)])
     ann = hammock_base_annotations(g)
     d = base_case_hammock(g, ann)
     ok, why = verify_f_dominating(g, d, constant_demand(F(1)), F(2, 5))
@@ -170,8 +169,7 @@ def test_base_case_on_expanded_figure_multigraph():
 
 
 def test_base_case_k4_expansion_membership():
-    h = MultiGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    g, _ = hammock_expand(h)
+    g, _ = hammock_expand(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     ann = hammock_base_annotations(g)
     assert ann.b1 == [] and ann.b0 == [0, 1, 2, 3]
     d = base_case_hammock(g, ann)

@@ -128,6 +128,11 @@ def test_hammock_weights_bottleneck():
     assert minw >= 1
 
 
+def test_the_empty_graph_is_dominated_by_the_empty_set():
+    assert list(enumerate_minimal_dominating_sets(Graph(0, []))) == [0]
+    assert domination_number(Graph(0, [])) == (0, 0)
+
+
 def test_domatic_examples():
     assert domatic_number(cycle(4))[0] == 2
     assert domatic_number(complete(4))[0] == 4

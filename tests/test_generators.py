@@ -9,7 +9,7 @@ from fdomlab.generators import (complete, complete_bipartite, coxeter, cycle,
                                 hammock_expand, hypercube, incidence_graph,
                                 join_with_clique, kneser, split_construction,
                                 subdivide, theta_graph)
-from fdomlab.graphs import Graph, GraphError, MultiGraph, iter_mask
+from fdomlab.graphs import Graph, GraphError, iter_mask
 from fdomlab.iso import is_isomorphic
 from fdomlab.structure import hammocks
 
@@ -134,43 +134,42 @@ def test_join_with_clique():
 
 
 def test_hammock_expand_simple_only():
-    h = MultiGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    g, classes = hammock_expand(h)
+    g, classes = hammock_expand(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert is_isomorphic(g, subdivide(complete(4), 2))
     assert classes["A1"] == [] and classes["B1"] == []
     assert len(classes["A0"]) == 6 and classes["B0"] == [0, 1, 2, 3]
 
 
 def test_hammock_expand_double_edge():
-    h = MultiGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 1)])
-    g, classes = hammock_expand(h)
+    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 1)]
+    g, classes = hammock_expand(4, pairs)
     assert classes["B1"] == [0, 1]
     assert len(classes["A1"]) == 2
     # degrees of original vertices preserved
-    for v in range(4):
-        assert g.degree(v) == h.degree(v)
+    assert g.degrees()[:4] == [4, 4, 3, 3]
     hams = hammocks(g)
     assert len(hams) == 1 and set(hams[0].endpoints) == {0, 1}
 
 
 def test_hammock_expand_figure_multigraph():
     # 5 hubs: a 5-cycle of simple edges, two doubled edges and two chords
-    h = MultiGraph(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (3, 4),
-                       (4, 0), (0, 2), (0, 3)])
-    assert h.min_degree() >= 3 and h.max_multiplicity() == 2
-    g, classes = hammock_expand(h)
-    for v in range(5):
-        assert g.degree(v) == h.degree(v)
+    pairs = [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (3, 4), (4, 0), (0, 2), (0, 3)]
+    g, classes = hammock_expand(5, pairs)
+    assert g.degrees()[:5] == [5, 3, 3, 4, 3]
     assert classes["B1"] == [0, 1, 3, 4]
     assert classes["B0"] == [2]
     assert len(classes["A0"]) == 7 and len(classes["A1"]) == 4
 
 
 def test_hammock_expand_rejects():
-    with pytest.raises(GraphError):
-        hammock_expand(MultiGraph(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0)]))
-    with pytest.raises(GraphError):
-        hammock_expand(MultiGraph(3, [(0, 1), (1, 2), (2, 0)]))
+    with pytest.raises(GraphError, match="minimum degree >= 3"):
+        hammock_expand(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0)])
+    with pytest.raises(GraphError, match="multiplicity <= 2"):
+        hammock_expand(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0), (2, 1), (0, 2)])
+    with pytest.raises(GraphError, match="minimum degree >= 3"):
+        hammock_expand(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(GraphError, match="loop at vertex 1"):
+        hammock_expand(2, [(0, 1), (0, 1), (1, 1), (0, 1)])
 
 
 def test_theta_and_hypercube():

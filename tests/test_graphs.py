@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_connected_graph
 from fdomlab.enumerate_graphs import all_graphs
 from fdomlab.generators import coxeter, girth6_family, theta_graph
-from fdomlab.graphs import (Graph, GraphError, MultiGraph, mask_of,
+from fdomlab.graphs import (Graph, GraphError, mask_of,
                             mask_to_list, read_graph_text, write_graph_text)
 
 
@@ -25,20 +25,11 @@ def test_no_loops_or_out_of_range():
         Graph(3, [(0, 0)])
     with pytest.raises(GraphError):
         Graph(3, [(0, 3)])
-    with pytest.raises(GraphError):
-        MultiGraph(3, [(1, 1)])
 
 
 def test_parallel_edges_collapse_in_simple_graph():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
-
-
-def test_multigraph_multiplicity():
-    h = MultiGraph(3, [(0, 1), (1, 0), (1, 2)])
-    assert h.mult[(0, 1)] == 2
-    assert h.max_multiplicity() == 2
-    assert h.degree(1) == 3
 
 
 def reference_girth(g):
