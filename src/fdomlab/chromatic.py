@@ -1,13 +1,15 @@
 """Chromatic machinery and the hardness-reduction checks.
 
-fractional_chromatic solves the covering LP over independent sets: over
-every maximal one up to CHI_F_ENUM_CAP vertices, and beyond that (or on
-at most n/2 orbits of Aut(G)) by the column-generation driver fdom.colgen,
-which also serves the fdom packing LP (smoothed duals, and a bracket when
-it runs out of rounds), one master row per orbit, each class standing for
-its set orbit.  Pricing and the dual check find maximum-weight independent
-sets as the complements of minimum-weight vertex covers, through domset's
-hitting-set search.
+fractional_chromatic first tries a greedy clique K and the greedy
+colouring: with |K| colours, chi_f = |K|, and the dual (weight 1 on K) is
+checked by K's edge tests.  Otherwise it solves the covering LP over
+independent sets: over every maximal one up to CHI_F_ENUM_CAP vertices,
+and beyond that (or on at most n/2 orbits of Aut(G)) by the
+column-generation driver fdom.colgen, which also serves the fdom packing
+LP (smoothed duals, and a bracket when it runs out of rounds), one master
+row per orbit, each class standing for its set orbit.  Pricing and the
+other dual checks find maximum-weight independent sets as the complements
+of minimum-weight vertex covers, through domset's hitting-set search.
 chromatic_number is an exact DSATUR-ordered branch-and-bound with a clique
 lower bound and an optional time budget; when the budget runs out it
 reports bounds instead of guessing.
@@ -92,15 +94,18 @@ def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
     return ((1 << g.n) - 1) & ~cover, sum(clamped) - w
 
 
-def _greedy_colouring_classes(g: Graph) -> list[int]:
-    """The colour classes of the greedy colouring, each grown to a maximal
-    independent set."""
-    colours = _greedy_colour_list(g)
+def _colour_classes(colours: list[int]) -> list[int]:
     classes = [0] * (max(colours) + 1)
     for v, c in enumerate(colours):
         classes[c] |= 1 << v
+    return classes
+
+
+def _greedy_colouring_classes(g: Graph) -> list[int]:
+    """The colour classes of the greedy colouring, each grown to a maximal
+    independent set."""
     out = []
-    for cls in classes:
+    for cls in _colour_classes(_greedy_colour_list(g)):
         for v in range(g.n):
             if not ((cls >> v) & 1) and not (g.nbr_mask[v] & cls):
                 cls |= 1 << v
@@ -113,17 +118,30 @@ CHI_F_ORBIT_MIN = 9  # from here at most n/2 orbits of Aut(G) take the orbit mas
 
 
 def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
-    """Exact chi_f via the covering LP over independent sets: over every
+    """Exact chi_f.  A greedy clique K and a greedy colouring with |K|
+    colours settle it first, with no LP and no automorphism search: the
+    classes at weight 1 and weight 1 on each vertex of K (BENCH_31.json).
+    Otherwise it solves the covering LP over independent sets: over every
     maximal independent set up to CHI_F_ENUM_CAP vertices, by fdom.colgen
     from the greedy colouring's classes beyond, or at any size on at most
     n/2 orbits (BENCH_29.json).  From CHI_F_ORBIT_MIN vertices colgen has
     one row per orbit of Aut(G), and the result carries its generators.
 
-    The dual clique weights are certified by a maximum-weight independent
-    set search: no independent set may carry weight above 1.
+    No independent set may carry dual weight above 1: a 0/1 dual on a
+    clique is certified by the clique's edge tests, since an independent
+    set meets a clique at most once; any other by a maximum-weight
+    independent set search.
     """
     if g.n == 0:
         raise ValueError("empty graph")
+    clique, classes = _greedy_clique(g), _colour_classes(_greedy_colour_list(g))
+    if len(classes) == clique.bit_count():
+        # chi_f = chi = |K|: each class at weight 1, and weight 1 on each
+        # vertex of K, which an independent set meets at most once
+        value, xs = Fraction(len(classes)), [Fraction(1)] * len(classes)
+        ys = [Fraction((clique >> v) & 1) for v in range(g.n)]
+        _check_chi_f(g, classes, value, xs, ys)
+        return FractionalChromaticResult(value, list(zip(classes, xs)), ys)
     return _covering_lp(g, automorphism_generators(g) if g.n >= CHI_F_ORBIT_MIN else [])
 
 
@@ -167,10 +185,16 @@ def _check_chi_f(g: Graph, sets: list[int], value: Fraction, xs: list[Fraction],
             cover[orbit[v]] += x
     if total != value or any(cover[r] < k for r, k in size.items()):
         raise RuntimeError("internal: covering-LP witness infeasible")
-    # no independent set above weight 1, tested on the integer numerators
+    if sum(ys, Fraction(0)) != value:
+        raise RuntimeError("internal: covering-LP dual not certified")
+    # no independent set above weight 1: a 0/1 dual on a clique K passes by
+    # K's edge tests, any other by a search on the integer numerators
+    clique = sum(1 << v for v, y in enumerate(ys) if y)
+    if all(y in (0, 1) for y in ys) and all(
+            clique & ~g.closed_mask[v] == 0 for v in iter_mask(clique)):
+        return
     ints, den = scale_to_integers(ys)
-    _, w = max_weight_independent_set(g, ints)
-    if w > den or sum(ys, Fraction(0)) != value:
+    if max_weight_independent_set(g, ints)[1] > den:
         raise RuntimeError("internal: covering-LP dual not certified")
 
 
@@ -209,13 +233,14 @@ def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
 
 
 def _greedy_clique(g: Graph) -> int:
+    """The mask of the largest clique grown greedily from any one vertex."""
     best = 0
     for v in range(g.n):
         clique = 1 << v
         for u in sorted(iter_mask(g.nbr_mask[v]), key=lambda w: -g.degree(w)):
             if (g.nbr_mask[u] & clique) == clique:
                 clique |= 1 << u
-        best = max(best, clique.bit_count())
+        best = max(best, clique, key=int.bit_count)
     return best
 
 
@@ -229,7 +254,7 @@ def chromatic_number(g: Graph, cap: int = 40,
     if g.n == 0:
         return ChromaticResult(0, 0, [])
     deadline = time.monotonic() + time_budget_ms / 1000 if time_budget_ms is not None else None
-    lower = max(_greedy_clique(g), 1)
+    lower = max(_greedy_clique(g).bit_count(), 1)
     colouring = _greedy_colour_list(g)
     upper = max(colouring) + 1
     while lower < upper:

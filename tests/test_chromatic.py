@@ -9,9 +9,11 @@ from fdomlab.chromatic import (check_reduction, chromatic_number,
                                fractional_chromatic, fullness_check,
                                join_check, max_weight_independent_set,
                                maximal_independent_sets, witness_pq_colouring)
+from fdomlab.enumerate_graphs import connected_graphs
 from fdomlab.generators import (complete, complete_bipartite, cycle,
-                                graph_square, kneser)
+                                graph_square, hypercube, kneser)
 from fdomlab.graphs import Graph, mask_to_list
+from fdomlab.iso import automorphism_generators
 
 
 def brute_max_independent(g: Graph) -> int:
@@ -38,21 +40,39 @@ def test_chi_f_lower_bounds(corpus7):
 
 
 def test_chi_f_colgen_path_agrees(corpus7, monkeypatch):
-    # forced column generation against enumeration; both pass _check_chi_f
-    from fdomlab import chromatic
+    # forced column generation against enumeration, both per vertex and
+    # without the clique/colouring shortcut; both pass _check_chi_f
     graphs = corpus7 + [cycle(11), cycle(21), kneser(5, 2)]
-    full = [fractional_chromatic(g).value for g in graphs]
+    full = [chromatic._covering_lp(g, []).value for g in graphs]
     assert full[-3:] == [F(11, 5), F(21, 10), F(5, 2)]
     monkeypatch.setattr(chromatic, "CHI_F_ENUM_CAP", 0)
-    assert [fractional_chromatic(g).value for g in graphs] == full
+    assert [chromatic._covering_lp(g, []).value for g in graphs] == full
 
 
 def test_chi_f_orbit_master_agrees(corpus7, monkeypatch):
     # the orbit master forced at every size against enumeration
-    full = [fractional_chromatic(g).value for g in corpus7]
+    full = [chromatic._covering_lp(g, []).value for g in corpus7]
     monkeypatch.setattr(chromatic, "CHI_F_ENUM_CAP", 0)
-    monkeypatch.setattr(chromatic, "CHI_F_ORBIT_MIN", 0)
-    assert [fractional_chromatic(g).value for g in corpus7] == full
+    assert [chromatic._covering_lp(g, automorphism_generators(g)).value
+            for g in corpus7] == full
+
+
+def test_chi_f_shortcut_agrees_with_the_covering_lp(corpus7, monkeypatch):
+    # an equal greedy clique and colouring settle chi_f without an LP; where
+    # they do, the value is the covering LP's
+    reduction = [g for n in range(3, 7) for g in connected_graphs(n, 1)]
+    assert len(reduction) == 141
+    lp_calls = []
+    covering_lp = chromatic._covering_lp
+    monkeypatch.setattr(chromatic, "_covering_lp",
+                        lambda g, gens: lp_calls.append(g) or covering_lp(g, gens))
+    assert sum(fractional_chromatic(g).value == covering_lp(g, []).value
+               for g in reduction) == 141
+    # 137 settle; the 4 left are C5, C5 with a pendant vertex, C5 with a
+    # twin of one vertex (each 5/2) and the 5-wheel (7/2)
+    assert sorted(covering_lp(g, []).value for g in lp_calls) == [F(5, 2)] * 3 + [F(7, 2)]
+    for g in corpus7 + [hypercube(5), complete_bipartite(7, 11), matching(17), friendship(17)]:
+        assert fractional_chromatic(g).value == covering_lp(g, []).value
 
 
 def test_chi_examples():
@@ -170,12 +190,17 @@ def friendship(m):
 def test_chi_f_orbit_classes_whose_set_orbits_are_exponential():
     # an optimal class takes one end of each edge (one vertex of each
     # triangle): 2^17 images under Aut(G), which the witness never lists
-    assert fractional_chromatic(matching(17)).value == 2
+    g = matching(17)
+    assert chromatic._covering_lp(g, automorphism_generators(g)).value == 2
     g = friendship(17)
-    res = fractional_chromatic(g)
+    res = chromatic._covering_lp(g, automorphism_generators(g))
     assert res.value == 3 and res.generators
     phi = witness_pq_colouring(g, res, 3, 1)
     assert phi.p == 3 * phi.q and phi.check(g) == (True, "ok")
+    # a triangle and a 3-colouring settle it before any LP
+    res = fractional_chromatic(g)
+    assert res.value == 3 and res.generators == []
+    assert [x for _, x in res.classes] == [1, 1, 1]
 
 
 def test_check_chi_f_reads_orbit_loads_and_generators():
@@ -190,13 +215,55 @@ def test_check_chi_f_reads_orbit_loads_and_generators():
         chromatic._check_chi_f(g, sets, res.value, xs, ys, [(1, 0) + tuple(range(2, 9))])
 
 
+def path3():
+    return Graph(3, [(0, 1), (1, 2)])
+
+
+def test_check_chi_f_rejects_a_class_that_is_not_independent():
+    with pytest.raises(RuntimeError, match="bad covering-LP witness"):
+        chromatic._check_chi_f(path3(), [0b011, 0b100], F(2), [F(1), F(1)], [F(1), F(1), F(0)])
+
+
+def test_check_chi_f_rejects_classes_that_miss_a_vertex():
+    with pytest.raises(RuntimeError, match="infeasible"):
+        chromatic._check_chi_f(path3(), [0b101], F(1), [F(1)], [F(1), F(0), F(0)])
+
+
+def test_check_chi_f_rejects_a_value_that_is_not_the_weights_total():
+    with pytest.raises(RuntimeError, match="infeasible"):
+        chromatic._check_chi_f(path3(), [0b101, 0b010], F(3), [F(1), F(1)],
+                               [F(1), F(1), F(1)])
+
+
+def test_check_chi_f_searches_a_0_1_dual_off_a_clique(monkeypatch):
+    # y on the two ends of P3: not a clique, and {0, 2} weighs 2
+    searched = []
+    search = chromatic.max_weight_independent_set
+    monkeypatch.setattr(chromatic, "max_weight_independent_set",
+                        lambda g, w: searched.append(w) or search(g, w))
+    with pytest.raises(RuntimeError, match="dual not certified"):
+        chromatic._check_chi_f(path3(), [0b101, 0b010], F(2), [F(1), F(1)],
+                               [F(1), F(0), F(1)])
+    assert searched == [[1, 0, 1]]
+
+
+def test_check_chi_f_proves_a_clique_dual_by_edge_tests(monkeypatch):
+    def no_search(g, w):
+        raise AssertionError("a clique dual needs no search")
+    monkeypatch.setattr(chromatic, "max_weight_independent_set", no_search)
+    chromatic._check_chi_f(path3(), [0b101, 0b010], F(2), [F(1), F(1)], [F(1), F(1), F(0)])
+    res = fractional_chromatic(complete(5))
+    sets, xs = [s for s, _ in res.classes], [x for _, x in res.classes]
+    chromatic._check_chi_f(complete(5), sets, res.value, xs, res.clique_weights)
+
+
 @pytest.mark.parametrize("g, value", [
     (Graph(10, [(i, i + 1) for i in range(9)] + [(1, 3)]), 3),  # trivial group
     (Graph(12, list(cycle(10).edges()) + [(0, 10), (0, 11)]), 2),  # 7 orbits
 ])
 def test_chi_f_enumerates_below_the_cap_on_more_than_half_as_many_orbits(g, value):
     assert g.n >= chromatic.CHI_F_ORBIT_MIN
-    res = fractional_chromatic(g)
+    res = chromatic._covering_lp(g, automorphism_generators(g))
     assert res.generators == [] and res.value == value
 
 
