@@ -13,10 +13,10 @@ from .structure import cut_vertices, find_long_suspended_path, SuspendedPath, Ha
 from .badfamily import bad_family_check, bad_family_members
 from .domset import (is_dominating, enumerate_minimal_dominating_sets,
                      domination_number, min_weight_dominating_set,
-                     domatic_number, CapExceeded)
+                     max_weight_independent_set, domatic_number, CapExceeded)
 from .fdom import (fdom_exact, fdom_colgen, verify_primal, verify_dual,
                    closed_form_certificate, sample_lnbound, pq_colouring_exists,
-                   PrimalCertificate, DualCertificate, FdomResult)
+                   PrimalCertificate, DualCertificate, LPResult)
 from .distributions import (DominatingDistribution, FractionalColouring,
                             verify_f_dominating, colouring_to_distribution,
                             distribution_to_colouring, complete_to_r,
@@ -30,5 +30,5 @@ from .construct import (construct52, planar_girth_construct,
 from .figures import exceptional_colouring, catalog_keys
 from .chromatic import (fractional_chromatic, chromatic_number,
                         check_reduction, fullness_check, join_check,
-                        maximal_independent_sets, max_weight_independent_set)
+                        maximal_independent_sets)
 from .enumerate_graphs import all_graphs, connected_graphs

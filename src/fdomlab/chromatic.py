@@ -7,9 +7,9 @@ independent sets: over every maximal one up to CHI_F_ENUM_CAP vertices,
 and beyond that (or on at most n/2 orbits of Aut(G)) by the
 column-generation driver fdom.colgen, which also serves the fdom packing
 LP (smoothed duals, and a bracket when it runs out of rounds), one master
-row per orbit, each class standing for its set orbit.  Pricing and the
-other dual checks find maximum-weight independent sets as the complements
-of minimum-weight vertex covers, through domset's hitting-set search.
+row per orbit, each class standing for its set orbit, priced by
+domset.max_weight_independent_set.  Results are fdom's LPResults, checked
+by fdom.certify at sense -1: fdom's checks with the inequalities flipped.
 chromatic_number is an exact DSATUR-ordered branch-and-bound with a clique
 lower bound and an optional time budget; when the budget runs out it
 reports bounds instead of guessing.
@@ -18,28 +18,19 @@ reports bounds instead of guessing.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .distributions import FractionalColouring
-from .domset import CapExceeded, min_weight_hitting_set
-from .fdom import automorphism_orbits, colgen, fdom_colgen, fdom_exact
+from .domset import CapExceeded, max_weight_independent_set
+from .fdom import (DualCertificate, LPResult, PrimalCertificate, certify, colgen,
+                   fdom_colgen, fdom_exact, result_from_master)
 from .generators import graph_square, join_with_clique, split_construction
-from .graphs import Graph, iter_mask, mask_to_list, scale_to_integers
+from .graphs import Graph, iter_mask, mask_to_list
 from .iso import automorphism_generators, orbit_index
 from .simplex import simplex_exact
-
-
-@dataclass
-class FractionalChromaticResult:
-    value: Fraction
-    classes: list[tuple[int, Fraction]]  # (independent-set mask, weight)
-    clique_weights: list[Fraction]       # dual witness, max ind-set weight <= 1
-    # with generators, each class stands for its set orbit under them
-    generators: list[tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -79,21 +70,6 @@ def maximal_independent_sets(g: Graph) -> list[int]:
     return out
 
 
-def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
-                               ) -> tuple[int, int | Fraction]:
-    """A maximum-weight independent set: the complement of a minimum-weight
-    vertex cover, the hitting set of the edges, under the weights clamped
-    at 0.  Vertices of weight <= 0 are never in it."""
-    edges = g.edges()
-    hits = [0] * g.n
-    for i, (u, v) in enumerate(edges):
-        hits[u] |= 1 << i
-        hits[v] |= 1 << i
-    clamped = [max(w, 0) for w in weights]
-    cover, w = min_weight_hitting_set([1 << u | 1 << v for u, v in edges], hits, clamped)
-    return ((1 << g.n) - 1) & ~cover, sum(clamped) - w
-
-
 def _colour_classes(colours: list[int]) -> list[int]:
     classes = [0] * (max(colours) + 1)
     for v, c in enumerate(colours):
@@ -117,7 +93,7 @@ CHI_F_ENUM_CAP = 25  # above this many vertices chi_f runs column generation
 CHI_F_ORBIT_MIN = 9  # from here at most n/2 orbits of Aut(G) take the orbit master
 
 
-def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
+def fractional_chromatic(g: Graph) -> LPResult:
     """Exact chi_f.  A greedy clique K and a greedy colouring with |K|
     colours settle it first, with no LP and no automorphism search: the
     classes at weight 1 and weight 1 on each vertex of K (BENCH_31.json).
@@ -125,12 +101,7 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     maximal independent set up to CHI_F_ENUM_CAP vertices, by fdom.colgen
     from the greedy colouring's classes beyond, or at any size on at most
     n/2 orbits (BENCH_29.json).  From CHI_F_ORBIT_MIN vertices colgen has
-    one row per orbit of Aut(G), and the result carries its generators.
-
-    No independent set may carry dual weight above 1: a 0/1 dual on a
-    clique is certified by the clique's edge tests, since an independent
-    set meets a clique at most once; any other by a maximum-weight
-    independent set search.
+    one row per orbit of Aut(G), and the primal carries its generators.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -138,80 +109,40 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     if len(classes) == clique.bit_count():
         # chi_f = chi = |K|: each class at weight 1, and weight 1 on each
         # vertex of K, which an independent set meets at most once
-        value, xs = Fraction(len(classes)), [Fraction(1)] * len(classes)
-        ys = [Fraction((clique >> v) & 1) for v in range(g.n)]
-        _check_chi_f(g, classes, value, xs, ys)
-        return FractionalChromaticResult(value, list(zip(classes, xs)), ys)
+        value = Fraction(len(classes))
+        dual = DualCertificate([Fraction((clique >> v) & 1) for v in range(g.n)], value)
+        return certify(g, PrimalCertificate([(s, Fraction(1)) for s in classes], value), dual, -1)
     return _covering_lp(g, automorphism_generators(g) if g.n >= CHI_F_ORBIT_MIN else [])
 
 
-def _covering_lp(g: Graph, gens: list[tuple[int, ...]]) -> FractionalChromaticResult:
+def _covering_lp(g: Graph, gens: list[tuple[int, ...]]) -> LPResult:
     row = orbit_index(g.n, gens)
-    if g.n <= CHI_F_ENUM_CAP and 2 * (max(row) + 1) > g.n:
-        gens = []
-        # min sum x, Ax >= 1, x >= 0  ==  max sum(-x), -Ax <= -1
-        sets = maximal_independent_sets(g)
-        res = simplex_exact([-1] * len(sets),
-                            [[-1 if (s >> v) & 1 else 0 for s in sets] for v in range(g.n)],
-                            [-1] * g.n)
-        value, xs, ys = -res.value, res.x, res.y
-    else:
+    if g.n > CHI_F_ENUM_CAP or 2 * (max(row) + 1) <= g.n:
         master, sets = colgen(row, -1, _greedy_colouring_classes(g),
                               lambda y: max_weight_independent_set(g, y), "chi_f", Fraction(1))
-        value, xs, duals = -master.value(), master.primal(), master.duals()
-        ys = [duals[i] for i in row]
-    _check_chi_f(g, sets, value, xs, ys, gens)
-    return FractionalChromaticResult(value, [(s, x) for s, x in zip(sets, xs) if x], ys, gens)
+        return result_from_master(g, master, sets, gens, -1)
+    # min sum x, Ax >= 1, x >= 0  ==  max sum(-x), -Ax <= -1
+    sets = maximal_independent_sets(g)
+    res = simplex_exact([-1] * len(sets),
+                        [[-1 if (s >> v) & 1 else 0 for s in sets] for v in range(g.n)],
+                        [-1] * g.n)
+    return certify(g, PrimalCertificate([(s, x) for s, x in zip(sets, res.x) if x], -res.value),
+                   DualCertificate(res.y, -res.value), -1)
 
 
-def _check_chi_f(g: Graph, sets: list[int], value: Fraction, xs: list[Fraction],
-                 ys: list[Fraction], gens: Sequence[tuple[int, ...]] = ()) -> None:
-    """Each orbit O of gens covered |O| times, so the set orbits of the
-    classes, each image at an equal share, cover every vertex once."""
-    try:
-        orbit = automorphism_orbits(g, gens)
-    except ValueError as e:
-        raise RuntimeError(f"internal: {e}") from e
-    size = Counter(orbit)
-    cover = [Fraction(0)] * g.n
-    total = Fraction(0)
-    for s, x in zip(sets, xs):
-        if x == 0:
-            continue  # adds nothing to any cover
-        if x < 0 or any(g.nbr_mask[v] & s for v in iter_mask(s)):
-            raise RuntimeError("internal: bad covering-LP witness")
-        total += x
-        for v in iter_mask(s):
-            cover[orbit[v]] += x
-    if total != value or any(cover[r] < k for r, k in size.items()):
-        raise RuntimeError("internal: covering-LP witness infeasible")
-    if sum(ys, Fraction(0)) != value:
-        raise RuntimeError("internal: covering-LP dual not certified")
-    # no independent set above weight 1: a 0/1 dual on a clique K passes by
-    # K's edge tests, any other by a search on the integer numerators
-    clique = sum(1 << v for v, y in enumerate(ys) if y)
-    if all(y in (0, 1) for y in ys) and all(
-            clique & ~g.closed_mask[v] == 0 for v in iter_mask(clique)):
-        return
-    ints, den = scale_to_integers(ys)
-    if max_weight_independent_set(g, ints)[1] > den:
-        raise RuntimeError("internal: covering-LP dual not certified")
-
-
-def witness_pq_colouring(g: Graph, res: FractionalChromaticResult,
+def witness_pq_colouring(g: Graph, res: LPResult,
                          ratio_p: int, ratio_q: int) -> FractionalColouring:
     """Turn an LP witness with value <= ratio into a proper (P:Q)-colouring
     with P/Q = ratio_p/ratio_q exactly, by replicating classes Q*x_S times,
     trimming over-covered vertices and padding with unused colours.  A
     result on the orbit master is solved again per vertex first: its set
     orbits can number 2^(n/2), as on a perfect matching."""
-    if res.generators:
+    if res.primal.generators:
         res = _covering_lp(g, [])
-    q = lcm(*[x.denominator for _, x in res.classes]) if res.classes else 1
-    q = lcm(q, ratio_q)
+    q = lcm(ratio_q, *[x.denominator for _, x in res.primal.columns])
     assignment: list[set[int]] = [set() for _ in range(g.n)]
     colour = 0
-    for s, x in res.classes:
+    for s, x in res.primal.columns:
         copies = x * q
         if copies.denominator != 1:
             raise RuntimeError(f"class weight {x} is not a multiple of 1/{q}")

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
-budget exceeded, 4 internal error (a construction or certificate failed
-its own check).  Rationals are printed as num/den, never as decimals.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap,
+budget or memory exceeded, 4 internal error (a construction or certificate
+failed its own check).  Rationals are printed as num/den, never as decimals.
 All randomness flows through --seed (default 0) into random.Random, a
 Mersenne Twister, identical across platforms.  The environment variable
 FDOMLAB_TIME_BUDGET_MS bounds the integral-chromatic searches.
@@ -29,7 +29,7 @@ from .domset import CapExceeded, domatic_number, domination_number
 from .fdom import (DualCertificate, PrimalCertificate, certificate_from_json,
                    closed_form_certificate, fdom_colgen, fdom_exact,
                    sample_lnbound, verify_dual, verify_primal)
-from .generators import generate_named
+from .generators import check_named, generate_named
 from .graphs import (Graph, GraphError, RationalError, mask_to_list,
                      read_graph_text, read_int, write_graph_text)
 from .structure import hammocks
@@ -256,6 +256,7 @@ def _cmd_family_cert(args) -> int:
         if len(args.params) != len(names):
             raise GraphError(f"--kind {args.kind} takes the parameters {' '.join(names)}")
         kw = dict(zip(names, args.params))
+        check_named(family, tuple(args.params))  # before the certificate is built
         target = (_load_graph(args.input) if args.input
                   else generate_named(family, tuple(args.params)))
     else:
@@ -433,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.caps = _caps(args.caps)
         return args.fn(args)
-    except CapExceeded as e:
-        print(f"cap exceeded: {e}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as e:
+        print(f"cap exceeded: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except RuntimeError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -6,7 +6,7 @@ Vertex sets are Python-int bitmasks throughout.  Weights are exact: ints or
 Fractions.  One minimum-weight hitting set, min_weight_hitting_set, prices
 and checks both LPs: over closed neighbourhoods it is
 min_weight_dominating_set (fdom), over edges a vertex cover, whose
-complement is chi_f's maximum-weight independent set.  Two exact engines
+complement is max_weight_independent_set (chi_f).  Two exact engines
 give the same answer: a packing-bound branch-and-bound, and a frontier DP
 (Telle & Proskurowski, SIAM J. Discrete Math. 1997, in hitting-set form).
 Each family is prepared once and races them: a call that overflows the
@@ -369,6 +369,21 @@ def min_weight_dominating_set(g: Graph, weights: Sequence[int | Fraction]
     closed neighbourhoods, which are their own transpose (u is in N[v]
     iff v is in N[u]).  Ties go to the smallest bitmask."""
     return min_weight_hitting_set(g.closed_mask, g.closed_mask, weights)
+
+
+def max_weight_independent_set(g: Graph, weights: Sequence[int | Fraction]
+                               ) -> tuple[int, int | Fraction]:
+    """A maximum-weight independent set: the complement of a minimum-weight
+    vertex cover, the hitting set of the edges, under the weights clamped
+    at 0.  Vertices of weight <= 0 are never in it."""
+    edges = g.edges()
+    hits = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        hits[u] |= 1 << i
+        hits[v] |= 1 << i
+    clamped = [max(w, 0) for w in weights]
+    cover, w = min_weight_hitting_set([1 << u | 1 << v for u, v in edges], hits, clamped)
+    return ((1 << g.n) - 1) & ~cover, sum(clamped) - w
 
 
 def domatic_number(g: Graph) -> tuple[int, list[int]]:

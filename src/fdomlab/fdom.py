@@ -11,7 +11,8 @@ with the partition's classes and a closed neighbourhood at weight 1.
 Every result carries both certificates and they are verified, in exact
 rationals, before being returned: the primal (columns and group
 generators) by direct constraint checking, the dual by an independent
-branch-and-bound over dominating sets.
+branch-and-bound over dominating sets.  chi_f's covering LP (this LP
+flipped, over independent sets) uses LPResult and these checks at sense -1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Callable, Optional, Sequence
 from .domset import (CapExceeded, complete_to_dominating, coverage, domatic_partition,
                      dominating_colouring, domination_number,
                      enumerate_minimal_dominating_sets, is_dominating,
-                     min_weight_dominating_set, min_weight_hitting_set)
+                     max_weight_independent_set, min_weight_dominating_set,
+                     min_weight_hitting_set)
 from .distributions import FractionalColouring
 from .graphs import (Graph, fraction_from_pair, fraction_to_pair, iter_mask, json_field,
                      json_list, mask_of, mask_to_list, scale_to_integers, vertex_list)
@@ -42,10 +44,11 @@ class CertificateError(ValueError):
 
 @dataclass
 class PrimalCertificate:
-    """Columns (dominating-set bitmask, weight) and automorphisms generating
+    """Columns (vertex-set bitmask, weight) and automorphisms generating
     a group Gamma (none for the trivial group).  Each orbit O of Gamma
-    carries load sum_j x_j |S_j & O| <= |O|, so averaging every column over
-    Gamma gives per-vertex load <= 1; the objective is the total weight."""
+    carries load sum_j x_j |S_j & O| <= |O| over dominating sets (fdom), or
+    >= |O| over independent sets (chi_f), so averaging every column over
+    Gamma gives per-vertex load <= 1 (>= 1); the objective is the total."""
 
     columns: list[tuple[int, Fraction]]
     objective: Fraction
@@ -66,8 +69,8 @@ class PrimalCertificate:
 @dataclass
 class DualCertificate:
     """Nonnegative vertex weights and their stated total (by default their
-    total); valid iff the value is the total and every dominating set has
-    weight >= 1, certifying fdom <= value."""
+    total); valid iff the value is the total and every dominating set weighs
+    >= 1 (independent set <= 1), certifying fdom <= value (chi_f >= value)."""
 
     weights: list[Fraction]
     value: Optional[Fraction] = None
@@ -89,7 +92,7 @@ class DualCertificate:
 
 
 @dataclass
-class FdomResult:
+class LPResult:  # a vertex-set LP's optimum and its two checked certificates
     value: Fraction
     primal: PrimalCertificate
     dual: DualCertificate
@@ -130,11 +133,10 @@ def automorphism_orbits(g: Graph, generators: Sequence[tuple[int, ...]]) -> list
     return [find(v) for v in range(g.n)]
 
 
-def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
-    """Check the generators (automorphism_orbits), domination of every
-    column, nonnegativity, each orbit's load <= its size (per-vertex loads
-    <= 1 with no generators) and the objective arithmetic.
-    Returns (ok, reason)."""
+def verify_primal(g: Graph, cert: PrimalCertificate, sense: int = 1) -> tuple[bool, str]:
+    """(ok, reason): the generators (automorphism_orbits), each column
+    (dominating at sense 1, independent at -1, weight >= 0), each orbit's load
+    against its size (<= at 1, >= at -1) and the objective arithmetic."""
     try:
         orbit = automorphism_orbits(g, cert.generators)
     except ValueError as e:
@@ -147,23 +149,26 @@ def verify_primal(g: Graph, cert: PrimalCertificate) -> tuple[bool, str]:
             return False, f"column {mask_to_list(s)} has a vertex out of range for n={g.n}"
         if x < 0:
             return False, f"negative weight on column {mask_to_list(s)}"
-        if not is_dominating(g, s):
+        if sense > 0 and not is_dominating(g, s):
             return False, f"column {mask_to_list(s)} is not dominating"
+        if sense < 0 and any(g.nbr_mask[v] & s for v in iter_mask(s)):
+            return False, f"column {mask_to_list(s)} is not independent"
         total += x
-        for v in mask_to_list(s):
+        for v in iter_mask(s):
             loads[orbit[v]] += x
     for v, load in enumerate(loads):
-        if load > size[v]:
+        if load > size[v] if sense > 0 else load < size[v]:
             where = "vertex" if size[v] == 1 else "the orbit of vertex"
-            return False, f"load {load} > {size[v]} at {where} {v}"
+            return False, f"load {load} {'>' if sense > 0 else '<'} {size[v]} at {where} {v}"
     if total != cert.objective:
         return False, f"objective mismatch: {total} != {cert.objective}"
     return True, "ok"
 
 
-def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
-    """(ok, reason).  The lightest dominating set is searched for on the
-    weights' numerators over their common denominator den: >= den is >= 1."""
+def verify_dual(g: Graph, cert: DualCertificate, sense: int = 1) -> tuple[bool, str]:
+    """(ok, reason).  The lightest dominating set (sense 1), or the heaviest
+    independent set (-1) unless a 0/1 dual's support is a clique, is searched
+    for on the weights' numerators over their common denominator den."""
     if len(cert.weights) != g.n:
         return False, f"certificate has {len(cert.weights)} weights for n={g.n}"
     for v, w in enumerate(cert.weights):
@@ -171,40 +176,50 @@ def verify_dual(g: Graph, cert: DualCertificate) -> tuple[bool, str]:
             return False, f"negative weight {w} at vertex {v}"
     if cert.total != cert.value:
         return False, f"value mismatch: {cert.total} != {cert.value}"
+    clique = sum(1 << v for v, w in enumerate(cert.weights) if w) if sense < 0 else 0
+    if clique and all(w in (0, 1) for w in cert.weights) and all(
+            clique & ~g.closed_mask[v] == 0 for v in iter_mask(clique)):
+        return True, "ok"
     ints, den = scale_to_integers(cert.weights)
-    _, low = min_weight_hitting_set(g.closed_mask, g.closed_mask, ints)
-    if low < den:
-        return False, f"a dominating set has weight {Fraction(low, den)} < 1"
+    if sense > 0:
+        _, low = min_weight_hitting_set(g.closed_mask, g.closed_mask, ints)
+        if low < den:
+            return False, f"a dominating set has weight {Fraction(low, den)} < 1"
+    elif (high := max_weight_independent_set(g, ints)[1]) > den:
+        return False, f"an independent set has weight {Fraction(high, den)} > 1"
     return True, "ok"
 
 
-def _certified(g: Graph, primal: PrimalCertificate, dual: DualCertificate) -> FdomResult:
-    """The result both certificates prove, once each verifies and their
-    values agree; RuntimeError otherwise."""
-    ok, why = verify_primal(g, primal)
+def certify(g: Graph, primal: PrimalCertificate, dual: DualCertificate,
+            sense: int = 1) -> LPResult:
+    """The result both certificates prove, once each verifies at this sense
+    and their values agree; RuntimeError otherwise."""
+    ok, why = verify_primal(g, primal, sense)
     if not ok:
         raise RuntimeError(f"primal verification failed: {why}")
-    ok, why = verify_dual(g, dual)
+    ok, why = verify_dual(g, dual, sense)
     if not ok:
         raise RuntimeError(f"dual verification failed: {why}")
     if primal.objective != dual.value:
         raise RuntimeError(f"certificates disagree: {primal.objective} != {dual.value}")
-    return FdomResult(primal.objective, primal, dual)
+    return LPResult(primal.objective, primal, dual)
 
 
-def _result_from_master(g: Graph, master: IntegerLP, columns: list[int],
-                        gens: Sequence[tuple[int, ...]] = ()) -> FdomResult:
-    value = master.value()
+def result_from_master(g: Graph, master: IntegerLP, columns: list[int],
+                       gens: Sequence[tuple[int, ...]] = (), sense: int = 1) -> LPResult:
+    """certify of colgen's optimal master at this sense, the dual per vertex."""
+    value = sense * master.value()
     primal = PrimalCertificate(
         [(s, x) for s, x in zip(columns, master.primal()) if x > 0], value, list(gens))
     ys = master.duals()  # per vertex y_{O(v)}; verify_dual checks the duality
-    return _certified(g, primal, DualCertificate([ys[i] for i in orbit_index(g.n, gens)], value))
+    return certify(g, primal, DualCertificate([ys[i] for i in orbit_index(g.n, gens)], value),
+                   sense)
 
 
 PARTITION_NODES = 64  # colouring-search nodes per vertex fdom_exact spends on a partition
 
 
-def fdom_exact(g: Graph, cap: int = 20) -> FdomResult:
+def fdom_exact(g: Graph, cap: int = 20) -> LPResult:
     """fdom of a graph with at most cap vertices (CapExceeded beyond).
 
     A partition into delta+1 dominating sets, searched for within
@@ -225,14 +240,14 @@ def fdom_exact(g: Graph, cap: int = 20) -> FdomResult:
     except CapExceeded:
         part = None
     if part is not None:
-        return _certified(g, PrimalCertificate([(s, Fraction(1)) for s in part], Fraction(k)),
-                          neighbourhood_certificate(g))
+        return certify(g, PrimalCertificate([(s, Fraction(1)) for s in part], Fraction(k)),
+                       neighbourhood_certificate(g))
     master = IntegerLP([1] * g.n)
     columns = list(enumerate_minimal_dominating_sets(g, cap=cap))
     for col in columns:
         master.add_column([(v, 1) for v in mask_to_list(col)], 1)
     master.reoptimize()
-    return _result_from_master(g, master, columns)
+    return result_from_master(g, master, columns)
 
 
 def _greedy_domatic_columns(g: Graph) -> list[int]:
@@ -333,7 +348,7 @@ def colgen(row: Sequence[int], sense: int, pool: Sequence[int],
         f"{name} in [{lower}, {upper}]")
 
 
-def fdom_colgen(g: Graph) -> FdomResult:
+def fdom_colgen(g: Graph) -> LPResult:
     """fdom by colgen over the orbits of automorphism_generators(g), seeded
     with a greedy domatic partition and the closed neighbourhoods completed
     to dominating sets, priced by a minimum-weight dominating set under the
@@ -347,7 +362,7 @@ def fdom_colgen(g: Graph) -> FdomResult:
     master, columns = colgen(orbit_index(g.n, gens), 1, pool,
                              lambda y: min_weight_dominating_set(g, y),
                              "fdom", Fraction(g.min_degree() + 1))
-    return _result_from_master(g, master, columns, gens)
+    return result_from_master(g, master, columns, gens)
 
 
 # -- closed-form certificates -----------------------------------------

@@ -21,8 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from importlib import resources
+from math import comb
 
-from .graphs import Graph, GraphError, mask_to_list, read_graph_text
+from .graphs import MAX_VERTICES, Graph, GraphError, mask_to_list, read_graph_text
 
 
 def cycle(n: int) -> Graph:
@@ -222,28 +223,40 @@ def hammock_expand(n: int, pairs: list[tuple[int, int]]
     return Graph(nxt, edges), classes
 
 
+def _comb(n: int, k: int) -> int:  # C(n, k), or n alone once that passes MAX_VERTICES
+    return n if n > MAX_VERTICES else comb(max(n, 0), max(k, 0))
+
+
 _NAMED = {
-    "cycle": (1, lambda p: cycle(p[0])),
-    "path": (1, lambda p: path(p[0])),
-    "complete": (1, lambda p: complete(p[0])),
-    "complete_bipartite": (2, lambda p: complete_bipartite(p[0], p[1])),
-    "kneser": (2, lambda p: kneser(p[0], p[1])),
-    "hypercube": (1, lambda p: hypercube(p[0])),
-    "coxeter": (0, lambda p: coxeter()),
-    "petersen": (0, lambda p: kneser(5, 2)),
-    "theta": (-1, lambda p: theta_graph(tuple(p))),
-    "incidence": (2, lambda p: incidence_graph(p[0], p[1])),
-    "girth6": (1, lambda p: girth6_family(p[0])),
+    "cycle": (1, lambda p: cycle(p[0]), lambda p: p[0]),
+    "path": (1, lambda p: path(p[0]), lambda p: p[0]),
+    "complete": (1, lambda p: complete(p[0]), lambda p: p[0]),
+    "complete_bipartite": (2, lambda p: complete_bipartite(p[0], p[1]), sum),
+    "kneser": (2, lambda p: kneser(p[0], p[1]), lambda p: _comb(*p)),
+    "hypercube": (1, lambda p: hypercube(p[0]), lambda p: 2 ** min(p[0], 17)),
+    "coxeter": (0, lambda p: coxeter(), lambda p: 28),
+    "petersen": (0, lambda p: kneser(5, 2), lambda p: 10),
+    "theta": (-1, lambda p: theta_graph(tuple(p)), lambda p: 2 + sum(l - 1 for l in p)),
+    "incidence": (2, lambda p: incidence_graph(p[0], p[1]), lambda p: p[0] + _comb(*p)),
+    "girth6": (1, lambda p: girth6_family(p[0]), lambda p: 3 * p[0] ** 2 + p[0]),
 }
+
+
+def check_named(name: str, params: tuple[int, ...]) -> None:
+    """GraphError unless name is a catalog family taking these parameters,
+    which imply at most MAX_VERTICES vertices (the graph file's cap)."""
+    if name not in _NAMED:
+        raise GraphError(f"unknown graph family {name!r}")
+    arity, _, order = _NAMED[name]
+    if arity >= 0 and len(params) != arity:
+        raise GraphError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    if order(list(params)) > MAX_VERTICES:
+        raise GraphError(f"family {name!r} on {list(params)} exceeds {MAX_VERTICES} vertices")
 
 
 def generate_named(name: str, params: tuple[int, ...] = ()) -> Graph:
     """Catalog dispatch: cycle n | path n | complete n | complete_bipartite m n
     | kneser a b | hypercube d | coxeter | petersen | theta l1 l2 l3...
-    | incidence n d | girth6 n."""
-    if name not in _NAMED:
-        raise GraphError(f"unknown graph family {name!r}")
-    arity, fn = _NAMED[name]
-    if arity >= 0 and len(params) != arity:
-        raise GraphError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-    return fn(list(params))
+    | incidence n d | girth6 n, after check_named."""
+    check_named(name, params)
+    return _NAMED[name][1](list(params))

@@ -1,6 +1,6 @@
 """Differential tests of the exact weighted branch-and-bound
 (min_weight_hitting_set, and the dominating-set and independent-set searches
-built on it) and the certificate checks built on them, against brute force
+built on it) and the certificate checks of both LPs, against brute force
 over all subsets in Fraction arithmetic."""
 
 import random
@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdomlab.chromatic import (_check_chi_f, fractional_chromatic,
-                               max_weight_independent_set)
-from fdomlab.domset import (is_dominating, min_weight_dominating_set,
-                            min_weight_hitting_set)
-from fdomlab.fdom import DualCertificate, verify_dual
+from fdomlab.chromatic import fractional_chromatic
+from fdomlab.domset import (is_dominating, max_weight_independent_set,
+                            min_weight_dominating_set, min_weight_hitting_set)
+from fdomlab.fdom import DualCertificate, PrimalCertificate, verify_dual, verify_primal
 from fdomlab.graphs import Graph, mask_to_list
+from fdomlab.iso import automorphism_generators
 
 
 @st.composite
@@ -89,24 +89,85 @@ def test_verify_bottleneck_matches_brute_force(g, data):
 @settings(max_examples=60, deadline=None)
 def test_check_chi_f_dual_matches_brute_force(g, data):
     # optimal duals moved by e from vertex b to vertex a: the total, hence
-    # the value, is kept, so only the independent-set test decides
+    # the value, is kept, so only the sign and the independent-set test decide
     res = fractional_chromatic(g)
-    sets, xs = [s for s, _ in res.classes], [x for _, x in res.classes]
-    ys = list(res.clique_weights)
+    ys = list(res.dual.weights)
     a = data.draw(st.integers(0, g.n - 1))
     b = data.draw(st.integers(0, g.n - 1))
     e = data.draw(st.fractions(min_value=-1, max_value=1, max_denominator=6))
     ys[a] += e
     ys[b] -= e
-    accept = brute_max_independent(g, ys) <= 1
-    try:
-        _check_chi_f(g, sets, res.value, xs, ys)
-        accepted = True
-    except RuntimeError:
-        accepted = False
-    assert accepted == accept
+    accept = min(ys) >= 0 and brute_max_independent(g, ys) <= 1
+    ok, _ = verify_dual(g, DualCertificate(ys, res.value), -1)
+    assert ok == accept
     if e == 0:
-        assert accepted and brute_max_independent(g, ys) == 1
+        assert ok and brute_max_independent(g, ys) == 1
+
+
+def brute_covering_primal_ok(g, columns, objective, generators):
+    """A covering primal's validity from first principles: each generator
+    a permutation keeping every edge, each column an in-range independent
+    set of weight >= 0, each orbit O (its closure under the generators)
+    covered >= |O| times, and the objective the weights' total."""
+    edges = {frozenset(e) for e in g.edges()}
+    for p in generators:
+        if sorted(p) != list(range(g.n)) or any(
+                frozenset((p[u], p[v])) not in edges for u, v in edges):
+            return False
+    for s, x in columns:
+        if s >> g.n or x < 0 or any(frozenset((u, v)) in edges for u in mask_to_list(s)
+                                    for v in mask_to_list(s)):
+            return False
+    for v in range(g.n):
+        orbit, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for w in (p[u] for p in generators):
+                if w not in orbit:
+                    orbit.add(w)
+                    todo.append(w)
+        cover = sum((x * sum(1 for u in orbit if s >> u & 1) for s, x in columns), F(0))
+        if cover < len(orbit):
+            return False
+    return sum((x for _, x in columns), F(0)) == objective
+
+
+@given(graphs(max_n=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_covering_primal_matches_brute_force(g, data):
+    # a valid covering primal, per vertex or under Aut(G), mutated at random:
+    # verify_primal never raises and accepts exactly what the brute force does
+    res = fractional_chromatic(g)
+    columns = list(res.primal.columns)
+    gens = data.draw(st.sampled_from([[], automorphism_generators(g)]))
+    gens = [list(p) for p in gens]
+    objective = res.value
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(
+            ["weight", "toggle", "drop", "copy", "objective", "restate", "generator"]))
+        if kind == "weight" and columns:
+            j = data.draw(st.integers(0, len(columns) - 1))
+            columns[j] = (columns[j][0], data.draw(
+                st.fractions(min_value=-2, max_value=2, max_denominator=4)))
+        elif kind == "toggle" and columns:
+            j = data.draw(st.integers(0, len(columns) - 1))
+            columns[j] = (columns[j][0] ^ 1 << data.draw(st.integers(0, g.n)), columns[j][1])
+        elif kind == "drop" and columns:
+            columns.pop(data.draw(st.integers(0, len(columns) - 1)))
+        elif kind == "copy" and columns:
+            columns.append(data.draw(st.sampled_from(columns)))
+        elif kind == "objective":
+            objective += data.draw(st.sampled_from([F(-1), F(1, 2), F(1)]))
+        elif kind == "restate":
+            objective = sum((x for _, x in columns), F(0))
+        elif kind == "generator":
+            p = data.draw(st.permutations(range(g.n)))
+            if data.draw(st.booleans()):
+                p[0] = p[-1]  # no longer a permutation unless n = 1
+            gens.append(p)
+    cert = PrimalCertificate(columns, objective, [tuple(p) for p in gens])
+    ok, _ = verify_primal(g, cert, -1)
+    assert ok == brute_covering_primal_ok(g, columns, objective, gens)
 
 
 @st.composite

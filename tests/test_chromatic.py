@@ -4,15 +4,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from fdomlab import chromatic
+from fdomlab import chromatic, fdom
 from fdomlab.chromatic import (check_reduction, chromatic_number,
                                fractional_chromatic, fullness_check,
-                               join_check, max_weight_independent_set,
-                               maximal_independent_sets, witness_pq_colouring)
+                               join_check, maximal_independent_sets,
+                               witness_pq_colouring)
+from fdomlab.domset import max_weight_independent_set
 from fdomlab.enumerate_graphs import connected_graphs
+from fdomlab.fdom import DualCertificate, PrimalCertificate, verify_dual, verify_primal
 from fdomlab.generators import (complete, complete_bipartite, cycle,
                                 graph_square, hypercube, kneser)
-from fdomlab.graphs import Graph, mask_to_list
+from fdomlab.graphs import Graph, mask_of, mask_to_list
 from fdomlab.iso import automorphism_generators
 
 
@@ -41,7 +43,7 @@ def test_chi_f_lower_bounds(corpus7):
 
 def test_chi_f_colgen_path_agrees(corpus7, monkeypatch):
     # forced column generation against enumeration, both per vertex and
-    # without the clique/colouring shortcut; both pass _check_chi_f
+    # without the clique/colouring shortcut; both pass fdom.certify
     graphs = corpus7 + [cycle(11), cycle(21), kneser(5, 2)]
     full = [chromatic._covering_lp(g, []).value for g in graphs]
     assert full[-3:] == [F(11, 5), F(21, 10), F(5, 2)]
@@ -172,7 +174,7 @@ def test_check_reduction_examples():
 def test_check_reduction_colours_the_split_graph_above_the_orbit_min(g):
     # chi_f runs on the orbit master and the witness solves again per
     # vertex; the extension onto S(G) dominates only if its classes colour G
-    assert fractional_chromatic(g).generators
+    assert fractional_chromatic(g).primal.generators
     r = check_reduction(g)
     assert r.chi_f <= 3 and r.fdom_split >= 3 and r.equivalence_holds
     assert r.extension_checked
@@ -194,67 +196,101 @@ def test_chi_f_orbit_classes_whose_set_orbits_are_exponential():
     assert chromatic._covering_lp(g, automorphism_generators(g)).value == 2
     g = friendship(17)
     res = chromatic._covering_lp(g, automorphism_generators(g))
-    assert res.value == 3 and res.generators
+    assert res.value == 3 and res.primal.generators
     phi = witness_pq_colouring(g, res, 3, 1)
     assert phi.p == 3 * phi.q and phi.check(g) == (True, "ok")
     # a triangle and a 3-colouring settle it before any LP
     res = fractional_chromatic(g)
-    assert res.value == 3 and res.generators == []
-    assert [x for _, x in res.classes] == [1, 1, 1]
+    assert res.value == 3 and res.primal.generators == []
+    assert [x for _, x in res.primal.columns] == [1, 1, 1]
 
 
 def test_check_chi_f_reads_orbit_loads_and_generators():
     g = cycle(9)
     res = fractional_chromatic(g)
-    sets, xs = [s for s, _ in res.classes], [x for _, x in res.classes]
-    ys, gens = res.clique_weights, res.generators
-    chromatic._check_chi_f(g, sets, res.value, xs, ys, gens)
-    with pytest.raises(RuntimeError):  # each vertex alone is covered < 1
-        chromatic._check_chi_f(g, sets, res.value, xs, ys)
-    with pytest.raises(RuntimeError, match="not an automorphism"):
-        chromatic._check_chi_f(g, sets, res.value, xs, ys, [(1, 0) + tuple(range(2, 9))])
+    assert verify_primal(g, res.primal, -1) == (True, "ok")
+    ok, why = verify_primal(g, PrimalCertificate(res.primal.columns, res.value), -1)
+    assert not ok and why.startswith("load ") and " < 1 at vertex " in why
+    bad = PrimalCertificate(res.primal.columns, res.value, [(1, 0) + tuple(range(2, 9))])
+    ok, why = verify_primal(g, bad, -1)
+    assert not ok and "not an automorphism" in why
+
+
+ROTATION = (1, 2, 3, 4, 0)
+
+
+# (id, generators, columns, objective, why verify_primal refuses them as a
+# covering primal) on C5, where {0, 2} at 5/2 under the rotation covers
+BAD_COVERING_PRIMALS = [
+    ("not-independent", [ROTATION], [([0, 1], F(5, 2))], F(5, 2),
+     "column [0, 1] is not independent"),
+    ("orbit-undercovered", [ROTATION], [([0, 2], F(2))], F(2),
+     "load 4 < 5 at the orbit of vertex"),
+    ("vertex-uncovered", [], [([0, 2], F(5, 2))], F(5, 2), "load 0 < 1 at vertex 1"),
+    ("out-of-range", [ROTATION], [([0, 5], F(5, 2))], F(5, 2),
+     "column [0, 5] has a vertex out of range for n=5"),
+    ("negative-weight", [ROTATION], [([0, 2], F(-1)), ([1, 3], F(7, 2))], F(5, 2),
+     "negative weight on column [0, 2]"),
+    ("bad-generator", [(1, 0, 2, 3, 4)], [([0, 2], F(5, 2))], F(5, 2),
+     "is not an automorphism"),
+    ("objective-mismatch", [ROTATION], [([0, 2], F(5, 2))], F(2),
+     "objective mismatch: 5/2 != 2"),
+]
+
+
+@pytest.mark.parametrize("generators, columns, objective, why",
+                         [case[1:] for case in BAD_COVERING_PRIMALS],
+                         ids=[case[0] for case in BAD_COVERING_PRIMALS])
+def test_covering_check_rejects_bad_primals(generators, columns, objective, why):
+    c5 = cycle(5)
+    good = PrimalCertificate([(mask_of([0, 2]), F(5, 2))], F(5, 2), [ROTATION])
+    assert verify_primal(c5, good, -1) == (True, "ok")
+    cert = PrimalCertificate([(mask_of(s), x) for s, x in columns], objective, generators)
+    ok, message = verify_primal(c5, cert, -1)
+    assert not ok and why in message
+
+
+# (id, weights, stated value, why verify_dual refuses them as a covering
+# dual) on C5, where 1/2 on every vertex is valid
+BAD_COVERING_DUALS = [
+    ("wrong-length", [F(1, 2)] * 4, F(2), "certificate has 4 weights for n=5"),
+    ("negative-weight", [F(1), F(-1, 2), F(1), F(1, 2), F(1, 2)], F(5, 2),
+     "negative weight -1/2 at vertex 1"),
+    ("value-mismatch", [F(1, 2)] * 5, F(3), "value mismatch: 5/2 != 3"),
+    ("overweight", [F(1)] * 5, F(5), "an independent set has weight 2 > 1"),
+]
+
+
+@pytest.mark.parametrize("weights, value, why", [case[1:] for case in BAD_COVERING_DUALS],
+                         ids=[case[0] for case in BAD_COVERING_DUALS])
+def test_covering_check_rejects_bad_duals(weights, value, why):
+    c5 = cycle(5)
+    assert verify_dual(c5, DualCertificate([F(1, 2)] * 5), -1) == (True, "ok")
+    assert verify_dual(c5, DualCertificate(weights, value), -1) == (False, why)
 
 
 def path3():
     return Graph(3, [(0, 1), (1, 2)])
 
 
-def test_check_chi_f_rejects_a_class_that_is_not_independent():
-    with pytest.raises(RuntimeError, match="bad covering-LP witness"):
-        chromatic._check_chi_f(path3(), [0b011, 0b100], F(2), [F(1), F(1)], [F(1), F(1), F(0)])
-
-
-def test_check_chi_f_rejects_classes_that_miss_a_vertex():
-    with pytest.raises(RuntimeError, match="infeasible"):
-        chromatic._check_chi_f(path3(), [0b101], F(1), [F(1)], [F(1), F(0), F(0)])
-
-
-def test_check_chi_f_rejects_a_value_that_is_not_the_weights_total():
-    with pytest.raises(RuntimeError, match="infeasible"):
-        chromatic._check_chi_f(path3(), [0b101, 0b010], F(3), [F(1), F(1)],
-                               [F(1), F(1), F(1)])
-
-
 def test_check_chi_f_searches_a_0_1_dual_off_a_clique(monkeypatch):
     # y on the two ends of P3: not a clique, and {0, 2} weighs 2
     searched = []
-    search = chromatic.max_weight_independent_set
-    monkeypatch.setattr(chromatic, "max_weight_independent_set",
+    search = fdom.max_weight_independent_set
+    monkeypatch.setattr(fdom, "max_weight_independent_set",
                         lambda g, w: searched.append(w) or search(g, w))
-    with pytest.raises(RuntimeError, match="dual not certified"):
-        chromatic._check_chi_f(path3(), [0b101, 0b010], F(2), [F(1), F(1)],
-                               [F(1), F(0), F(1)])
+    assert verify_dual(path3(), DualCertificate([F(1), F(0), F(1)]), -1) == (
+        False, "an independent set has weight 2 > 1")
     assert searched == [[1, 0, 1]]
 
 
 def test_check_chi_f_proves_a_clique_dual_by_edge_tests(monkeypatch):
     def no_search(g, w):
         raise AssertionError("a clique dual needs no search")
-    monkeypatch.setattr(chromatic, "max_weight_independent_set", no_search)
-    chromatic._check_chi_f(path3(), [0b101, 0b010], F(2), [F(1), F(1)], [F(1), F(1), F(0)])
+    monkeypatch.setattr(fdom, "max_weight_independent_set", no_search)
+    assert verify_dual(path3(), DualCertificate([F(1), F(1), F(0)]), -1) == (True, "ok")
     res = fractional_chromatic(complete(5))
-    sets, xs = [s for s, _ in res.classes], [x for _, x in res.classes]
-    chromatic._check_chi_f(complete(5), sets, res.value, xs, res.clique_weights)
+    assert verify_dual(complete(5), res.dual, -1) == (True, "ok")
 
 
 @pytest.mark.parametrize("g, value", [
@@ -264,7 +300,7 @@ def test_check_chi_f_proves_a_clique_dual_by_edge_tests(monkeypatch):
 def test_chi_f_enumerates_below_the_cap_on_more_than_half_as_many_orbits(g, value):
     assert g.n >= chromatic.CHI_F_ORBIT_MIN
     res = chromatic._covering_lp(g, automorphism_generators(g))
-    assert res.generators == [] and res.value == value
+    assert res.primal.generators == [] and res.value == value
 
 
 def test_fullness_c6():

@@ -585,7 +585,7 @@ def test_complete_to_r_failure_in_construction_exits_internal(tmp_path, capsys, 
 
 def test_failed_fdom_self_check_exits_internal(tmp_path, capsys, monkeypatch):
     from fdomlab import fdom
-    monkeypatch.setattr(fdom, "verify_dual", lambda g, cert: (False, "forced failure"))
+    monkeypatch.setattr(fdom, "verify_dual", lambda g, cert, sense=1: (False, "forced failure"))
     assert main(["fdom", "--in", write_graph(tmp_path, cycle(5))]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: dual verification failed")
@@ -641,11 +641,11 @@ def test_chif_on_the_matching_and_the_friendship_graph(tmp_path, capsys):
 
 
 def test_failed_chi_f_self_check_exits_internal(tmp_path, capsys, monkeypatch):
-    from fdomlab import chromatic
+    from fdomlab import fdom
 
     def overweight(g, weights):
         return (1 << g.n) - 1, sum(weights)
-    monkeypatch.setattr(chromatic, "max_weight_independent_set", overweight)
+    monkeypatch.setattr(fdom, "max_weight_independent_set", overweight)
     assert main(["chif", "--in", write_graph(tmp_path, cycle(5))]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
@@ -878,6 +878,36 @@ def test_generators_and_certificates_reject_bad_parameters(capsys, argv, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv, family", [
+    (["gen", "hypercube", "30"], "hypercube"),
+    (["gen", "cycle", "1000000000"], "cycle"),
+    (["gen", "incidence", "1000000", "2"], "incidence"),
+    (["family-cert", "--kind", "hnd", "1000000", "2"], "incidence"),
+    (["family-cert", "--kind", "girth6", "100000", "--in", "K3"], "girth6"),
+    (["family-cert", "--kind", "kmn_dual", "1000000000", "2", "--in", "K3"],
+     "complete_bipartite"),
+])
+def test_parameters_past_the_vertex_cap_are_usage_errors(tmp_path, capsys, argv, family):
+    # the vertex count the parameters imply is checked before anything is
+    # built, even when the certificate's graph is read from a small file
+    argv = [triangle_path(tmp_path) if a == "K3" else a for a in argv]
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert re.fullmatch(f"error: family '{family}' on \\[.*\\] exceeds 65536 vertices\n",
+                        captured.err)
+
+
+def test_memory_error_exits_cap(tmp_path, capsys, monkeypatch):
+    def exhaust(g, cap=20):
+        raise MemoryError
+    monkeypatch.setattr(cli, "fdom_exact", exhaust)
+    assert main(["fdom", "--in", write_graph(tmp_path, cycle(5))]) == 3
+    assert capsys.readouterr().err == "cap exceeded: out of memory\n"
 
 
 def test_intersecting_family_past_its_ground_cap_exits_3(capsys):
